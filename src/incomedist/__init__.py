@@ -5,7 +5,6 @@ from .errors import (
     DataFormatError,
     DomainError,
     EmptyDatasetError,
-    FitNonConvergenceError,
     IncomeDistError,
     InsufficientDataError,
     InvalidParamsError,

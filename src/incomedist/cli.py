@@ -40,7 +40,6 @@ from .errors import (
     DataFormatError,
     DomainError,
     EmptyDatasetError,
-    FitNonConvergenceError,
     IncomeDistError,
     InsufficientDataError,
     InvalidParamsError,
@@ -66,7 +65,6 @@ _INPUT_ERRORS = (
     json.JSONDecodeError,
 )
 _CONVERGENCE_ERRORS = (
-    FitNonConvergenceError,
     UnreliableErrorsError,
     QuadratureError,
     NumericalBlowupError,

@@ -56,10 +56,6 @@ class InsufficientDataError(IncomeDistError):
     """Too few points, or too narrow a range, to run an estimation step."""
 
 
-class FitNonConvergenceError(IncomeDistError):
-    """The optimizer did not satisfy its convergence criterion."""
-
-
 class UnreliableErrorsError(IncomeDistError):
     """Bootstrap error bars are untrustworthy (most resamples failed to converge)."""
 

@@ -9,7 +9,9 @@ derivative-free simplex search in log-parameter space, so positivity
 holds by construction and the optimizer never sees the quadrature noise
 a finite-difference gradient would amplify.  Uncertainty comes from a
 nonparametric bootstrap: resample the dataset, refit from the fitted
-center, report per-parameter standard deviations.
+center, report per-parameter standard deviations.  A :class:`FitProblem`
+builds the grid and empirical curve once per curve; each evaluation is
+then one normalization whose two branch sweeps also give the model curve.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from .errors import (
     QuadratureError,
     UnreliableErrorsError,
 )
-from .model import NormalizedModel, Params, logccdf, normalize
+from .model import NormalizedModel, Params, logccdf, normalize  # noqa: F401 (bench/tracing.py)
 
 __all__ = [
     "FitConfig",
     "FitResult",
+    "FitProblem",
     "initial_guess",
     "objective",
     "fit",
@@ -138,6 +141,27 @@ def _derive_bounds(ccdf: EmpiricalCcdf, overrides) -> dict:
     return bounds
 
 
+class FitProblem:
+    """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF."""
+
+    def __init__(self, ccdf: EmpiricalCcdf, grid_points: int,
+                 quad_tol: float = 1e-10, tail_floor: int = 20):
+        if grid_points < 2:
+            raise DomainError(f"grid_points must be >= 2, got {grid_points!r}")
+        m, p = _positive_points(ccdf)
+        self.grid = np.geomspace(m[0], _grid_ceiling(m, p, tail_floor), int(grid_points))
+        self.log10_emp = np.interp(np.log(self.grid), np.log(m), np.log(p)) / _LN10
+        self.quad_tol = quad_tol
+
+    def logccdf(self, params: Params) -> np.ndarray:
+        """Model log CCDF (natural log) on the grid."""
+        return model_mod._normalize_on(params, self.quad_tol, self.grid)[1]
+
+    def misfit(self, params: Params) -> float:
+        diff = self.logccdf(params) / _LN10 - self.log10_emp
+        return float(np.mean(diff * diff))
+
+
 def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
               quad_tol: float = 1e-10, tail_floor: int = 20) -> float:
     """Mean squared log10-CCDF misfit over a log-spaced income grid.
@@ -153,15 +177,7 @@ def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
     a CCDF produced by evaluating the model on that exact grid scores
     exactly zero.
     """
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points!r}")
-    m, p = _positive_points(ccdf)
-    grid = np.geomspace(m[0], _grid_ceiling(m, p, tail_floor), int(grid_points))
-    emp = np.interp(np.log(grid), np.log(m), np.log(p)) / _LN10
-    mod = normalize(params, quad_tol)
-    cur = logccdf(mod, grid) / _LN10
-    diff = cur - emp
-    return float(np.mean(diff * diff))
+    return FitProblem(ccdf, grid_points, quad_tol, tail_floor).misfit(params)
 
 
 def _coarse_shape(log_m: np.ndarray, log_p: np.ndarray, nodes: int = 60):
@@ -275,23 +291,25 @@ def _unpack(x: np.ndarray, names, tie: bool) -> Params:
     return Params(**kw)
 
 
-def _minimize_once(fun, x0, log_bounds, opt_tol):
-    res = minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        bounds=log_bounds,
-        options={
-            "xatol": 0.25 * opt_tol,
-            "fatol": 1e-9,
-            "maxiter": 6000,
-            "maxfev": 9000,
-            "adaptive": True,
-        },
-    )
+def _clip_into(x, log_bounds):
+    return np.clip(x, [b[0] + 1e-9 for b in log_bounds], [b[1] - 1e-9 for b in log_bounds])
+
+
+def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
+    """One Nelder-Mead run from x0 clipped into the box; (result, converged)."""
+    names = _pack_names(config.tie_t1_m1)
+
+    def fun(x):
+        try:
+            return problem.misfit(_unpack(x, names, config.tie_t1_m1))
+        except (InvalidParamsError, QuadratureError, OverflowError):
+            return _PENALTY
+    res = minimize(fun, _clip_into(x0, log_bounds), method="Nelder-Mead", bounds=log_bounds,
+                   options={"xatol": 0.25 * config.opt_tol, "fatol": 1e-9, "maxiter": 6000,
+                            "maxfev": 9000, "adaptive": True})
     vertices = res.final_simplex[0]
     diameter = float(np.max(np.abs(vertices - vertices[0])))
-    return res, diameter
+    return res, diameter < config.opt_tol
 
 
 def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
@@ -307,32 +325,15 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     bounds = _derive_bounds(ccdf, config.bounds)
     names = _pack_names(config.tie_t1_m1)
     log_bounds = [tuple(np.log(bounds[n])) for n in names]
-
-    def fun(x):
-        try:
-            return objective(_unpack(x, names, config.tie_t1_m1), ccdf,
-                             config.grid_points, config.quad_tol)
-        except (InvalidParamsError, QuadratureError, OverflowError):
-            return _PENALTY
-
-    x0 = np.array([math.log(getattr(guess, n)) for n in names])
-    x0 = np.clip(x0, [b[0] + 1e-9 for b in log_bounds], [b[1] - 1e-9 for b in log_bounds])
+    problem = FitProblem(ccdf, config.grid_points, config.quad_tol)
+    x0 = _clip_into(np.array([math.log(getattr(guess, n)) for n in names]), log_bounds)
 
     best = None
     for k in range(int(config.restarts)):
-        if k == 0:
-            xk = x0
-        else:
-            rng = np.random.default_rng((config.seed, 1, k))
-            xk = np.clip(
-                x0 + 0.3 * rng.standard_normal(x0.size),
-                [b[0] + 1e-9 for b in log_bounds],
-                [b[1] - 1e-9 for b in log_bounds],
-            )
-        res, diameter = _minimize_once(fun, xk, log_bounds, config.opt_tol)
-        candidate = (float(res.fun), diameter < config.opt_tol, res)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
+        noise = np.random.default_rng((config.seed, 1, k)).standard_normal(x0.size)
+        res, converged = _minimize_from(problem, x0 + 0.3 * noise if k else x0, log_bounds, config)
+        if best is None or float(res.fun) < best[0]:
+            best = (float(res.fun), converged, res)
 
     value, converged, res = best
     params = _unpack(res.x, names, config.tie_t1_m1)
@@ -362,18 +363,10 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
 def _refit_from(center: Params, ccdf: EmpiricalCcdf, bounds, config: FitConfig):
     names = _pack_names(config.tie_t1_m1)
     log_bounds = [tuple(np.log(bounds[n])) for n in names]
-
-    def fun(x):
-        try:
-            return objective(_unpack(x, names, config.tie_t1_m1), ccdf,
-                             config.grid_points, config.quad_tol)
-        except (InvalidParamsError, QuadratureError, OverflowError):
-            return _PENALTY
-
     x0 = np.array([math.log(getattr(center, n)) for n in names])
-    x0 = np.clip(x0, [b[0] + 1e-9 for b in log_bounds], [b[1] - 1e-9 for b in log_bounds])
-    res, diameter = _minimize_once(fun, x0, log_bounds, config.opt_tol)
-    return _unpack(res.x, names, config.tie_t1_m1), diameter < config.opt_tol
+    res, converged = _minimize_from(FitProblem(ccdf, config.grid_points, config.quad_tol),
+                                    x0, log_bounds, config)
+    return _unpack(res.x, names, config.tie_t1_m1), converged
 
 
 def bootstrap_errors(

@@ -248,31 +248,45 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     QuadratureError
         If a branch mass cannot be integrated to ``quad_tol``.
     """
+    return _normalize_on(params, quad_tol, np.empty(0))[0]
+
+
+def _log_masses(m0, temperature, alpha, start_v, points_v, end_v, quad_tol):
+    """Log kernel masses, as kernel_log_mass gives them, from start_v to each point and end_v."""
+    beta = m0 / temperature
+    cum, achieved = quadrature.kernel_log_cumulative(
+        start_v, np.append(points_v, end_v), beta, alpha, quad_tol)
+    if achieved > quad_tol:
+        raise QuadratureError(f"branch quadrature reached {achieved:.3e} > {quad_tol:.3e}",
+                              achieved_tol=achieved)
+    return math.log(m0) - beta * _HALF_PI + cum
+
+
+def _normalize_on(p: Params, quad_tol: float, m: np.ndarray):
+    """:func:`normalize` and the log CCDF at ascending incomes ``m``.
+
+    One sweep per branch in v = arctan(m0/m): low over {v1, v(m < m1)..., pi/2},
+    high over {0, v(m >= m1)..., v1}; each branch mass is its sweep's last knot.
+    With no incomes these are the knots of kernel_log_mass, so the constants equal it.
+    """
     if not (0.0 < quad_tol <= 1e-6):
         raise DomainError(f"quad_tol must lie in (0, 1e-6], got {quad_tol!r}")
-    p = params
-    beta_low = p.m0 / p.t_low
-    beta_high = p.m0 / p.t_high
     v1 = float(quadrature._v_of_m(p.m1, p.m0))
-
-    log_i_low = quadrature.kernel_log_mass(p.m0, p.t_low, p.alpha, 0.0, p.m1, quad_tol)
-    log_i_high = quadrature.kernel_log_mass(p.m0, p.t_high, p.alpha1, p.m1, math.inf, quad_tol)
+    v = quadrature._v_of_m(m, p.m0)[::-1]  # ascending, so m >= m1 comes first
+    n_high = m.size - int(np.searchsorted(m, p.m1))
+    low = _log_masses(p.m0, p.t_low, p.alpha, v1, np.maximum(v[n_high:], v1), _HALF_PI, quad_tol)
+    high = _log_masses(p.m0, p.t_high, p.alpha1, 0.0, v[:n_high], v1, quad_tol)
     log_ratio = _log_kernel_ratio_at_m1(p)
-
-    log_c_low = -np.logaddexp(log_i_low, log_ratio + log_i_high)
+    log_c_low = -np.logaddexp(low[-1], log_ratio + high[-1])
     log_c_high = log_c_low + log_ratio
     if not (math.isfinite(log_c_low) and math.isfinite(log_c_high)):
-        raise QuadratureError(
-            f"branch constants are not finite for {p!r}", achieved_tol=math.nan
-        )
-    return NormalizedModel(
-        params=p,
-        log_c_low=float(log_c_low),
-        log_c_high=float(log_c_high),
-        log_ccdf_at_m1=float(log_c_high + log_i_high),
-        quad_tol=quad_tol,
-        _cache={"v1": v1, "beta_low": beta_low, "beta_high": beta_high},
-    )
+        raise QuadratureError(f"branch constants are not finite for {p!r}", achieved_tol=math.nan)
+    log_ccdf_at_m1 = float(log_c_high + high[-1])
+    model = NormalizedModel(params=p, log_c_low=float(log_c_low), log_c_high=float(log_c_high),
+                            log_ccdf_at_m1=log_ccdf_at_m1, quad_tol=quad_tol,
+                            _cache={"v1": v1, "beta_low": p.m0 / p.t_low, "beta_high": p.m0 / p.t_high})
+    out = np.concatenate([log_c_high + high[:-1], np.logaddexp(log_ccdf_at_m1, log_c_low + low[:-1])])
+    return model, out[::-1]
 
 
 def _validate_incomes(m):

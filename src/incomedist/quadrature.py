@@ -209,7 +209,7 @@ def integrate_adaptive(
 
 def _v_of_m(m, m0: float):
     """Map income to v = arctan(m0/m); m = 0 gives pi/2, m -> inf gives 0."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.arctan(m0 / np.asarray(m, dtype=float))
 
 

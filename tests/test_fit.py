@@ -14,9 +14,10 @@ from incomedist.errors import (
     InsufficientDataError,
     UnreliableErrorsError,
 )
-from conftest import year_params
+from conftest import YEAR_ROWS, year_params
 from incomedist.fit import (
     FitConfig,
+    FitProblem,
     FitResult,
     bootstrap_errors,
     fit,
@@ -111,6 +112,15 @@ class TestObjective:
     def test_tiny_grid_rejected(self):
         with pytest.raises(DomainError):
             objective(year_params(2010), small_curve(), 1)
+
+    def test_problem_curve_matches_composed_logccdf(self, ccdf_2010_100k):
+        # The fit's fused sweep against normalize followed by logccdf.
+        problem = FitProblem(ccdf_2010_100k, 200)
+        for year in YEAR_ROWS:
+            p = year_params(year)
+            want = idist.logccdf(idist.normalize(p, problem.quad_tol), problem.grid)
+            gap = np.max(np.abs(problem.logccdf(p) - want))
+            assert gap <= 2.0 * problem.quad_tol, (year, gap)
 
 
 class TestInitialGuess:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import incomedist as idist
 from incomedist.langevin import ks_distance
-from incomedist.model import branch_logpdf
+from incomedist.model import _log_kernel_ratio_at_m1, branch_logpdf
+from incomedist.quadrature import kernel_log_mass
 
 from conftest import YEAR_ROWS, year_params
 
@@ -88,7 +89,63 @@ class TestFpMapping:
             assert abs(c - a) <= 8.0 * EPS * abs(a)
 
 
+def _composed_constants(p, quad_tol):
+    """(log_c_low, log_c_high, log_ccdf_at_m1) from two kernel_log_mass calls.
+
+    The reference for ``normalize``: one mass per branch on [0, m1] and
+    [m1, inf), then continuity at m1 and unit total mass.
+    """
+    log_i_low = kernel_log_mass(p.m0, p.t_low, p.alpha, 0.0, p.m1, quad_tol)
+    log_i_high = kernel_log_mass(p.m0, p.t_high, p.alpha1, p.m1, math.inf, quad_tol)
+    log_ratio = _log_kernel_ratio_at_m1(p)
+    log_c_low = -np.logaddexp(log_i_low, log_ratio + log_i_high)
+    log_c_high = log_c_low + log_ratio
+    if not (math.isfinite(log_c_low) and math.isfinite(log_c_high)):
+        raise idist.QuadratureError("branch constants are not finite")
+    return float(log_c_low), float(log_c_high), float(log_c_high + log_i_high)
+
+
+def _fitter_box_params(n, seed):
+    """Log-uniform scales and uniform exponents over the fitter's bounds
+    for incomes spanning [100, 1e7] (scales in [100/30, 1e7*30], the
+    breakpoint and T1 up to twice the top income, exponents in [0.05, 12])."""
+    rng = np.random.default_rng(seed)
+    lo, top, brk = math.log(100.0 / 30.0), math.log(3e8), math.log(2e7)
+    for row in rng.random((n, 6)):
+        yield idist.Params(
+            t_low=math.exp(lo + row[0] * (top - lo)),
+            t_high=math.exp(lo + row[1] * (brk - lo)),
+            m0=math.exp(lo + row[2] * (top - lo)),
+            m1=math.exp(lo + row[3] * (brk - lo)),
+            alpha=0.05 + 11.95 * row[4],
+            alpha1=0.05 + 11.95 * row[5],
+        )
+
+
 class TestNormalize:
+    def test_constants_equal_composed_reference(self):
+        cases = [(year_params(year), 1e-10) for year in YEAR_ROWS]
+        cases += [(p, 1e-10) for p in _fitter_box_params(200, seed=8)]
+        # Cases where the reference raises: an unreachable tolerance
+        # (QuadratureError) and beta = m0/T beyond float range (OverflowError).
+        cases += [
+            (year_params(2010), 1e-17),
+            (idist.Params(t_low=1e-300, t_high=1.0, m0=1.0, m1=1.0, alpha=2.0, alpha1=2.0), 1e-10),
+        ]
+        raised = 0
+        for p, quad_tol in cases:
+            try:
+                want = _composed_constants(p, quad_tol)
+            except (idist.IncomeDistError, OverflowError) as exc:
+                raised += 1
+                with pytest.raises(type(exc)) as info:
+                    idist.normalize(p, quad_tol)
+                assert info.type is type(exc), p
+                continue
+            model = idist.normalize(p, quad_tol)
+            assert (model.log_c_low, model.log_c_high, model.log_ccdf_at_m1) == want, p
+        assert raised == 2
+
     def test_unit_mass_on_published_rows(self, models):
         for model in models.values():
             assert abs(idist.ccdf(model, 0.0) - 1.0) <= 3e-10

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ class TestBranchMass:
         assert idist.branch_mass(p, "high", 0.0, np.inf) > 0.0
         with pytest.raises(idist.NonNormalizableError):
             kernel_log_mass(bad.m0, bad.t_high, 0.0, 0.0, np.inf)
+
+    def test_subnormal_income_is_the_zero_income(self):
+        # m0/m overflows to inf for m = 5e-324; v = arctan(inf) = pi/2 is
+        # still exact, so the call must return quietly with the m = 0 mass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_log_mass(100.0, 50.0, 2.0, 5e-324, np.inf)
+        assert got == kernel_log_mass(100.0, 50.0, 2.0, 0.0, np.inf)
 
     def test_additivity_at_breakpoint(self):
         for year in (2005, 2009, 2010):

@@ -22,7 +22,6 @@ from .model import (
     from_fp_coefficients,
     logccdf,
     logpdf,
-    model_diagnostics,
     normalize,
     params_from_dict,
     params_to_dict,
@@ -31,6 +30,5 @@ from .model import (
     sample,
     tail_slope,
 )
-from .quadrature import QuadResult, branch_mass, integrate_adaptive
 
 __version__ = "0.1.0"

@@ -308,14 +308,7 @@ def cmd_simulate(params_path, b, agents, dt, steps, stride, seed, out):
             record_stride=stride,
         )
         snapshots = langevin_mod.simulate_ensemble(cfg)
-        if out:
-            langevin_mod.write_snapshots_csv(out, snapshots)
-        else:
-            lines = ["time,income"]
-            for snap in snapshots:
-                t = format(snap.time, ".12g")
-                lines.extend(f"{t},{v:.12g}" for v in snap.incomes)
-            _emit("\n".join(lines) + "\n", None)
+        langevin_mod.write_snapshots_csv(out or sys.stdout, snapshots)
 
     _run(body)
 

@@ -12,7 +12,6 @@ exactly to the unweighted formula when all weights are equal.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -80,10 +79,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class BillionaireRecord:
-    """One wealth-rank entry; the identifier is opaque and only for dedup."""
+    """One wealth-rank entry; names are not kept."""
 
     wealth_usd: float
-    name_hash: str
 
     def __post_init__(self):
         if not (isinstance(self.wealth_usd, (int, float)) and math.isfinite(self.wealth_usd)
@@ -114,10 +112,6 @@ class EmpiricalCcdf:
         p.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.m.tolist(), self.p.tolist()))
 
     def __len__(self) -> int:
         return int(self.m.size)
@@ -209,7 +203,7 @@ def load_incomes(source, fmt: CsvFormat = CsvFormat()) -> tuple[Dataset, list[st
 
 
 def load_billionaires(source) -> tuple[list[BillionaireRecord], list[str]]:
-    """Parse a billionaire CSV (column ``wealth_usd``, optional ``name``)."""
+    """Parse a billionaire CSV (column ``wealth_usd``; other columns are ignored)."""
     fh = _open_text(source)
     try:
         reader = csv.DictReader(fh)
@@ -232,9 +226,7 @@ def load_billionaires(source) -> tuple[list[BillionaireRecord], list[str]]:
                     f"row {row_no}: wealth must be positive, got {raw}, skipped"
                 )
                 continue
-            name = (row.get("name") or f"row{row_no}").strip()
-            digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:16]
-            records.append(BillionaireRecord(wealth_usd=wealth, name_hash=digest))
+            records.append(BillionaireRecord(wealth_usd=wealth))
     finally:
         if fh is not source:
             fh.close()

@@ -21,7 +21,9 @@ fine step for the whole relaxation.
 
 from __future__ import annotations
 
+import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -185,9 +187,16 @@ def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float =
     return ks_two_sample(half.incomes, final.incomes) < threshold
 
 
-def write_snapshots_csv(path, snapshots: Sequence[EnsembleSnapshot]) -> None:
-    """Write recorded snapshots as CSV rows (time, income), one per agent."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_snapshots_csv(dest, snapshots: Sequence[EnsembleSnapshot]) -> None:
+    """Write recorded snapshots as CSV rows (time, income), one per agent.
+
+    ``dest`` is a path or an open text stream; a stream is left open.
+    """
+    if isinstance(dest, io.TextIOBase):
+        target = nullcontext(dest)
+    else:
+        target = open(dest, "w", encoding="utf-8", newline="")
+    with target as fh:
         fh.write("time,income\n")
         for snap in snapshots:
             t = format(snap.time, ".12g")

@@ -29,8 +29,9 @@ for log arithmetic and fatal for linear arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -61,7 +62,6 @@ __all__ = [
     "tail_slope",
     "params_to_dict",
     "params_from_dict",
-    "model_diagnostics",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -115,7 +115,6 @@ class FpCoefficients:
 
     Drift is A(m) = a0_low + a_low * m below the breakpoint and
     a0_high + a_high * m above it; diffusion is B(m) = b0 + b * m**2.
-    ``m_init`` records the lowest admissible income and defaults to 0.
     """
 
     a0_low: float
@@ -124,10 +123,9 @@ class FpCoefficients:
     a_high: float
     b0: float
     b: float
-    m_init: float = 0.0
 
     def __post_init__(self):
-        for name in ("a0_low", "a_low", "a0_high", "a_high", "b0", "b", "m_init"):
+        for name in ("a0_low", "a_low", "a0_high", "a_high", "b0", "b"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
@@ -214,7 +212,6 @@ class NormalizedModel:
     log_c_high: float
     log_ccdf_at_m1: float
     quad_tol: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def c_low(self) -> float:
@@ -228,6 +225,24 @@ class NormalizedModel:
         """Relative mismatch of the two branch densities at m1."""
         delta = (self.log_c_low - self.log_c_high) + _log_kernel_ratio_at_m1(self.params)
         return abs(math.expm1(delta))
+
+    @functools.cached_property
+    def _sample_table(self):
+        """Monotone (log ccdf, log m) table, ascending, for inverse-CCDF interpolation."""
+        p = self.params
+        # Low anchor: CDF(m) ~ c_low * m near zero, aim for CDF ~ 1e-10.
+        log_m_lo = math.log(1e-10) - self.log_c_low
+        m_lo = math.exp(min(log_m_lo, math.log(p.t_low)))
+        m_hi = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
+        target = math.log(1e-13)
+        for _ in range(300):
+            if logccdf(self, m_hi) < target or m_hi > 1e280:
+                break
+            m_hi *= 10.0
+        grid = np.geomspace(m_lo, m_hi, 4096)
+        log_m = np.log(grid)
+        log_p = logccdf(self, grid)
+        return log_p[::-1].copy(), log_m[::-1].copy()
 
 
 def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
@@ -251,42 +266,61 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     return _normalize_on(params, quad_tol, np.empty(0))[0]
 
 
-def _log_masses(m0, temperature, alpha, start_v, points_v, end_v, quad_tol):
-    """Log kernel masses, as kernel_log_mass gives them, from start_v to each point and end_v."""
-    beta = m0 / temperature
-    cum, achieved = quadrature.kernel_log_cumulative(
-        start_v, np.append(points_v, end_v), beta, alpha, quad_tol)
-    if achieved > quad_tol:
-        raise QuadratureError(f"branch quadrature reached {achieved:.3e} > {quad_tol:.3e}",
-                              achieved_tol=achieved)
-    return math.log(m0) - beta * _HALF_PI + cum
+def _sweep(p: Params, quad_tol: float, m: np.ndarray):
+    """Branch kernel log masses, as kernel_log_mass gives them, at ascending incomes ``m``.
+
+    One kernel_log_cumulative sweep per branch in v = arctan(m0/m), over the
+    incomes given and no others: the high kernel from 0 to each v(m >= m1), then
+    the low kernel from v1 = arctan(m0/m1) to each v(m < m1).  Returns
+    (low, high), each in the order of ``m``.
+    """
+    v1 = float(np.arctan(p.m0 / p.m1))  # _v_of_m(m1) without its errstate: m1 > 0
+    v = quadrature._v_of_m(m, p.m0)[::-1]  # ascending, so m >= m1 comes first
+    n_high = m.size - int(np.searchsorted(m, p.m1))
+    masses = []
+    for temperature, alpha, start, points in ((p.t_high, p.alpha1, 0.0, v[:n_high]),
+                                              (p.t_low, p.alpha, v1, np.maximum(v[n_high:], v1))):
+        if points.size == 0:
+            masses.append(points)
+            continue
+        beta = p.m0 / temperature
+        cum, achieved = quadrature.kernel_log_cumulative(start, points, beta, alpha, quad_tol)
+        if achieved > quad_tol:
+            raise QuadratureError(f"branch quadrature reached {achieved:.3e} > {quad_tol:.3e}",
+                                  achieved_tol=achieved)
+        masses.append(math.log(p.m0) - beta * _HALF_PI + cum[::-1])
+    high, low = masses
+    return low, high
 
 
 def _normalize_on(p: Params, quad_tol: float, m: np.ndarray):
     """:func:`normalize` and the log CCDF at ascending incomes ``m``.
 
-    One sweep per branch in v = arctan(m0/m): low over {v1, v(m < m1)..., pi/2},
-    high over {0, v(m >= m1)..., v1}; each branch mass is its sweep's last knot.
-    With no incomes these are the knots of kernel_log_mass, so the constants equal it.
+    Sweeps ``m`` with 0 and m1 added: their knots pi/2 and v1 end the low and
+    high sweeps, so ``low[0]`` and ``high[0]`` are the whole branch masses.  With
+    no incomes the knots are those of kernel_log_mass, so the constants equal it.
     """
     if not (0.0 < quad_tol <= 1e-6):
         raise DomainError(f"quad_tol must lie in (0, 1e-6], got {quad_tol!r}")
-    v1 = float(quadrature._v_of_m(p.m1, p.m0))
-    v = quadrature._v_of_m(m, p.m0)[::-1]  # ascending, so m >= m1 comes first
-    n_high = m.size - int(np.searchsorted(m, p.m1))
-    low = _log_masses(p.m0, p.t_low, p.alpha, v1, np.maximum(v[n_high:], v1), _HALF_PI, quad_tol)
-    high = _log_masses(p.m0, p.t_high, p.alpha1, 0.0, v[:n_high], v1, quad_tol)
+    i = int(np.searchsorted(m, p.m1))
+    low, high = _sweep(p, quad_tol, np.concatenate([[0.0], m[:i], [p.m1], m[i:]]))
     log_ratio = _log_kernel_ratio_at_m1(p)
-    log_c_low = -np.logaddexp(low[-1], log_ratio + high[-1])
+    # invalid: both masses infinite (overflowed parameters); caught just below.
+    with np.errstate(invalid="ignore"):
+        log_c_low = -np.logaddexp(low[0], log_ratio + high[0])
     log_c_high = log_c_low + log_ratio
     if not (math.isfinite(log_c_low) and math.isfinite(log_c_high)):
         raise QuadratureError(f"branch constants are not finite for {p!r}", achieved_tol=math.nan)
-    log_ccdf_at_m1 = float(log_c_high + high[-1])
+    log_ccdf_at_m1 = float(log_c_high + high[0])
     model = NormalizedModel(params=p, log_c_low=float(log_c_low), log_c_high=float(log_c_high),
-                            log_ccdf_at_m1=log_ccdf_at_m1, quad_tol=quad_tol,
-                            _cache={"v1": v1, "beta_low": p.m0 / p.t_low, "beta_high": p.m0 / p.t_high})
-    out = np.concatenate([log_c_high + high[:-1], np.logaddexp(log_ccdf_at_m1, log_c_low + low[:-1])])
-    return model, out[::-1]
+                            log_ccdf_at_m1=log_ccdf_at_m1, quad_tol=quad_tol)
+    return model, _log_ccdf_from(model, low[1:], high[1:])
+
+
+def _log_ccdf_from(model: NormalizedModel, low, high):
+    """Log CCDF from the branch masses of :func:`_sweep`, in the order of the incomes."""
+    return np.concatenate([np.logaddexp(model.log_ccdf_at_m1, model.log_c_low + low),
+                           model.log_c_high + high])
 
 
 def _validate_incomes(m):
@@ -335,41 +369,8 @@ def logccdf(model: NormalizedModel, m):
     :func:`normalize`; requesting many points at once shares one sweep.
     """
     arr = _validate_incomes(m)
-    p = model.params
     uniq, inverse = np.unique(arr.ravel(), return_inverse=True)
-    out = np.empty(uniq.shape)
-    m0 = p.m0
-    v1 = model._cache["v1"]
-    log_m0 = math.log(m0)
-
-    high = uniq >= p.m1
-    if np.any(high):
-        beta = model._cache["beta_high"]
-        pts = quadrature._v_of_m(uniq[high], m0)[::-1]  # ascending v
-        cum, achieved = quadrature.kernel_log_cumulative(
-            0.0, pts, beta, p.alpha1, model.quad_tol
-        )
-        if achieved > model.quad_tol:
-            raise QuadratureError(
-                f"tail CCDF quadrature reached {achieved:.3e} (requested {model.quad_tol:.3e})",
-                achieved_tol=achieved,
-            )
-        out[high] = model.log_c_high + log_m0 - beta * _HALF_PI + cum[::-1]
-    low = ~high
-    if np.any(low):
-        beta = model._cache["beta_low"]
-        pts = np.maximum(quadrature._v_of_m(uniq[low], m0)[::-1], v1)
-        cum, achieved = quadrature.kernel_log_cumulative(
-            v1, pts, beta, p.alpha, model.quad_tol
-        )
-        if achieved > model.quad_tol:
-            raise QuadratureError(
-                f"bulk CCDF quadrature reached {achieved:.3e} (requested {model.quad_tol:.3e})",
-                achieved_tol=achieved,
-            )
-        partial = model.log_c_low + log_m0 - beta * _HALF_PI + cum[::-1]
-        out[low] = np.logaddexp(model.log_ccdf_at_m1, partial)
-
+    out = _log_ccdf_from(model, *_sweep(model.params, model.quad_tol, uniq))
     result = out[inverse].reshape(arr.shape)
     return float(result) if np.isscalar(m) else result
 
@@ -378,30 +379,6 @@ def ccdf(model: NormalizedModel, m):
     """Complementary CDF: probability of an income strictly above m."""
     out = np.exp(logccdf(model, m))
     return float(out) if np.isscalar(m) else out
-
-
-def _sample_table(model: NormalizedModel):
-    """Monotone (log m, log ccdf) table for inverse-CCDF interpolation."""
-    table = model._cache.get("table")
-    if table is not None:
-        return table
-    p = model.params
-    # Low anchor: CDF(m) ~ c_low * m near zero, aim for CDF ~ 1e-10.
-    log_m_lo = math.log(1e-10) - model.log_c_low
-    m_lo = math.exp(min(log_m_lo, math.log(p.t_low)))
-    m_hi = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
-    target = math.log(1e-13)
-    for _ in range(300):
-        if logccdf(model, m_hi) < target or m_hi > 1e280:
-            break
-        m_hi *= 10.0
-    grid = np.geomspace(m_lo, m_hi, 4096)
-    log_m = np.log(grid)
-    log_p = logccdf(model, grid)
-    # Ascending in log ccdf for np.interp.
-    table = (log_p[::-1].copy(), log_m[::-1].copy())
-    model._cache["table"] = table
-    return table
 
 
 def quantile(model: NormalizedModel, p: float) -> float:
@@ -414,7 +391,7 @@ def quantile(model: NormalizedModel, p: float) -> float:
     """
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise DomainError(f"quantile probability must lie in (0, 1), got {p!r}")
-    log_p_grid, log_m_grid = _sample_table(model)
+    log_p_grid, log_m_grid = model._sample_table
     target = math.log(p)
     y0 = float(np.interp(target, log_p_grid, log_m_grid))
 
@@ -452,7 +429,7 @@ def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
-    log_p_grid, log_m_grid = _sample_table(model)
+    log_p_grid, log_m_grid = model._sample_table
     u = np.random.default_rng(seed).random(int(n))
     with np.errstate(divide="ignore"):
         return np.exp(np.interp(np.log(u), log_p_grid, log_m_grid))
@@ -496,14 +473,3 @@ def params_from_dict(doc: Mapping) -> Params:
         raise DataFormatError(f"non-numeric parameter value: {exc}") from None
     return Params(**kwargs)
 
-
-def model_diagnostics(model: NormalizedModel) -> dict:
-    """Serialized diagnostics of a normalized model."""
-    return {
-        **params_to_dict(model.params),
-        "c_low": model.c_low,
-        "c_high": model.c_high,
-        "log_c_low": model.log_c_low,
-        "log_c_high": model.log_c_high,
-        "quad_tol": model.quad_tol,
-    }

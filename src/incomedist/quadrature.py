@@ -21,34 +21,19 @@ rigorously small cutoff; elsewhere by Gauss-Kronrod panels that are
 subdivided until an embedded error estimate passes.  All kernel masses
 are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
-
-Module surface: :class:`QuadResult` and :func:`integrate_adaptive` form
-a general-purpose scalar integrator; :func:`branch_mass` integrates one
-branch kernel between income bounds.  The lower-level ``kernel_log_*``
-functions are shared with :mod:`incomedist.model` and return log masses.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import DomainError, NonNormalizableError, QuadratureError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import Params
-
-__all__ = ["QuadResult", "integrate_adaptive", "branch_mass"]
+__all__ = ["kernel_log_cumulative", "kernel_log_mass"]
 
 _HALF_PI = math.pi / 2.0
-
-# Smallest magnitude that participates in the relative-tolerance test, so
-# that integrals which are exactly zero still converge.
-_ABS_FLOOR = 1e-300
 
 # 15-point Kronrod extension of 7-point Gauss (nodes for the positive
 # half interval, weights aligned; Gauss weights cover nodes 1, 3, 5, 7).
@@ -89,117 +74,6 @@ _SERIES_ORDER = 9          # coefficients d_0 .. d_8
 _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
 _MAX_SPLIT_ROUNDS = 60
 _MAX_BATCH_PANELS = 200_000
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    """Outcome of one adaptive integration.
-
-    ``converged`` is honest: it is set only when the accumulated error
-    estimate is below ``rel_tol * max(|value|, floor)``, and a result
-    that ran out of panel budget comes back with ``converged=False``
-    rather than raising.
-    """
-
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-    converged: bool
-
-
-def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
-    """One plain Gauss-Kronrod panel; returns (value, error_estimate)."""
-    h = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo) + h * _GK_NODES
-    fv = np.asarray(f(nodes), dtype=float)
-    if not np.all(np.isfinite(fv)):
-        # A node landed where the integrand is not finite; claim nothing
-        # for this panel and let the infinite estimate block convergence.
-        return 0.0, math.inf
-    resk = float(fv @ _GK_W)
-    resg = float(fv @ _G7_W)
-    resasc = float(np.abs(fv - 0.5 * resk) @ _GK_W) * abs(h)
-    value = resk * h
-    err = abs((resk - resg) * h)
-    if resasc > 0.0 and err > 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return value, err
-
-
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    max_panels: int = 4096,
-) -> QuadResult:
-    """Integrate ``f`` over [a, b] by globally adaptive Gauss-Kronrod panels.
-
-    Parameters
-    ----------
-    f : callable
-        Integrand; must accept a numpy array of abscissae and return
-        values elementwise.  It is never evaluated at ``a`` or ``b``
-        (all quadrature nodes are interior), so an integrable endpoint
-        singularity at ``b`` is acceptable and is resolved by repeated
-        bisection toward it.
-    a, b : float
-        Finite bounds with ``a <= b``.
-    rel_tol : float
-        Target relative tolerance.
-    max_panels : int
-        Budget of evaluated panels; when exhausted the best estimate is
-        returned with ``converged=False``.
-
-    Returns
-    -------
-    QuadResult
-    """
-    if not (rel_tol > 0.0):
-        raise DomainError("rel_tol must be positive")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError("integrate_adaptive requires finite bounds")
-    if a > b:
-        raise DomainError(f"inverted interval: a={a!r} > b={b!r}")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0, True)
-
-    value, err = _gk15(f, a, b)
-    evaluations = 15
-    panels = 1
-    # Heap of (-error, tiebreak, lo, hi, value, error).
-    counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    total_value = value
-    total_err = err
-
-    while panels < max_panels:
-        if total_err <= rel_tol * max(abs(total_value), _ABS_FLOOR):
-            break
-        if math.isnan(total_err) or math.isnan(total_value):
-            break
-        neg_err, _, lo, hi, val, er = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Interval at floating point resolution; keep as is.
-            heapq.heappush(heap, (0.0, counter + 1, lo, hi, val, er))
-            counter += 1
-            continue
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        evaluations += 30
-        panels += 1
-        total_value += v1 + v2 - val
-        total_err += e1 + e2 - er
-        counter += 2
-        heapq.heappush(heap, (-e1, counter - 1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-
-    # Recompute the totals from the heap to shed accumulated cancellation.
-    total_value = math.fsum(entry[4] for entry in heap)
-    total_err = math.fsum(entry[5] for entry in heap)
-    converged = bool(total_err <= rel_tol * max(abs(total_value), _ABS_FLOOR))
-    return QuadResult(total_value, total_err, evaluations, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +167,9 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol):
     err = np.where(scale & (err > 0.0), shrunk, err)
     tiny = (hi - lo) <= 8.0 * np.finfo(float).eps * np.maximum(hi, 1.0)
     accepted = (err <= 0.5 * rel_tol * val) | (val == 0.0) | tiny
-    with np.errstate(divide="ignore"):
+    # invalid: an overflowed beta (inf) times hi meets log(0) = -inf; the
+    # NaN fails the caller's tolerance check and becomes a QuadratureError.
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_val = beta * hi + np.log(val)
         log_err = beta * hi + np.log(err)
     return log_val, log_err, accepted
@@ -427,34 +303,3 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
         )
     return math.log(m0) - beta * _HALF_PI + float(cum[0])
 
-
-def branch_mass(params: "Params", branch: str, a: float, b: float, rel_tol: float = 1e-12) -> float:
-    """Unnormalized mass of one branch kernel over the income interval [a, b].
-
-    Parameters
-    ----------
-    params : Params
-        Distribution parameters; only the scale ``m0`` and the selected
-        branch's temperature and exponent are used, so the interval may
-        lie anywhere in [0, inf) regardless of the breakpoint.
-    branch : {"low", "high"}
-        Which branch kernel to integrate.
-    a, b : float
-        Income bounds, ``0 <= a <= b``; ``b`` may be ``inf``.
-    rel_tol : float
-        Relative tolerance for the underlying quadrature.
-
-    Returns
-    -------
-    float
-        The kernel integral in EUR units (the kernel itself is
-        dimensionless).
-    """
-    if branch == "low":
-        temperature, alpha = params.t_low, params.alpha
-    elif branch == "high":
-        temperature, alpha = params.t_high, params.alpha1
-    else:
-        raise DomainError(f"unknown branch {branch!r}; expected 'low' or 'high'")
-    log_mass = kernel_log_mass(params.m0, temperature, alpha, a, b, rel_tol)
-    return float(np.exp(log_mass))

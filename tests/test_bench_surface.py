@@ -1,0 +1,83 @@
+"""The package names that the benchmark under bench/ reaches for.
+
+``bench/tracing.py`` wraps module attributes by name and
+``bench/workloads.py`` calls others directly.  A rename or deletion in
+the package that would break a benchmark run fails here first.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+import pathlib
+import sys
+import types
+
+import pytest
+
+from conftest import year_params
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+# The modules bench/run.py imports as the package under test.
+MODULES = ("cli", "data", "errors", "fit", "langevin", "model", "quadrature")
+
+# (module, attribute) pairs that bench/workloads.py calls or reads.
+WORKLOAD_NAMES = [
+    ("cli", "main"),
+    ("errors", "IncomeDistError"),
+    ("model", "params_from_dict"),
+    ("model", "normalize"),
+    ("model", "logccdf"),
+    ("model", "quantile"),
+    ("model", "sample"),
+    ("langevin", "EnsembleSnapshot"),
+    ("langevin", "ks_distance"),
+    ("langevin", "relaxation_reached"),
+]
+
+
+@pytest.fixture(scope="module")
+def pkg():
+    return types.SimpleNamespace(
+        **{name: importlib.import_module(f"incomedist.{name}") for name in MODULES}
+    )
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_resolves(pkg, tracing):
+    points = tracing.patch_points(pkg)
+    assert points
+    missing = [f"{module.__name__}.{attr}" for module, attr, _name, _count in points
+               if not callable(getattr(module, attr, None))]
+    assert not missing
+
+
+def test_patched_calls_record_spans(pkg, tracing):
+    recorder = tracing.Recorder()
+    with tracing.Patched(pkg, recorder):
+        model = pkg.model.normalize(year_params(2010))
+        pkg.model.logccdf(model, [1e4, 1e6])
+    names = {span.name for span in recorder.spans}
+    assert {"model.normalize", "model.logccdf", "quadrature.kernel_log_cumulative"} <= names
+    assert not hasattr(pkg.model.normalize, "__wrapped__")  # originals restored
+
+
+@pytest.mark.parametrize("module, attr", WORKLOAD_NAMES)
+def test_workload_name_resolves(pkg, module, attr):
+    assert hasattr(getattr(pkg, module), attr)
+
+
+def test_workload_attributes(pkg):
+    assert "quad_tol" in {f.name for f in dataclasses.fields(pkg.model.NormalizedModel)}
+    assert callable(pkg.model.NormalizedModel.continuity_gap)
+    snapshot_fields = {f.name for f in dataclasses.fields(pkg.langevin.EnsembleSnapshot)}
+    assert {"time", "incomes"} <= snapshot_fields
+    assert issubclass(pkg.errors.IncomeDistError, Exception)

@@ -205,6 +205,17 @@ class TestSimulateCommand:
         repeat = runner.invoke(main, args)
         assert repeat.output == result.output
 
+    def test_stdout_and_out_file_are_identical(self, runner, tmp_path):
+        params_path = write_params_json(tmp_path / "p2010.json", 2010)
+        args = ["simulate", "--params", params_path, "--agents", "20",
+                "--dt", "0.004", "--steps", "10", "--stride", "5", "--seed", "1"]
+        to_stdout = runner.invoke(main, args)
+        out = tmp_path / "snapshots.csv"
+        to_file = runner.invoke(main, args + ["--out", str(out)])
+        assert to_stdout.exit_code == 0 and to_file.exit_code == 0
+        assert to_file.stdout_bytes == b""
+        assert to_stdout.stdout_bytes == out.read_bytes()
+
 
 class TestReportCommand:
     @pytest.fixture()

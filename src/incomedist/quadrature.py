@@ -283,8 +283,10 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
     relative tolerance is not met and :class:`NonNormalizableError` for
     a divergent improper integral (alpha <= 0 with b = inf).
     """
-    if a < 0.0 or b < a:
+    if not (0.0 <= a <= b):
         raise DomainError(f"invalid kernel bounds [{a!r}, {b!r}]")
+    if not (rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     if a == b:
         return -np.inf
     beta = m0 / temperature

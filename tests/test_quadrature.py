@@ -38,6 +38,95 @@ _KNOTS = np.linspace(0.0, HALF_PI, 9)[1:]
 _BETAS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 900.0)
 
 
+class TestIntegrateAdaptive:
+    """Integrals with known values, run through the adaptive engine.
+
+    The v-space integrand is exp(beta*v) * sin(v)^(alpha-1); v = pi/2 - u
+    turns sin(v) into cos(u), and beta = 1e-15 makes exp(beta*v) equal
+    to 1 within 2e-15 on (0, pi/2], which leaves the bare power.
+    """
+
+    def test_exponential_decay(self):
+        # alpha = 1 leaves exp(beta*v); beta = 40/pi spans 20 e-folds over
+        # [0, pi/2], the v-space image of integral_{-20}^0 e^u du.
+        beta = 40.0 / math.pi
+        exact = 20.0 - math.log(beta) + math.log(-math.expm1(-20.0))
+        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], beta, 1.0, 1e-10)
+        assert achieved <= 1e-10
+        assert abs(math.expm1(cum[0] - exact)) <= 1e-10
+        # The same integral in income space: m0 * (1 - e^-20) / beta.
+        m0 = 155000.0
+        got = kernel_log_mass(m0, m0 / beta, 1.0, 0.0, np.inf, rel_tol=1e-10)
+        assert abs(math.expm1(got - (math.log(m0) + exact - 20.0))) <= 1e-10
+
+    def test_empty_interval_is_zero(self):
+        cum, achieved = kernel_log_cumulative(0.3, [0.3], 2.0, 1.5, 1e-12)
+        assert cum[0] == -np.inf
+        assert achieved == 0.0
+        # A repeated knot adds nothing to the running mass.
+        cum, _ = kernel_log_cumulative(0.0, [0.3, 0.3, 1.0], 2.0, 1.5, 1e-12)
+        assert cum[0] == cum[1] < cum[2]
+        for a in (0.0, 5000.0, np.inf):
+            assert kernel_log_mass(100.0, 50.0, 2.0, a, a) == -np.inf
+
+    def test_inverted_interval_rejected(self):
+        nan = float("nan")
+        for a, b in [(1.0, 0.0), (np.inf, 5.0), (nan, 5.0), (1.0, nan), (nan, nan)]:
+            with pytest.raises(idist.DomainError):
+                kernel_log_mass(100.0, 50.0, 2.0, a, b)
+
+    def test_bad_tolerance_rejected(self):
+        for rel_tol in (0.0, -1e-10, float("nan")):
+            with pytest.raises(idist.DomainError):
+                kernel_log_mass(100.0, 50.0, 2.0, 0.0, np.inf, rel_tol=rel_tol)
+
+    def test_integrable_endpoint_singularity(self):
+        """sin(v)^(-0.3) from 0, unbounded at the lower end.
+
+        integral_0^x sin(v)^(alpha-1) dv = B(alpha/2, 1/2) * I(sin(x)^2) / 2,
+        with I the regularized incomplete Beta function.
+        """
+        alpha = 0.7
+        cum, achieved = kernel_log_cumulative(0.0, _KNOTS, 1e-15, alpha, 1e-9)
+        exact = (
+            0.5
+            * scipy.special.beta(0.5 * alpha, 0.5)
+            * scipy.special.betainc(0.5 * alpha, 0.5, np.sin(_KNOTS) ** 2)
+        )
+        assert achieved <= 1e-9
+        assert np.max(np.abs(np.exp(cum) - exact) / exact) <= 5e-9
+
+    def test_singular_cosine_power_against_midpoint_oracle(self):
+        """(cos u)^(alpha1 - 1) with alpha1 = 0.77 on [0, pi/2).
+
+        The oracle is a brute-force midpoint rule with 1e8 nodes, computed
+        in chunks.  The midpoint rule converges slowly near the singular
+        endpoint (error ~ h^0.77), so its own accuracy is estimated by
+        Richardson comparison with an 8x coarser pass and the assertion
+        allows for it explicitly.
+        """
+        expo = 0.77 - 1.0
+
+        def midpoint(n):
+            h = HALF_PI / n
+            total = 0.0
+            chunk = 2_000_000
+            for start in range(0, n, chunk):
+                stop = min(start + chunk, n)
+                u = (np.arange(start, stop, dtype=float) + 0.5) * h
+                total += float(np.sum(np.cos(u) ** expo))
+            return total * h
+
+        oracle = midpoint(100_000_000)
+        coarse = midpoint(12_500_000)
+        oracle_self_err = abs(oracle - coarse)
+
+        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], 1e-15, 0.77, 1e-10)
+        value = math.exp(cum[0])
+        assert achieved <= 1e-10
+        assert abs(value - oracle) <= max(1e-8 * oracle, 2.0 * oracle_self_err)
+
+
 class TestErrorHonesty:
     def test_estimates_bound_true_error(self):
         """True error stays within 10x the achieved tolerance reported.

@@ -17,7 +17,6 @@ still emitted).
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ from .errors import (
     DataFormatError,
     DomainError,
     EmptyDatasetError,
-    IncomeDistError,
     InsufficientDataError,
     InvalidParamsError,
     NonNormalizableError,

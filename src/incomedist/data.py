@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

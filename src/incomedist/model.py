@@ -233,6 +233,13 @@ class NormalizedModel:
         # Low anchor: CDF(m) ~ c_low * m near zero, aim for CDF ~ 1e-10.
         log_m_lo = math.log(1e-10) - self.log_c_low
         m_lo = math.exp(min(log_m_lo, math.log(p.t_low)))
+        if not m_lo > 0.0:
+            # A branch constant this large comes from a low-branch mass
+            # that underflowed; the table would start at income 0.
+            raise QuadratureError(
+                f"sampling table low anchor exp({log_m_lo:.6g}) underflows "
+                f"(log c_low = {self.log_c_low:.6g})"
+            )
         m_hi = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
         target = math.log(1e-13)
         for _ in range(300):

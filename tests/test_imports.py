@@ -1,0 +1,55 @@
+"""Every name a package module imports is used by that module.
+
+A name counts as used when the module references it, lists it in
+``__all__``, or imports it on a line marked ``# noqa: F401`` (a
+re-export that something outside the module reaches through it).
+``__init__.py`` is skipped: its imports are the package namespace.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "incomedist"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.name}:{lineno}: {name}"
+        for name, lineno in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used and "# noqa: F401" not in lines[lineno - 1]
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\nimport os  # noqa: F401\nfrom json import dumps, loads\n"
+        "__all__ = ['loads']\nprint(math.pi)\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(probe) == ["probe.py:3: dumps"]

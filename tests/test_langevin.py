@@ -1,11 +1,14 @@
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import incomedist as idist
+from incomedist import langevin
 from incomedist.langevin import (
+    EnsembleSnapshot,
     SimConfig,
     ks_distance,
     ks_two_sample,
@@ -15,6 +18,50 @@ from incomedist.langevin import (
 )
 
 from conftest import year_params
+
+
+def euler_maruyama_oracle(config):
+    """The one-draw-per-step loop that ``simulate_ensemble`` must reproduce bit for bit."""
+    c = config.coeffs
+    n = int(config.n_agents)
+    dt = float(config.dt)
+    root_dt = math.sqrt(dt)
+    if config.initial_incomes is not None:
+        m = config.initial_incomes.copy()
+    else:
+        m = np.full(n, c.b0 / c.a0_low)
+
+    rng = np.random.default_rng(config.seed)
+    snapshots = [EnsembleSnapshot(time=0.0, incomes=m.copy())]
+    recorded = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, int(config.n_steps) + 1):
+            below = m < config.m1
+            drift = np.where(below, c.a0_low + c.a_low * m, c.a0_high + c.a_high * m)
+            sigma = np.sqrt(2.0 * (c.b0 + c.b * m * m))
+            m -= drift * dt
+            m += sigma * (root_dt * rng.standard_normal(n))
+            np.abs(m, out=m)
+            if not np.all(np.isfinite(m)):
+                raise idist.NumericalBlowupError(
+                    f"non-finite income at step {step} (dt={dt:g})", step=step
+                )
+            if config.record_stride and step % config.record_stride == 0:
+                snapshots.append(EnsembleSnapshot(time=step * dt, incomes=m.copy()))
+                recorded = step
+    if recorded != config.n_steps and config.n_steps > 0:
+        snapshots.append(EnsembleSnapshot(time=config.n_steps * dt, incomes=m.copy()))
+    return snapshots
+
+
+def runaway_config():
+    # a_high < 0 and large makes incomes above m1 grow by ~9.6% per
+    # step; the state overflows after a few thousand steps while the
+    # formal stability product stays just under the bound.
+    coeffs = idist.FpCoefficients(
+        a0_low=1.0, a_low=0.01, a0_high=1.0, a_high=-24.0, b0=1.0, b=1e-6
+    )
+    return SimConfig(coeffs=coeffs, m1=0.5, n_agents=50, dt=0.004, n_steps=20000, seed=2)
 
 
 def unit_2010_config(**overrides):
@@ -93,15 +140,8 @@ class TestSimulateEnsemble:
         assert cont[0].incomes is not first  # defensive copy
 
     def test_runaway_drift_reports_blowup_step(self):
-        # a_high < 0 and large makes incomes above m1 grow by ~9.6% per
-        # step; the state overflows after a few thousand steps while the
-        # formal stability product stays just under the bound.
-        coeffs = idist.FpCoefficients(
-            a0_low=1.0, a_low=0.01, a0_high=1.0, a_high=-24.0, b0=1.0, b=1e-6
-        )
-        cfg = SimConfig(coeffs=coeffs, m1=0.5, n_agents=50, dt=0.004, n_steps=20000, seed=2)
         with pytest.raises(idist.NumericalBlowupError) as excinfo:
-            simulate_ensemble(cfg)
+            simulate_ensemble(runaway_config())
         assert excinfo.value.step > 0
 
     def test_additive_regime_relaxes_to_exponential(self):
@@ -142,6 +182,54 @@ class TestSimulateEnsemble:
         )
         final = simulate_ensemble(polish)[-1].incomes
         assert ks_distance(final, models[2010]) < 0.03
+
+
+class TestPrefetchedNoise:
+    """The prefetch thread and reused buffers leave the integration unchanged."""
+
+    @staticmethod
+    def assert_same_snapshots(got, want):
+        assert [s.time for s in got] == [s.time for s in want]
+        for a, b in zip(got, want):
+            assert a.incomes.tobytes() == b.incomes.tobytes()
+
+    @pytest.mark.parametrize("n_agents", [7, 1000, 65537])
+    def test_matches_oracle_across_block_boundaries(self, n_agents):
+        rows = max(1, langevin._NOISE_BLOCK // n_agents)
+        # Two full blocks and a short last one; with one row per block the
+        # count is simply small.
+        n_steps = 2 * rows + 3 if rows > 1 else 5
+        for stride in (0, 2):
+            cfg = unit_2010_config(
+                n_agents=n_agents, n_steps=n_steps, record_stride=stride, seed=n_agents
+            )
+            self.assert_same_snapshots(simulate_ensemble(cfg), euler_maruyama_oracle(cfg))
+
+    def test_matches_oracle_from_initial_incomes(self):
+        start = simulate_ensemble(unit_2010_config(n_agents=1000, n_steps=40, seed=3))[-1].incomes
+        cfg = unit_2010_config(
+            n_agents=1000, n_steps=77, record_stride=10, seed=4, initial_incomes=start
+        )
+        self.assert_same_snapshots(simulate_ensemble(cfg), euler_maruyama_oracle(cfg))
+
+    def test_matches_oracle_with_no_steps(self):
+        cfg = unit_2010_config(n_agents=1000, n_steps=0, record_stride=3)
+        self.assert_same_snapshots(simulate_ensemble(cfg), euler_maruyama_oracle(cfg))
+
+    def test_blowup_step_matches_oracle(self):
+        with pytest.raises(idist.NumericalBlowupError) as want:
+            euler_maruyama_oracle(runaway_config())
+        with pytest.raises(idist.NumericalBlowupError) as got:
+            simulate_ensemble(runaway_config())
+        assert got.value.step == want.value.step
+
+    def test_worker_thread_is_joined(self):
+        before = threading.active_count()
+        simulate_ensemble(unit_2010_config(n_agents=1000, n_steps=200))
+        assert threading.active_count() == before
+        with pytest.raises(idist.NumericalBlowupError):
+            simulate_ensemble(runaway_config())
+        assert threading.active_count() == before
 
 
 class TestKsDistance:

@@ -362,6 +362,17 @@ class TestSample:
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0.0)
 
+    def test_underflowed_low_anchor_raises_quadrature_error(self):
+        # m0/T = 2e5 loses the low-branch mass to underflow, so the branch
+        # constant is ~3e5 and the table's low anchor exp(-3e5) is 0.
+        model = idist.normalize(
+            idist.Params(t_low=1.0, t_high=1.0, m0=2e5, m1=1e7, alpha=2.0, alpha1=2.0)
+        )
+        with pytest.raises(idist.QuadratureError):
+            idist.quantile(model, 0.5)
+        with pytest.raises(idist.QuadratureError):
+            idist.sample(model, 10, seed=1)
+
 
 class TestTailSlope:
     def test_light_tail_year(self, models):

@@ -26,7 +26,6 @@ import numpy as np
 from . import langevin as langevin_mod
 from . import model as model_mod
 from .data import (
-    CsvFormat,
     Dataset,
     billionaire_effective_income,
     empirical_ccdf,
@@ -118,41 +117,54 @@ def _dump_json(doc) -> str:
 
 
 def _load_config_overrides(config_path, flag_values: dict) -> dict:
-    """Apply --config JSON on top of flag values (config wins)."""
+    """Apply --config JSON on top of flag values (config wins).
+
+    Values pass through their flag's type; one it refuses is a ConfigError.
+    """
     if not config_path:
         return flag_values
     with open(config_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {config_path} must hold a JSON object")
+    ctx = click.get_current_context()
+    options = {param.name: param for param in ctx.command.params}
     merged = dict(flag_values)
     for key, value in doc.items():
         norm = key.replace("-", "_")
         if norm not in merged:
             raise ConfigError(f"unknown config key {key!r}")
+        option = options[norm]
+        try:
+            if value is not None:
+                value = option.type.convert(value, option, ctx)
+            elif option.required or option.default is not None:
+                raise ValueError("null where the flag needs a value")
+        except (click.BadParameter, TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
         merged[norm] = value
     return merged
 
 
 def _load_dataset(opts) -> tuple[Dataset, list[str]]:
-    fmt = CsvFormat(label=str(opts.get("label") or ""))
-    ds, diagnostics = load_incomes(opts["incomes"], fmt)
+    ds, diagnostics = load_incomes(opts["incomes"], str(opts.get("label") or ""))
     if opts.get("billionaires"):
-        records, rec_diag = load_billionaires(opts["billionaires"])
-        diagnostics.extend(rec_diag)
+        wealth, wealth_diag = load_billionaires(opts["billionaires"])
+        diagnostics.extend(wealth_diag)
         top = billionaire_effective_income(
-            records, opts["usd_eur"], opts["return_rate"]
+            wealth, opts["usd_eur"], opts["return_rate"]
         )
         ds = merge_datasets(ds, top, opts["top_weight"])
     return ds, diagnostics
 
 
-def _load_params_file(path) -> Params:
+def _load_params_file(path) -> tuple[Params, dict]:
+    """Params from a bare params JSON or a fit result, plus the whole document."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and "params" in doc:
-        doc = doc["params"]
-    return params_from_dict(doc)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return params_from_dict(doc.get("params", doc)), doc
 
 
 def _run(body) -> None:
@@ -218,11 +230,11 @@ def cmd_fit(config_path, **flags):
         )
         curve = empirical_ccdf(ds)
         result = fit(curve, cfg)
-        errors = result.errors
         if cfg.bootstrap_resamples > 0:
             errors = bootstrap_errors(ds, cfg, result.params)
-        doc = fit_result_document(result, cfg)
-        doc["errors"] = errors
+        else:
+            errors = dict.fromkeys(params_to_dict(result.params), 0.0)
+        doc = fit_result_document(result, cfg, errors)
         doc["data"] = {
             "label": ds.label,
             "records": len(ds),
@@ -245,7 +257,9 @@ def cmd_plotdata(config_path, params_path, **flags):
 
     def body():
         opts = _load_config_overrides(config_path, flags)
-        params = _load_params_file(params_path)
+        if opts["curve_points"] < 2:
+            raise ConfigError(f"curve_points must be >= 2, got {opts['curve_points']!r}")
+        params, _ = _load_params_file(params_path)
         mod = normalize(params)
         ds, _ = _load_dataset(opts)
         curve = empirical_ccdf(ds)
@@ -273,7 +287,7 @@ def cmd_sample(params_path, n, seed, out):
     """Draw synthetic incomes from fitted parameters."""
 
     def body():
-        params = _load_params_file(params_path)
+        params, _ = _load_params_file(params_path)
         mod = normalize(params)
         values = sample(mod, n, seed)
         _emit("income\n" + "".join(f"{v:.12g}\n" for v in values), out)
@@ -294,7 +308,7 @@ def cmd_simulate(params_path, b, agents, dt, steps, stride, seed, out):
     """Integrate the income Langevin ensemble and dump snapshots."""
 
     def body():
-        params = _load_params_file(params_path)
+        params, _ = _load_params_file(params_path)
         coeffs = model_mod.fp_coefficients_for(params, b=b)
         cfg = langevin_mod.SimConfig(
             coeffs=coeffs,
@@ -322,9 +336,7 @@ def cmd_report(fit_paths, excludes, crisis_threshold, out):
     def body():
         rows = []
         for path in fit_paths:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            params = params_from_dict(doc["params"] if "params" in doc else doc)
+            params, doc = _load_params_file(path)
             label = str(
                 doc.get("label")
                 or (doc.get("data") or {}).get("label")

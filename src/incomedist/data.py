@@ -1,9 +1,9 @@
 """Income microdata ingestion and empirical CCDFs.
 
-CSV survey data (column ``income``, optional ``weight``) becomes an
-immutable sorted :class:`Dataset`; billionaire wealth records can be
-converted to effective incomes and merged in to extend the covered
-range, since surveys top-code or simply never reach the extreme tail.
+CSV survey data (column ``income``, optional ``weight``; a path or an
+open text stream) becomes an immutable sorted :class:`Dataset`; a
+billionaire wealth array can be converted to effective incomes and
+merged in, since surveys top-code or never reach the extreme tail.
 Empirical complementary CDFs use the Weibull plotting position
 1 - i/(n+1), generalized to weighted samples in a way that reduces
 exactly to the unweighted formula when all weights are equal.
@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,9 +30,7 @@ from .errors import (
 
 __all__ = [
     "Dataset",
-    "BillionaireRecord",
     "EmpiricalCcdf",
-    "CsvFormat",
     "load_incomes",
     "load_billionaires",
     "billionaire_effective_income",
@@ -77,19 +77,6 @@ class Dataset:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class BillionaireRecord:
-    """One wealth-rank entry; names are not kept."""
-
-    wealth_usd: float
-
-    def __post_init__(self):
-        if not (isinstance(self.wealth_usd, (int, float)) and math.isfinite(self.wealth_usd)
-                and self.wealth_usd > 0):
-            raise DomainError(f"wealth_usd must be positive, got {self.wealth_usd!r}")
-        object.__setattr__(self, "wealth_usd", float(self.wealth_usd))
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalCcdf:
     """Plot-ready CCDF points: m strictly increasing, p strictly decreasing."""
@@ -117,35 +104,27 @@ class EmpiricalCcdf:
         return int(self.m.size)
 
 
-@dataclass(frozen=True)
-class CsvFormat:
-    """Column naming for income CSVs; header is always file line 1."""
-
-    income_column: str = "income"
-    weight_column: str = "weight"
-    label: str = ""
+_INCOME_COLUMN = "income"
+_WEIGHT_COLUMN = "weight"
 
 
 def _open_text(source):
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+    """A path (``str`` or ``os.PathLike``) is opened; an open text stream is left open."""
     if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8")
+        return nullcontext(source)
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "r", encoding="utf-8", newline="")
+    raise DataFormatError(f"expected a path or an open text stream, got {type(source).__name__}")
 
 
-def load_incomes(source, fmt: CsvFormat = CsvFormat()) -> tuple[Dataset, list[str]]:
+def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
     """Parse an income CSV into a Dataset plus per-row rejection diagnostics.
 
-    ``source`` may be a path or an open (text or byte) stream.  The
-    header must contain ``fmt.income_column``; ``fmt.weight_column`` is
-    honored when present and defaults to weight 1 otherwise.  Rows whose
-    income is missing, non-numeric, non-finite, or negative are skipped,
-    each contributing one diagnostic string citing its file row number
-    (the header is row 1).
+    ``source`` is a path or an open text stream; the header is file row
+    1.  The header must contain ``income``; ``weight`` is honored when
+    present and defaults to weight 1 otherwise.  Rows whose income is
+    missing, non-numeric, non-finite, or negative are skipped, each
+    contributing one diagnostic string citing its file row number.
 
     Raises
     ------
@@ -154,20 +133,19 @@ def load_incomes(source, fmt: CsvFormat = CsvFormat()) -> tuple[Dataset, list[st
     EmptyDatasetError
         If no valid rows remain.
     """
-    fh = _open_text(source)
-    try:
+    with _open_text(source) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
-        if header is None or fmt.income_column not in header:
+        if header is None or _INCOME_COLUMN not in header:
             raise DataFormatError(
-                f"missing required column {fmt.income_column!r} in header {header!r}"
+                f"missing required column {_INCOME_COLUMN!r} in header {header!r}"
             )
-        has_weight = fmt.weight_column in header
+        has_weight = _WEIGHT_COLUMN in header
         values: list[float] = []
         weights: list[float] = []
         diagnostics: list[str] = []
         for row_no, row in enumerate(reader, start=2):
-            raw = row.get(fmt.income_column)
+            raw = row.get(_INCOME_COLUMN)
             try:
                 value = float(raw)
             except (TypeError, ValueError):
@@ -180,7 +158,7 @@ def load_incomes(source, fmt: CsvFormat = CsvFormat()) -> tuple[Dataset, list[st
                 continue
             weight = 1.0
             if has_weight:
-                raw_w = row.get(fmt.weight_column)
+                raw_w = row.get(_WEIGHT_COLUMN)
                 try:
                     weight = float(raw_w)
                 except (TypeError, ValueError):
@@ -193,62 +171,53 @@ def load_incomes(source, fmt: CsvFormat = CsvFormat()) -> tuple[Dataset, list[st
                     continue
             values.append(value)
             weights.append(weight)
-    finally:
-        if fh is not source:
-            fh.close()
     if not values:
         raise EmptyDatasetError("no valid income rows" + (f"; first issue: {diagnostics[0]}" if diagnostics else ""))
-    ds = Dataset(values=np.array(values), weights=np.array(weights), label=fmt.label)
+    ds = Dataset(values=np.array(values), weights=np.array(weights), label=label)
     return ds, diagnostics
 
 
-def load_billionaires(source) -> tuple[list[BillionaireRecord], list[str]]:
-    """Parse a billionaire CSV (column ``wealth_usd``; other columns are ignored)."""
-    fh = _open_text(source)
-    try:
+def load_billionaires(source) -> tuple[np.ndarray, list[str]]:
+    """Positive wealth values of a billionaire CSV (column ``wealth_usd``) plus row diagnostics."""
+    with _open_text(source) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None or "wealth_usd" not in header:
             raise DataFormatError(
                 f"missing required column 'wealth_usd' in header {header!r}"
             )
-        records: list[BillionaireRecord] = []
+        wealth: list[float] = []
         diagnostics: list[str] = []
         for row_no, row in enumerate(reader, start=2):
             raw = row.get("wealth_usd")
             try:
-                wealth = float(raw)
+                value = float(raw)
             except (TypeError, ValueError):
                 diagnostics.append(f"row {row_no}: unreadable wealth {raw!r}, skipped")
                 continue
-            if not math.isfinite(wealth) or wealth <= 0.0:
+            if not math.isfinite(value) or value <= 0.0:
                 diagnostics.append(
                     f"row {row_no}: wealth must be positive, got {raw}, skipped"
                 )
                 continue
-            records.append(BillionaireRecord(wealth_usd=wealth))
-    finally:
-        if fh is not source:
-            fh.close()
-    return records, diagnostics
+            wealth.append(value)
+    return np.array(wealth), diagnostics
 
 
 def billionaire_effective_income(
-    records: Sequence[BillionaireRecord],
-    usd_eur_rate: float,
-    return_rate: float,
-) -> list[float]:
+    wealth_usd, usd_eur_rate: float, return_rate: float
+) -> np.ndarray:
     """Impute annual incomes as wealth * exchange rate * return on wealth.
 
-    Both rates must be positive; records whose imputed income fails to
-    come out positive are dropped.
+    Both rates must be positive; wealth values whose imputed income fails
+    to come out positive are dropped.
     """
     if not (usd_eur_rate > 0.0 and math.isfinite(usd_eur_rate)):
         raise ConfigError(f"usd_eur_rate must be positive, got {usd_eur_rate!r}")
     if not (return_rate > 0.0 and math.isfinite(return_rate)):
         raise ConfigError(f"return_rate must be positive, got {return_rate!r}")
-    incomes = [r.wealth_usd * usd_eur_rate * return_rate for r in records]
-    return [m for m in incomes if m > 0.0]
+    incomes = np.asarray(wealth_usd, dtype=float).ravel() * usd_eur_rate * return_rate
+    return incomes[incomes > 0.0]
 
 
 def merge_datasets(survey: Dataset, top_incomes: Sequence[float], top_weight: float) -> Dataset:

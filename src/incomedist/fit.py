@@ -9,16 +9,17 @@ derivative-free simplex search in log-parameter space, so positivity
 holds by construction and the optimizer never sees the quadrature noise
 a finite-difference gradient would amplify.  Uncertainty comes from a
 nonparametric bootstrap: resample the dataset, refit from the fitted
-center, report per-parameter standard deviations.  A :class:`FitProblem`
-builds the grid and empirical curve once per curve; each evaluation is
-then one normalization whose two branch sweeps also give the model curve.
+center, report per-parameter standard deviations, which the caller
+passes to :func:`fit_result_document`.  A :class:`FitProblem` builds the
+grid and empirical curve once per curve; each evaluation is then one
+normalization whose two branch sweeps also give the model curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -59,7 +60,6 @@ class FitConfig:
 
     grid_points: int = 200
     tie_t1_m1: bool = False
-    bounds: Optional[Mapping[str, tuple]] = None
     restarts: int = 5
     bootstrap_resamples: int = 200
     seed: int = 0
@@ -77,19 +77,11 @@ class FitConfig:
             raise ConfigError(f"opt_tol must lie in (0, 1), got {self.opt_tol!r}")
         if not (0.0 < self.quad_tol <= 1e-6):
             raise ConfigError(f"quad_tol must lie in (0, 1e-6], got {self.quad_tol!r}")
-        if self.bounds is not None:
-            for name, pair in self.bounds.items():
-                if name not in _ORDER:
-                    raise ConfigError(f"unknown bound name {name!r}")
-                lo, hi = pair
-                if not (0.0 < lo < hi and math.isfinite(hi)):
-                    raise ConfigError(f"bounds for {name} must be positive and ordered, got {pair!r}")
 
 
 @dataclass(frozen=True)
 class FitResult:
     params: Params
-    errors: dict
     objective: float
     iterations: int
     converged: bool
@@ -99,8 +91,6 @@ class FitResult:
     def __post_init__(self):
         if not self.objective >= 0.0:
             raise DomainError(f"objective must be >= 0, got {self.objective!r}")
-        if any(v < 0.0 for v in self.errors.values()):
-            raise DomainError("errors must be >= 0")
 
 
 def _positive_points(ccdf: EmpiricalCcdf):
@@ -121,14 +111,14 @@ def _grid_ceiling(m: np.ndarray, p: np.ndarray, tail_floor: int = 20) -> float:
     return float(m[-1])
 
 
-def _derive_bounds(ccdf: EmpiricalCcdf, overrides) -> dict:
+def _derive_bounds(ccdf: EmpiricalCcdf) -> dict:
     m, p = _positive_points(ccdf)
     scale = (float(m[0]) / 30.0, float(m[-1]) * 30.0)
     # The breakpoint must stay inside the region the objective can see,
     # or the high branch degenerates into a free-for-all.
     ceiling = _grid_ceiling(m, p)
     break_scale = (scale[0], ceiling * 2.0)
-    bounds = {
+    return {
         "t_low": scale,
         "t_high": break_scale,
         "m0": scale,
@@ -136,9 +126,6 @@ def _derive_bounds(ccdf: EmpiricalCcdf, overrides) -> dict:
         "alpha": (0.05, 12.0),
         "alpha1": (0.05, 12.0),
     }
-    if overrides:
-        bounds.update({k: (float(v[0]), float(v[1])) for k, v in overrides.items()})
-    return bounds
 
 
 class FitProblem:
@@ -264,7 +251,7 @@ def initial_guess(ccdf: EmpiricalCcdf) -> Params:
         top[-5:] = True
     alpha1 = float(np.clip(-np.polyfit(log_m[top], log_p[top], 1)[0], 0.05, 11.0))
 
-    bounds = _derive_bounds(ccdf, None)
+    bounds = _derive_bounds(ccdf)
 
     def clip(name, value):
         lo, hi = bounds[name]
@@ -317,12 +304,12 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
 
     Starts at :func:`initial_guess`, then from seeded log-space
     perturbations of it; each restart runs Nelder-Mead inside positive
-    bounds derived from the data range (overridable via the config).
+    bounds derived from the data range.
     ``converged`` reflects the winning restart's final simplex diameter
     against ``opt_tol``; a non-converged result is still returned.
     """
     guess = initial_guess(ccdf)
-    bounds = _derive_bounds(ccdf, config.bounds)
+    bounds = _derive_bounds(ccdf)
     names = _pack_names(config.tie_t1_m1)
     log_bounds = [tuple(np.log(bounds[n])) for n in names]
     problem = FitProblem(ccdf, config.grid_points, config.quad_tol)
@@ -351,7 +338,6 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     )
     return FitResult(
         params=params,
-        errors={_JSON_NAMES[n]: 0.0 for n in _ORDER},
         objective=value,
         iterations=int(res.nit),
         converged=bool(converged),
@@ -395,7 +381,7 @@ def bootstrap_errors(
         )
     n = len(ds)
     probs = ds.weights / ds.weights.sum()
-    bounds = _derive_bounds(empirical_ccdf(ds), config.bounds)
+    bounds = _derive_bounds(empirical_ccdf(ds))
     draws = []
     failed = 0
     for k in range(int(config.bootstrap_resamples)):
@@ -417,11 +403,11 @@ def bootstrap_errors(
     return {_JSON_NAMES[name]: float(spread[i]) for i, name in enumerate(_ORDER)}
 
 
-def fit_result_document(result: FitResult, config: FitConfig) -> dict:
-    """JSON-ready document: result fields plus the config echo."""
+def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> dict:
+    """JSON-ready document: result fields, per-parameter errors and the config echo."""
     return {
         "params": model_mod.params_to_dict(result.params),
-        "errors": dict(result.errors),
+        "errors": dict(errors),
         "objective": result.objective,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -433,8 +419,6 @@ def fit_result_document(result: FitResult, config: FitConfig) -> dict:
         "config": {
             "grid_points": config.grid_points,
             "tie_t1_m1": config.tie_t1_m1,
-            "bounds": None if config.bounds is None
-            else {k: [v[0], v[1]] for k, v in config.bounds.items()},
             "restarts": config.restarts,
             "bootstrap_resamples": config.bootstrap_resamples,
             "seed": config.seed,

@@ -45,7 +45,6 @@ __all__ = [
     "EnsembleSnapshot",
     "simulate_ensemble",
     "ks_distance",
-    "ks_two_sample",
     "relaxation_reached",
     "write_snapshots_csv",
 ]
@@ -207,27 +206,20 @@ def ks_distance(sample: Sequence[float], model: NormalizedModel) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample KS statistic, used for relaxation detection."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise DomainError("KS distance needs non-empty samples")
-    return float(ks_2samp(a, b, method="asymp").statistic)
-
-
 def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float = 0.005) -> bool:
     """Whether the half-time and final snapshots agree to the KS threshold.
 
     Compares the last snapshot with the recorded one closest to half its
-    time; distributional drift below ``threshold`` declares the ensemble
-    stationary.
+    time; a two-sample KS statistic below ``threshold`` declares the
+    ensemble stationary.
     """
     if len(snapshots) < 2:
         raise DomainError("relaxation check needs at least two snapshots")
     final = snapshots[-1]
     half = min(snapshots[:-1], key=lambda s: abs(s.time - final.time / 2.0))
-    return ks_two_sample(half.incomes, final.incomes) < threshold
+    if half.incomes.size == 0 or final.incomes.size == 0:
+        raise DomainError("KS distance needs non-empty snapshots")
+    return float(ks_2samp(half.incomes, final.incomes, method="asymp").statistic) < threshold
 
 
 def write_snapshots_csv(dest, snapshots: Sequence[EnsembleSnapshot]) -> None:

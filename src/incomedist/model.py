@@ -200,11 +200,9 @@ def _log_kernel_ratio_at_m1(params: Params) -> float:
 class NormalizedModel:
     """A :class:`Params` bundle with branch constants fixed.
 
-    ``log_c_low`` and ``log_c_high`` are the primary representation; the
-    linear ``c_low``/``c_high`` properties can overflow for extreme
-    parameter combinations and exist for diagnostics.  Evaluation is
-    pure and safe to share across threads; the lazily built sampling
-    table is memoized idempotently.
+    The branch constants are kept as ``log_c_low`` and ``log_c_high``.
+    Evaluation is pure and safe to share across threads; the lazily
+    built sampling table is memoized idempotently.
     """
 
     params: Params
@@ -212,14 +210,6 @@ class NormalizedModel:
     log_c_high: float
     log_ccdf_at_m1: float
     quad_tol: float
-
-    @property
-    def c_low(self) -> float:
-        return float(np.exp(self.log_c_low))
-
-    @property
-    def c_high(self) -> float:
-        return float(np.exp(self.log_c_high))
 
     def continuity_gap(self) -> float:
         """Relative mismatch of the two branch densities at m1."""
@@ -471,6 +461,8 @@ def params_to_dict(params: Params) -> dict:
 
 def params_from_dict(doc: Mapping) -> Params:
     """Inverse of :func:`params_to_dict`; unknown keys are ignored."""
+    if not isinstance(doc, Mapping):
+        raise DataFormatError(f"parameter document must be a mapping, got {type(doc).__name__}")
     missing = [key for key in _PARAM_KEYS if key not in doc]
     if missing:
         raise DataFormatError(f"parameter document lacks keys: {', '.join(missing)}")

@@ -105,12 +105,21 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "definitely_not_a_flag" in result.output
 
+    @pytest.mark.parametrize("value", ["abc", None, [2]])
+    def test_mistyped_config_value_is_input_error(self, runner, quick_income_csv, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"restarts": value}))
+        result = runner.invoke(
+            main, ["fit", "--incomes", quick_income_csv, "--config", str(cfg)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "'restarts'" in result.output
+
     def test_nonconverged_fit_exits_3_but_still_reports(
         self, runner, quick_income_csv, monkeypatch
     ):
         stub = FitResult(
             params=year_params(2010),
-            errors={k: 0.0 for k in ("T", "T1", "m0", "m1", "alpha", "alpha1")},
             objective=1.0,
             iterations=6000,
             converged=False,
@@ -175,6 +184,33 @@ class TestPlotdataCommand:
             ["plotdata", "--params", str(partial), "--incomes", quick_income_csv],
         )
         assert result.exit_code == 2
+
+
+    @pytest.mark.parametrize("points", ["-1", "0", "1"])
+    def test_too_few_curve_points_rejected(self, runner, quick_income_csv, tmp_path, points):
+        params_path = write_params_json(tmp_path / "p2010.json", 2010)
+        result = runner.invoke(
+            main,
+            ["plotdata", "--params", params_path, "--incomes", quick_income_csv,
+             "--curve-points", points],
+        )
+        assert result.exit_code == 2, result.output
+        assert "curve_points" in result.output
+
+
+class TestNonObjectJson:
+    @pytest.mark.parametrize("command", [
+        ["sample", "--n", "5"],
+        ["simulate", "--steps", "1"],
+        ["report"],
+    ])
+    def test_number_instead_of_object_is_input_error(self, runner, tmp_path, command):
+        bad = tmp_path / "five.json"
+        bad.write_text("5")
+        flag = "--fit-json" if command[0] == "report" else "--params"
+        result = runner.invoke(main, command + [flag, str(bad)])
+        assert result.exit_code == 2, result.output
+        assert "JSON object" in result.output
 
 
 class TestSampleCommand:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import incomedist as idist
 from incomedist.data import (
-    CsvFormat,
     Dataset,
     EmpiricalCcdf,
     billionaire_effective_income,
@@ -81,14 +80,22 @@ class TestLoadIncomes:
             load_incomes(io.StringIO("income\nbad\n"))
 
     def test_custom_format(self):
-        fmt = CsvFormat(income_column="eur", weight_column="hh_weight", label="survey")
-        ds, _ = load_incomes(io.StringIO("eur,hh_weight\n5,2\n"), fmt)
+        ds, _ = load_incomes(io.StringIO("income,weight\n5,2\n"), label="survey")
         assert ds.label == "survey"
         assert list(ds.weights) == [2.0]
 
-    def test_bytes_source(self):
-        ds, _ = load_incomes(b"income\n42\n")
-        assert list(ds.values) == [42.0]
+    def test_pathlib_source(self, tmp_path):
+        path = tmp_path / "incomes.csv"
+        path.write_text("income\n42\n", encoding="utf-8")
+        for source in (path, str(path)):
+            ds, _ = load_incomes(source)
+            assert list(ds.values) == [42.0]
+
+    def test_source_must_be_path_or_text_stream(self):
+        with pytest.raises(idist.DataFormatError):
+            load_incomes(b"income\n42\n")
+        with pytest.raises(idist.DataFormatError):
+            load_incomes(io.BytesIO(b"income\n42\n"))
 
 
 def _points(curve):
@@ -192,28 +199,33 @@ class TestMergeDatasets:
 
 class TestBillionaires:
     def test_parse_and_hash(self):
-        records, diags = load_billionaires(
+        wealth, diags = load_billionaires(
             io.StringIO("name,wealth_usd\nAlice Example,1e9\n,2e9\n")
         )
         assert diags == []
-        assert [r.wealth_usd for r in records] == [1e9, 2e9]
-        assert "Alice" not in repr(records[0])
+        assert wealth.tolist() == [1e9, 2e9]
+        assert "Alice" not in repr(wealth)
 
     def test_bad_rows_cited(self):
-        records, diags = load_billionaires(
+        wealth, diags = load_billionaires(
             io.StringIO("name,wealth_usd\nA,abc\nB,-5\nC,3e9\n")
         )
-        assert len(records) == 1
+        assert wealth.tolist() == [3e9]
         assert diags[0].startswith("row 2:") and diags[1].startswith("row 3:")
 
     def test_missing_column_rejected(self):
         with pytest.raises(idist.DataFormatError):
             load_billionaires(io.StringIO("name,net_worth\nA,1\n"))
 
+    def test_pathlib_source(self, tmp_path):
+        path = tmp_path / "billionaires.csv"
+        path.write_text("name,wealth_usd\nA,4e9\n", encoding="utf-8")
+        wealth, diags = load_billionaires(path)
+        assert wealth.tolist() == [4e9] and diags == []
+
     def test_effective_income_arithmetic(self):
-        records = [idist.data.BillionaireRecord(wealth_usd=1e9)]
-        incomes = billionaire_effective_income(records, usd_eur_rate=0.9, return_rate=0.05)
-        assert incomes == [1e9 * 0.9 * 0.05]
+        incomes = billionaire_effective_income(np.array([1e9]), usd_eur_rate=0.9, return_rate=0.05)
+        assert incomes.tolist() == [1e9 * 0.9 * 0.05]
 
     def test_bad_rates_rejected(self):
         with pytest.raises(idist.ConfigError):
@@ -222,7 +234,7 @@ class TestBillionaires:
             billionaire_effective_income([], usd_eur_rate=0.9, return_rate=-0.1)
 
     def test_empty_records_give_empty_incomes(self):
-        assert billionaire_effective_income([], 0.9, 0.05) == []
+        assert billionaire_effective_income(np.array([]), 0.9, 0.05).size == 0
 
 
 class TestRecordDuplication:

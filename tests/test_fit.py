@@ -1,5 +1,4 @@
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -47,10 +46,6 @@ class TestFitConfig:
             {"opt_tol": 1.5},
             {"quad_tol": 1e-3},
             {"quad_tol": 0.0},
-            {"bounds": {"sigma": (1.0, 2.0)}},
-            {"bounds": {"m0": (5.0, 2.0)}},
-            {"bounds": {"m0": (-1.0, 2.0)}},
-            {"bounds": {"m0": (1.0, math.inf)}},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -59,22 +54,13 @@ class TestFitConfig:
 
     def test_defaults_are_valid(self):
         cfg = FitConfig()
-        assert cfg.grid_points == 200 and cfg.bounds is None
+        assert cfg.grid_points == 200
 
     def test_result_rejects_negative_objective(self):
         with pytest.raises(DomainError):
             FitResult(
                 params=idist.Params(1.0, 1.0, 1.0, 2.0, 1.0, 1.0),
-                errors={}, objective=-1.0, iterations=1,
-                converged=True, restarts_used=1,
-            )
-
-    def test_result_rejects_negative_errors(self):
-        with pytest.raises(DomainError):
-            FitResult(
-                params=idist.Params(1.0, 1.0, 1.0, 2.0, 1.0, 1.0),
-                errors={"T": -0.5}, objective=0.0, iterations=1,
-                converged=True, restarts_used=1,
+                objective=-1.0, iterations=1, converged=True, restarts_used=1,
             )
 
 
@@ -154,7 +140,6 @@ class TestFit:
     def test_tie_holds_exactly(self, fit_2010):
         assert fit_2010.params.t_high == fit_2010.params.m1
         assert fit_2010.converged
-        assert set(fit_2010.errors) == PARAM_KEYS
         assert fit_2010.objective < 1e-3
 
     def test_seeded_runs_identical(self, models):
@@ -196,7 +181,7 @@ class TestFit:
                      - np.log10(idist.ccdf(gen, grid)))
         assert gap.max() < 0.3
 
-    def test_ridge_flag_fires_inside_a_pinning_box(self):
+    def test_ridge_flag_fires_inside_a_pinning_box(self, monkeypatch):
         raw = idist.Params(t_low=30000.0, t_high=30000.0, m0=120000.0,
                            m1=300000.0, alpha=2.5, alpha1=2.5)
         values = idist.sample(idist.normalize(raw), 1500, seed=9)
@@ -209,9 +194,10 @@ class TestFit:
             "alpha": (2.45, 2.55),
             "alpha1": (2.45, 2.55),
         }
+        monkeypatch.setattr(fit_mod, "_derive_bounds", lambda ccdf: box)
         cfg = FitConfig(grid_points=100, tie_t1_m1=False, restarts=1,
                         bootstrap_resamples=0, seed=3, opt_tol=1e-3,
-                        quad_tol=1e-8, bounds=box)
+                        quad_tol=1e-8)
         res = fit(curve, cfg)
         assert res.diagnostics["degenerate_ridge"] is True
 
@@ -300,15 +286,15 @@ class TestFitResultDocument:
     def test_document_shape(self):
         result = FitResult(
             params=year_params(2010),
-            errors={k: 1.0 for k in PARAM_KEYS},
             objective=0.5, iterations=42, converged=True, restarts_used=3,
             diagnostics={"bound_saturated": ("m1",), "degenerate_ridge": False},
         )
         cfg = FitConfig(grid_points=120, tie_t1_m1=True, bootstrap_resamples=0)
-        doc = fit_result_document(result, cfg)
+        doc = fit_result_document(result, cfg, {k: 1.0 for k in PARAM_KEYS})
         assert set(doc) >= {"params", "errors", "objective", "iterations",
                             "converged", "restarts_used", "diagnostics", "config"}
         assert set(doc["params"]) == PARAM_KEYS
+        assert doc["errors"] == {k: 1.0 for k in PARAM_KEYS}
         assert doc["config"]["grid_points"] == 120
         assert doc["config"]["tie_t1_m1"] is True
         assert doc["diagnostics"]["bound_saturated"] == ["m1"]

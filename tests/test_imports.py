@@ -1,12 +1,16 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports is used, and every export exists.
 
 A name counts as used when the module references it, lists it in
 ``__all__``, or imports it on a line marked ``# noqa: F401`` (a
 re-export that something outside the module reaches through it).
 ``__init__.py`` is skipped: its imports are the package namespace.
+Every ``__all__`` entry must resolve to an attribute of its module, so
+a deletion cannot leave a stale export behind.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,21 @@ def test_guard_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(probe) == ["probe.py:3: dumps"]
+
+
+def _stale_exports(module) -> list[str]:
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    assert _stale_exports(importlib.import_module(f"incomedist.{path.stem}")) == []
+
+
+def test_guard_sees_a_stale_export(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("__all__ = ['kept', 'gone']\nkept = 1\n", encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("probe", probe)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert _stale_exports(module) == ["gone"]

@@ -11,7 +11,6 @@ from incomedist.langevin import (
     EnsembleSnapshot,
     SimConfig,
     ks_distance,
-    ks_two_sample,
     relaxation_reached,
     simulate_ensemble,
     write_snapshots_csv,
@@ -251,12 +250,6 @@ class TestKsDistance:
         with pytest.raises(idist.DomainError):
             ks_distance([], models[2010])
 
-    def test_two_sample_basics(self):
-        assert ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-        assert ks_two_sample([1.0, 2.0], [10.0, 20.0]) == 1.0
-        with pytest.raises(idist.DomainError):
-            ks_two_sample([], [1.0])
-
 
 class TestRelaxation:
     def test_detects_stationarity(self):
@@ -283,6 +276,19 @@ class TestRelaxation:
             )
         )
         assert not relaxation_reached(cold, threshold=0.005)
+
+    def test_two_sample_statistic_at_its_extremes(self):
+        def snaps(*incomes):
+            return [EnsembleSnapshot(time=float(t), incomes=np.array(m)) for t, m in enumerate(incomes)]
+
+        # Identical snapshots: KS 0, below any positive threshold.
+        assert relaxation_reached(snaps([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), threshold=1e-300)
+        # Disjoint snapshots: KS exactly 1.
+        disjoint = snaps([1.0, 2.0], [10.0, 20.0])
+        assert not relaxation_reached(disjoint, threshold=1.0)
+        assert relaxation_reached(disjoint, threshold=math.nextafter(1.0, 2.0))
+        with pytest.raises(idist.DomainError):
+            relaxation_reached(snaps([], [1.0]))
 
     def test_needs_two_snapshots(self):
         snaps = simulate_ensemble(unit_2010_config(n_steps=0))

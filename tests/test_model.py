@@ -185,7 +185,7 @@ class TestNormalize:
         integral = float(np.trapezoid(kern, grid))
         integral += 1e-8  # [0, 1e-8] with kernel ~ 1 there
         integral += math.exp(-math.pi / 2.0) / (3.0 * 1e24)  # tail beyond 1e8
-        assert abs(model.c_low * integral - 1.0) <= 1e-8
+        assert abs(math.exp(model.log_c_low) * integral - 1.0) <= 1e-8
 
     def test_bad_tolerance_rejected(self, models):
         with pytest.raises(idist.DomainError):
@@ -221,7 +221,7 @@ class TestNormalize:
 class TestPdf:
     def test_value_at_zero_is_low_constant(self, models):
         for model in models.values():
-            assert idist.pdf(model, 0.0) == model.c_low
+            assert idist.pdf(model, 0.0) == math.exp(model.log_c_low)
 
     def test_deep_tail_decade_ratio(self, models):
         # alpha1 = 0.77 means one decade of income costs 10**1.77 in density.
@@ -424,4 +424,9 @@ class TestSerialization:
         doc = idist.params_to_dict(year_params(2007))
         doc["alpha"] = "three"
         with pytest.raises(idist.DataFormatError):
+            idist.params_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [5, None, "T", [1.0, 2.0]])
+    def test_non_mapping_rejected(self, doc):
+        with pytest.raises(idist.DataFormatError, match="mapping"):
             idist.params_from_dict(doc)

@@ -337,12 +337,10 @@ def cmd_report(fit_paths, excludes, crisis_threshold, out):
         rows = []
         for path in fit_paths:
             params, doc = _load_params_file(path)
-            label = str(
-                doc.get("label")
-                or (doc.get("data") or {}).get("label")
-                or _stem(path)
-            )
-            errors = doc.get("errors") or {}
+            data, errors = doc.get("data") or {}, doc.get("errors") or {}
+            if not (isinstance(data, dict) and isinstance(errors, dict)):
+                raise DataFormatError(f"{path}: 'data' and 'errors' must be JSON objects")
+            label = str(doc.get("label") or data.get("label") or _stem(path))
             flag, _score = crisis_indicator(params, crisis_threshold)
             rows.append(ReportRow(label=label, params=params, errors=errors, crisis=flag))
         rows.sort(key=lambda r: r.label)

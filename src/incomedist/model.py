@@ -46,23 +46,9 @@ from .errors import (
     QuadratureError,
 )
 
-__all__ = [
-    "Params",
-    "FpCoefficients",
-    "NormalizedModel",
-    "from_fp_coefficients",
-    "fp_coefficients_for",
-    "normalize",
-    "pdf",
-    "logpdf",
-    "ccdf",
-    "logccdf",
-    "quantile",
-    "sample",
-    "tail_slope",
-    "params_to_dict",
-    "params_from_dict",
-]
+__all__ = ["Params", "FpCoefficients", "NormalizedModel", "from_fp_coefficients",
+           "fp_coefficients_for", "normalize", "pdf", "logpdf", "ccdf", "logccdf", "quantile",
+           "sample", "tail_slope", "params_to_dict", "params_from_dict"]
 
 _HALF_PI = math.pi / 2.0
 

@@ -64,11 +64,15 @@ def fit_2010(ccdf_2010_100k):
 
 
 @pytest.fixture(scope="session")
-def fit_2009(models):
+def ccdf_2009_100k(models):
     sample = idist.sample(models[2009], 100_000, 4)
-    curve = data_mod.empirical_ccdf(data_mod.Dataset(values=sample))
+    return data_mod.empirical_ccdf(data_mod.Dataset(values=sample))
+
+
+@pytest.fixture(scope="session")
+def fit_2009(ccdf_2009_100k):
     cfg = fit_mod.FitConfig(tie_t1_m1=True, seed=7, restarts=5)
-    return fit_mod.fit(curve, cfg)
+    return fit_mod.fit(ccdf_2009_100k, cfg)
 
 
 def _write_income_csv(path, values):

@@ -300,6 +300,14 @@ class TestReportCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("key", ["errors", "data"])
+    def test_non_object_field_is_input_error(self, runner, tmp_path, key):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({"params": idist.params_to_dict(year_params(2010)), key: 5}))
+        result = runner.invoke(main, ["report", "--fit-json", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "must be JSON objects" in result.output
+
     def test_aggregate_params_requires_rows(self):
         with pytest.raises(idist.DomainError):
             aggregate_params([])

@@ -11,6 +11,7 @@ from incomedist.errors import (
     ConfigError,
     DomainError,
     InsufficientDataError,
+    QuadratureError,
     UnreliableErrorsError,
 )
 from conftest import YEAR_ROWS, year_params
@@ -26,6 +27,10 @@ from incomedist.fit import (
 )
 
 PARAM_KEYS = {"T", "T1", "m0", "m1", "alpha", "alpha1"}
+
+# Objectives the Nelder-Mead fitter reached on the fit_2010 and fit_2009
+# fixtures at commit ab13ba7, the last before the least-squares fitter.
+NELDER_MEAD_OBJECTIVE = {2010: 5.457527587591457e-05, 2009: 2.0749572840538694e-05}
 
 
 def small_curve(n_points=40, span=(200.0, 2e6)):
@@ -141,6 +146,63 @@ class TestFit:
         assert fit_2010.params.t_high == fit_2010.params.m1
         assert fit_2010.converged
         assert fit_2010.objective < 1e-3
+
+    @pytest.mark.parametrize("year", [2010, 2009])
+    def test_work_and_quality_guard(self, request, year):
+        result = request.getfixturevalue(f"fit_{year}")
+        curve = request.getfixturevalue(f"ccdf_{year}_100k")
+        # Hardware-independent work bound; Nelder-Mead needed about 7,300
+        # and 7,900 misfit calls here.
+        assert result.diagnostics["misfit_calls"] <= 800
+        cfg = FitConfig()
+        recomputed = objective(result.params, curve, cfg.grid_points, cfg.quad_tol)
+        assert result.objective == pytest.approx(recomputed, rel=1e-12, abs=0.0)
+        assert result.objective <= NELDER_MEAD_OBJECTIVE[year]
+
+    def test_diagnostics_count_every_evaluation(self, models, monkeypatch):
+        values = idist.sample(models[2010], 800, seed=13)
+        curve = empirical_ccdf(Dataset(values=values))
+        calls = itertools.count()
+        real = FitProblem.logccdf
+        monkeypatch.setattr(FitProblem, "logccdf",
+                            lambda self, params: (next(calls), real(self, params))[1])
+        cfg = FitConfig(grid_points=80, tie_t1_m1=True, restarts=3, seed=5, quad_tol=1e-8)
+        res = fit(curve, cfg)
+        assert res.diagnostics["misfit_calls"] == next(calls)
+        assert 0 < res.iterations < res.diagnostics["misfit_calls"]
+        spread = res.diagnostics["restart_objectives"]
+        assert len(spread) == 3 and min(spread) == res.objective
+
+    def test_exhausted_step_budget_is_not_converged(self, models, monkeypatch):
+        values = idist.sample(models[2010], 800, seed=13)
+        curve = empirical_ccdf(Dataset(values=values))
+        monkeypatch.setattr(fit_mod, "_MAX_STEPS", 2)
+        cfg = FitConfig(grid_points=80, tie_t1_m1=True, restarts=1, seed=5, quad_tol=1e-8)
+        res = fit(curve, cfg)
+        assert res.converged is False
+        assert np.isfinite(res.objective)
+
+    def test_penalised_region_is_avoided(self, models, monkeypatch):
+        # The quadrature refuses alpha < 1.9, where the unhindered fit of
+        # this sample ends (alpha near 1.77): the fit must settle outside.
+        values = idist.sample(models[2010], 800, seed=13)
+        curve = empirical_ccdf(Dataset(values=values))
+        real = FitProblem.logccdf
+        refusals = itertools.count()
+
+        def refuse(self, params):
+            if params.alpha < 1.9:
+                next(refusals)
+                raise QuadratureError("refused")
+            return real(self, params)
+
+        monkeypatch.setattr(FitProblem, "logccdf", refuse)
+        cfg = FitConfig(grid_points=80, tie_t1_m1=True, restarts=3, seed=5, quad_tol=1e-8)
+        res = fit(curve, cfg)
+        assert next(refusals) > 0
+        assert np.all(np.isfinite(list(idist.params_to_dict(res.params).values())))
+        assert res.params.alpha >= 1.9
+        assert res.objective < 1e-3
 
     def test_seeded_runs_identical(self, models):
         values = idist.sample(models[2010], 800, seed=13)
@@ -287,7 +349,8 @@ class TestFitResultDocument:
         result = FitResult(
             params=year_params(2010),
             objective=0.5, iterations=42, converged=True, restarts_used=3,
-            diagnostics={"bound_saturated": ("m1",), "degenerate_ridge": False},
+            diagnostics={"bound_saturated": ("m1",), "degenerate_ridge": False,
+                         "misfit_calls": 812, "restart_objectives": (0.5, 0.7, 0.5)},
         )
         cfg = FitConfig(grid_points=120, tie_t1_m1=True, bootstrap_resamples=0)
         doc = fit_result_document(result, cfg, {k: 1.0 for k in PARAM_KEYS})
@@ -299,3 +362,5 @@ class TestFitResultDocument:
         assert doc["config"]["tie_t1_m1"] is True
         assert doc["diagnostics"]["bound_saturated"] == ["m1"]
         assert doc["diagnostics"]["degenerate_ridge"] is False
+        assert doc["diagnostics"]["misfit_calls"] == 812
+        assert doc["diagnostics"]["restart_objectives"] == [0.5, 0.7, 0.5]

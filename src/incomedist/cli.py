@@ -40,7 +40,6 @@ from .errors import (
     EmptyDatasetError,
     InsufficientDataError,
     InvalidParamsError,
-    NonNormalizableError,
     NumericalBlowupError,
     QuadratureError,
     UnreliableErrorsError,
@@ -55,7 +54,6 @@ _INPUT_ERRORS = (
     EmptyDatasetError,
     InsufficientDataError,
     InvalidParamsError,
-    NonNormalizableError,
     ConfigError,
     DomainError,
     OSError,

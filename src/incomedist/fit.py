@@ -77,8 +77,8 @@ class FitConfig:
 class FitResult:
     """Outcome of :func:`fit`; ``iterations`` counts the winning restart's
     misfit evaluations, finite-difference Jacobian columns included.
-    ``diagnostics`` holds ``bound_saturated``, ``degenerate_ridge``,
-    ``misfit_calls`` (all restarts) and ``restart_objectives`` (restart order).
+    ``diagnostics`` holds ``bound_saturated``, ``degenerate_ridge``, ``misfit_calls`` (all
+    restarts), ``restart_objectives`` and ``grid_points_above_m1`` (grid points >= m1).
     """
 
     params: Params
@@ -355,7 +355,8 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
         restarts_used=int(config.restarts),
         diagnostics={"bound_saturated": saturated, "degenerate_ridge": ridge,
                      "misfit_calls": sum(run[3] for run in runs),
-                     "restart_objectives": [run[1] for run in runs]},
+                     "restart_objectives": [run[1] for run in runs],
+                     "grid_points_above_m1": int(np.count_nonzero(problem.grid >= params.m1))},
     )
 
 
@@ -430,6 +431,7 @@ def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> d
             "degenerate_ridge": bool(diag.get("degenerate_ridge", False)),
             "misfit_calls": int(diag.get("misfit_calls", 0)),
             "restart_objectives": [float(v) for v in diag.get("restart_objectives", [])],
+            "grid_points_above_m1": int(diag.get("grid_points_above_m1", 0)),
         },
         "config": {
             "grid_points": config.grid_points,

@@ -35,22 +35,17 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature
-from .errors import (
-    DataFormatError,
-    DomainError,
-    InvalidParamsError,
-    NonNormalizableError,
-    QuadratureError,
-)
+from .errors import (DataFormatError, DomainError, InvalidParamsError, NonNormalizableError,
+                     QuadratureError)
 
 __all__ = ["Params", "FpCoefficients", "NormalizedModel", "from_fp_coefficients",
            "fp_coefficients_for", "normalize", "pdf", "logpdf", "ccdf", "logccdf", "quantile",
            "sample", "tail_slope", "params_to_dict", "params_from_dict"]
 
 _HALF_PI = math.pi / 2.0
+_LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -117,9 +112,7 @@ class FpCoefficients:
                 raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.b <= 0.0 or self.b0 <= 0.0:
-            raise InvalidParamsError(
-                f"diffusion must be positive: b0={self.b0!r}, b={self.b!r}"
-            )
+            raise InvalidParamsError(f"diffusion must be positive: b0={self.b0!r}, b={self.b!r}")
 
 
 def from_fp_coefficients(coeffs: FpCoefficients, m1: float) -> Params:
@@ -138,10 +131,8 @@ def from_fp_coefficients(coeffs: FpCoefficients, m1: float) -> Params:
         and m0 = sqrt(B0/b).
     """
     if coeffs.a0_low <= 0.0 or coeffs.a0_high <= 0.0:
-        raise InvalidParamsError(
-            "constant drift terms must be positive to define temperatures: "
-            f"a0_low={coeffs.a0_low!r}, a0_high={coeffs.a0_high!r}"
-        )
+        raise InvalidParamsError("constant drift terms must be positive to define temperatures: "
+                                 f"a0_low={coeffs.a0_low!r}, a0_high={coeffs.a0_high!r}")
     return Params(
         t_low=coeffs.b0 / coeffs.a0_low,
         t_high=coeffs.b0 / coeffs.a0_high,
@@ -170,7 +161,9 @@ def fp_coefficients_for(params: Params, b: float = 1.0) -> FpCoefficients:
 def _log_kernel(m, m0: float, beta: float, alpha: float):
     """Log of the branch kernel at income m (vectorized)."""
     r = np.asarray(m, dtype=float) / m0
-    return -beta * np.arctan(r) - 0.5 * (alpha + 1.0) * np.log1p(r * r)
+    s = np.maximum(r, 1.0)  # log1p(r^2) as 2 log s + log1p(min(r, 1/s)^2): no overflow
+    log1p_r2 = 2.0 * np.log(s) + np.log1p(np.minimum(r, 1.0 / s) ** 2)
+    return -beta * np.arctan(r) - 0.5 * (alpha + 1.0) * log1p_r2
 
 
 def _log_kernel_ratio_at_m1(params: Params) -> float:
@@ -212,10 +205,8 @@ class NormalizedModel:
         if not m_lo > 0.0:
             # A branch constant this large comes from a low-branch mass
             # that underflowed; the table would start at income 0.
-            raise QuadratureError(
-                f"sampling table low anchor exp({log_m_lo:.6g}) underflows "
-                f"(log c_low = {self.log_c_low:.6g})"
-            )
+            raise QuadratureError(f"sampling table low anchor exp({log_m_lo:.6g}) underflows "
+                                  f"(log c_low = {self.log_c_low:.6g})")
         m_hi = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
         target = math.log(1e-13)
         for _ in range(300):
@@ -316,10 +307,8 @@ def _validate_incomes(m):
 def logpdf(model: NormalizedModel, m):
     """Log density at income m (scalar or array)."""
     arr = _validate_incomes(m)
-    p = model.params
-    low = _log_kernel(arr, p.m0, p.m0 / p.t_low, p.alpha) + model.log_c_low
-    high = _log_kernel(arr, p.m0, p.m0 / p.t_high, p.alpha1) + model.log_c_high
-    out = np.where(arr < p.m1, low, high)
+    out = np.where(arr < model.params.m1, branch_logpdf(model, arr, "low"),
+                   branch_logpdf(model, arr, "high"))
     return float(out) if np.isscalar(m) else out
 
 
@@ -365,41 +354,57 @@ def ccdf(model: NormalizedModel, m):
 
 
 def quantile(model: NormalizedModel, p: float) -> float:
-    """Income m with ccdf(m) = p, solved to ~1e-12 relative in p.
+    """Income m with ccdf(m) = p, to about 1e-12 relative in the smaller of p and 1 - p.
 
-    Parameters
-    ----------
-    p : float
-        Tail probability in (0, 1).
+    Safeguarded Newton in y = log m on g(y) = logccdf(e^y) - log p, whose slope
+    -exp(y + logpdf - logccdf) needs no quadrature.  It starts from the sampling
+    table and keeps the bracket that the signs of g show.  A Newton step that would
+    leave the bracket bisects it, and one without a usable slope moves one unit in
+    y; when |g| has not halved it bisects, or doubles the last step toward a side
+    still open.  It ends when |g| <= 1e-12 min(1, (1 - p)/p), floored at 1e-15, or
+    when a step stalls below 1e-15 max(1, |y|), as near p = 1 (where g is flat) or
+    where the log CCDF's noise, 1e-6 + 1e-14 m0/min(T, T1), or its steps far below
+    m0 hide the root; the stall returns the bracket end of smaller |g| within noise.
+
+    Raises
+    ------
+    DomainError
+        If p is not in (0, 1), or the answer lies outside the float range.
+    QuadratureError
+        If a log CCDF exceeds ``quad_tol``, rises with m by more than noise, or
+        jumps past log p by more than that.
     """
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise DomainError(f"quantile probability must lie in (0, 1), got {p!r}")
     log_p_grid, log_m_grid = model._sample_table
     target = math.log(p)
-    y0 = float(np.interp(target, log_p_grid, log_m_grid))
-
-    def g(y: float) -> float:
-        return float(logccdf(model, math.exp(y))) - target
-
-    lo, hi = y0 - 0.05, y0 + 0.05
-    glo, ghi = g(lo), g(hi)
-    width = 0.1
-    for _ in range(80):
-        if glo > 0.0 >= ghi:
-            break
-        width *= 2.0
-        if glo <= 0.0:  # ccdf too small already: move left
-            lo -= width
-            glo = g(lo)
+    y = float(np.interp(target, log_p_grid, log_m_grid))
+    noise = 1e-6 + 1e-14 * model.params.m0 / min(model.params.t_low, model.params.t_high)
+    lo, hi, g_lo, g_hi, g_last, step = -math.inf, math.inf, math.inf, -math.inf, math.inf, 0.5
+    for _ in range(100):
+        m = math.exp(y)
+        log_ccdf = logccdf(model, m)
+        g = log_ccdf - target
+        if not (log_ccdf <= model.quad_tol and max(g - g_lo, g_hi - g) <= noise):
+            raise QuadratureError(f"log CCDF {log_ccdf!r} at m = {m!r} is positive or rises with m")
+        if abs(g) <= max(1e-12 * min(1.0, (1.0 - p) / p), 1e-15):
+            return m
+        if y in _LOG_FLOAT_RANGE and (g > 0.0) == (y > 0.0):
+            raise DomainError(f"quantile({p!r}) lies outside the float range")
+        lo, g_lo, hi, g_hi = (y, g, hi, g_hi) if g > 0.0 else (lo, g_lo, y, g)
+        r = y + logpdf(model, m) - log_ccdf  # g'(y) = -exp(r)
+        newton = g * math.exp(-r) if abs(r) < 700.0 else math.copysign(1.0, g)
+        if abs(g) > 0.5 * abs(g_last):  # too slow: bisect, or double the step toward an open side
+            step = 0.5 * (lo + hi) - y if math.isfinite(lo + hi) else math.copysign(2.0 * step, g)
         else:
-            hi += width
-            ghi = g(hi)
-    else:
-        raise QuadratureError(f"failed to bracket quantile({p!r})")
-    if glo == 0.0:
-        return math.exp(lo)
-    root = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return math.exp(root)
+            step = newton if lo < y + newton < hi else 0.5 * (lo + hi) - y
+        if abs(step) <= 1e-15 * max(1.0, abs(y)):
+            if min(g_lo, -g_hi) <= noise:
+                return math.exp(lo if g_lo < -g_hi else hi)
+            raise QuadratureError(f"log CCDF jumps past log({p!r}) by {min(g_lo, -g_hi):.3g} "
+                                  f"at m = {m!r}")
+        y, g_last = min(max(y + step, _LOG_FLOAT_RANGE[0]), _LOG_FLOAT_RANGE[1]), g
+    raise QuadratureError(f"quantile({p!r}) did not converge in 100 steps")
 
 
 def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
@@ -425,9 +430,7 @@ def tail_slope(model: NormalizedModel, m_lo: float, m_hi: float, k: int = 64) ->
     the breakpoint; the slope there converges to -alpha1.
     """
     if not (model.params.m1 <= m_lo < m_hi):
-        raise DomainError(
-            f"slope window [{m_lo!r}, {m_hi!r}] must satisfy m1 <= m_lo < m_hi"
-        )
+        raise DomainError(f"slope window [{m_lo!r}, {m_hi!r}] must satisfy m1 <= m_lo < m_hi")
     if k < 2:
         raise DomainError(f"need at least two points, got k={k!r}")
     grid = np.geomspace(m_lo, m_hi, int(k))

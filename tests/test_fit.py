@@ -147,6 +147,13 @@ class TestFit:
         assert fit_2010.converged
         assert fit_2010.objective < 1e-3
 
+    def test_reports_grid_points_above_m1(self, fit_2010, ccdf_2010_100k):
+        # How much of the curve backs alpha1: 30 of 200 grid points here,
+        # 7 for a 10k-record sample of the same row.
+        grid = FitProblem(ccdf_2010_100k, FitConfig().grid_points).grid
+        count = fit_2010.diagnostics["grid_points_above_m1"]
+        assert count == np.count_nonzero(grid >= fit_2010.params.m1) == 30
+
     @pytest.mark.parametrize("year", [2010, 2009])
     def test_work_and_quality_guard(self, request, year):
         result = request.getfixturevalue(f"fit_{year}")
@@ -350,7 +357,8 @@ class TestFitResultDocument:
             params=year_params(2010),
             objective=0.5, iterations=42, converged=True, restarts_used=3,
             diagnostics={"bound_saturated": ("m1",), "degenerate_ridge": False,
-                         "misfit_calls": 812, "restart_objectives": (0.5, 0.7, 0.5)},
+                         "misfit_calls": 812, "restart_objectives": (0.5, 0.7, 0.5),
+                         "grid_points_above_m1": 17},
         )
         cfg = FitConfig(grid_points=120, tie_t1_m1=True, bootstrap_resamples=0)
         doc = fit_result_document(result, cfg, {k: 1.0 for k in PARAM_KEYS})
@@ -364,3 +372,4 @@ class TestFitResultDocument:
         assert doc["diagnostics"]["degenerate_ridge"] is False
         assert doc["diagnostics"]["misfit_calls"] == 812
         assert doc["diagnostics"]["restart_objectives"] == [0.5, 0.7, 0.5]
+        assert doc["diagnostics"]["grid_points_above_m1"] == 17

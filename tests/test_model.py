@@ -14,6 +14,20 @@ from incomedist.quadrature import kernel_log_mass
 from conftest import YEAR_ROWS, year_params
 
 EPS = np.finfo(float).eps
+QUANTILE_GUARD_PS = (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6)
+# Points 54 and 136 of the benchmark's model-sweep at seed 4.
+BROKEN_CCDF_POINTS = [
+    {"T": 17066676388.244593, "T1": 24.330713664942582, "m0": 4507602.972567821,
+     "m1": 0.3014174887028573, "alpha": 0.08968283851791221, "alpha1": 8.839743532091733},
+    {"T": 718481697.931376, "T1": 49315.39554055578, "m0": 10578493106.94364,
+     "m1": 4.947849635282888, "alpha": 3.360974245769672, "alpha1": 5.831643253558447},
+]
+
+
+def quantile_noise(model):
+    """The log CCDF noise within which ``quantile`` may end on a stalled step."""
+    p = model.params
+    return 1e-6 + 1e-14 * p.m0 / min(p.t_low, p.t_high)
 
 
 class TestParams:
@@ -228,6 +242,15 @@ class TestPdf:
         ratio = idist.pdf(models[2010], 1e9) / idist.pdf(models[2010], 1e8)
         assert abs(ratio / 10.0**-1.77 - 1.0) <= 0.02
 
+    def test_log_density_is_finite_up_to_the_float_limit(self, models):
+        # Far above m0 the log kernel is -beta pi/2 - (alpha1 + 1) log(m/m0);
+        # squaring m/m0 would overflow past 1e154.
+        model, p = models[2010], models[2010].params
+        for m in (1e200, 1e300):
+            tail = (model.log_c_high - p.m0 / p.t_high * math.pi / 2
+                    - (p.alpha1 + 1.0) * math.log(m / p.m0))
+            assert idist.logpdf(model, m) == pytest.approx(tail, rel=1e-14)
+
     def test_strictly_decreasing(self, models):
         grid = np.geomspace(1.0, 1e10, 120)
         for model in models.values():
@@ -331,6 +354,71 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.2, 1.3, math.nan):
             with pytest.raises(idist.DomainError):
                 idist.quantile(models[2010], p)
+
+    def test_answer_beyond_float_range_is_domain_error(self, models):
+        # ccdf ~ m^-0.77 puts the 2010 row's 1e-300 quantile near 1e390.
+        with pytest.raises(idist.DomainError, match="float range"):
+            idist.quantile(models[2010], 1e-300)
+        q = idist.quantile(models[2009], 1e-300)
+        assert q == pytest.approx(2.93e119, rel=1e-2)
+        assert abs(idist.logccdf(models[2009], q) - math.log(1e-300)) <= 1e-12
+
+    def test_precision_and_work_on_published_rows(self, models, monkeypatch):
+        for model in models.values():
+            model._sample_table  # shared with sample; not the solver's work
+        real = idist.logccdf
+        calls = []
+        monkeypatch.setattr("incomedist.model.logccdf",
+                            lambda model, m: (calls.append(m), real(model, m))[1])
+        solved = [(model, p, idist.quantile(model, p))
+                  for model in models.values() for p in QUANTILE_GUARD_PS]
+        # Hardware-independent work bound: bracket doubling plus brentq
+        # needed 13.1 calls per quantile here.
+        assert len(calls) / len(solved) <= 4.0
+        for model, p, q in solved:
+            assert abs(real(model, q) - math.log(p)) <= 1e-12
+
+    @pytest.mark.parametrize("year, q_ref", [(2009, 3.3252e-8), (2010, 3.3177e-8)])
+    def test_near_certain_exceedance_ends_in_relative_accuracy(self, models, year, q_ref):
+        # Here |g| is about 1 - p = 1e-12: an exit on |g| alone stops percents
+        # away, so the exit must be relative to 1 - p.
+        assert idist.quantile(models[year], 1.0 - 1e-12) == pytest.approx(q_ref, rel=1e-2)
+
+    def test_stepped_log_ccdf_still_solves(self):
+        # m0/T = 3.8e7 puts the quantiles far below m0, where arctan(m0/m)
+        # resolves m only to about 1e-9 relative: |g| cannot reach 1e-12,
+        # so the stalled-step exit must end the search.
+        model = idist.normalize(idist.Params(
+            t_low=0.08301075185946669, t_high=1423976.3890923504, m0=3166479.2789488123,
+            m1=295.13765301056407, alpha=2.198429109220712, alpha1=8.06790626820205))
+        for p in (0.5, 1e-2, 1e-4):
+            q = idist.quantile(model, p)
+            assert abs(idist.logccdf(model, q) - math.log(p)) <= quantile_noise(model)
+
+    @pytest.mark.parametrize("point", BROKEN_CCDF_POINTS)
+    def test_broken_ccdf_never_gives_a_wrong_answer(self, point):
+        # Extreme m0/T points whose log CCDF turns positive on a sweep grid:
+        # each quantile meets its round trip or raises QuadratureError.
+        model = idist.normalize(idist.params_from_dict(point))
+        for p in (0.5, 1e-2, 1e-4):
+            try:
+                q = idist.quantile(model, p)
+            except idist.QuadratureError:
+                continue
+            assert abs(idist.logccdf(model, q) - math.log(p)) <= quantile_noise(model)
+
+    @pytest.mark.parametrize("fake", [lambda model, m: 0.5,
+                                      lambda model, m: -3.0 + 0.1 * math.log(m)],
+                             ids=["positive", "rising"])
+    def test_impossible_log_ccdf_fails_fast(self, monkeypatch, fake):
+        model = idist.normalize(year_params(2010))
+        model._sample_table
+        calls = []
+        monkeypatch.setattr("incomedist.model.logccdf",
+                            lambda model, m: (calls.append(m), fake(model, m))[1])
+        with pytest.raises(idist.QuadratureError):
+            idist.quantile(model, 0.5)
+        assert len(calls) <= 3
 
 
 class TestSample:

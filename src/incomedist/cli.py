@@ -288,7 +288,7 @@ def cmd_sample(params_path, n, seed, out):
         params, _ = _load_params_file(params_path)
         mod = normalize(params)
         values = sample(mod, n, seed)
-        _emit("income\n" + "".join(f"{v:.12g}\n" for v in values), out)
+        _emit("income\n" + ("%.12g\n" * values.size) % tuple(values.tolist()), out)
 
     _run(body)
 

@@ -63,7 +63,8 @@ class FitConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        for name, least in (("grid_points", 10), ("restarts", 1), ("bootstrap_resamples", 0)):
+        for name, least in (("grid_points", 10), ("restarts", 1), ("bootstrap_resamples", 0),
+                            ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -18,11 +18,11 @@ initial incomes are supplied; restarting from a previous snapshot with
 a smaller dt polishes the boundary-layer bias away without paying the
 fine step for the whole relaxation.
 
-The normal draws dominate a step, so one prefetch thread per
-simulation draws them a block ahead while the calling thread steps the
-ensemble in preallocated buffers.  The seeded stream and the per-agent
-arithmetic are those of one ``standard_normal(n_agents)`` call per
-step: the output is the same bit for bit as without the thread.
+The ensemble is stepped as two fixed shards, agents [0, n//2) and
+[n//2, n), each with its own seeded stream, buffers and thread (the
+calling thread and one pool thread).  Numpy's generator and ufuncs
+release the GIL, so the shards draw and step on two cores without
+synchronising per step; the output depends only on the seed.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ __all__ = [
 ]
 
 _STABILITY_LIMIT = 0.1
-# Normals per prefetched block: rows of n_agents draws, one row per step,
-# so that small ensembles pay one thread handoff per block, not per step.
-_NOISE_BLOCK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +77,12 @@ class SimConfig:
             raise ConfigError(f"coeffs must be FpCoefficients, got {type(c).__name__}")
         if not (isinstance(self.m1, (int, float)) and math.isfinite(self.m1) and self.m1 > 0):
             raise ConfigError(f"m1 must be a positive number, got {self.m1!r}")
-        if not isinstance(self.n_agents, (int, np.integer)) or self.n_agents < 1:
-            raise ConfigError(f"n_agents must be >= 1, got {self.n_agents!r}")
+        for name, least in (("n_agents", 1), ("n_steps", 0), ("record_stride", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
-            raise ConfigError(f"n_steps must be >= 0, got {self.n_steps!r}")
-        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 0:
-            raise ConfigError(f"record_stride must be >= 0, got {self.record_stride!r}")
         rate = max(abs(c.a_low), abs(c.a_high), c.b)
         if self.dt * rate >= _STABILITY_LIMIT:
             raise ConfigError(
@@ -117,80 +112,81 @@ def simulate_ensemble(config: SimConfig) -> list[EnsembleSnapshot]:
     """Integrate the ensemble SDE and return recorded snapshots.
 
     Euler-Maruyama with reflection: each step applies
-    m <- |m - A(m) dt + sqrt(2 B(m) dt) * xi| with standard normal xi,
-    the drift branch chosen by the current income against m1.  Output is
-    deterministic for a fixed (seed, n_agents, n_steps).
-
-    One prefetch thread, joined before the call returns or raises, draws
-    the normals a block of steps ahead while this thread advances the
-    ensemble.  It is the only user of the seeded generator and draws the
-    stream in the same order as one ``standard_normal(n_agents)`` per
-    step, so the output does not depend on the threading.
+    m <- |m (1 - a dt) - A0 dt + sqrt(2 dt B0 + 2 dt b m**2) * xi| with
+    standard normal xi, the drift branch (a, A0) chosen by the current
+    income against m1.  Shard k (agents [0, n//2), then [n//2, n)) draws
+    its xi from child k of ``SeedSequence(seed).spawn(2)``; shard 1 runs
+    on a pool thread that is joined before the call returns or raises.
+    Output is deterministic for a fixed (seed, n_agents, n_steps).
 
     Raises
     ------
     NumericalBlowupError
-        If any income turns non-finite; carries the offending step.
+        If any income turns non-finite; carries the first such step over
+        the whole ensemble.  A shard stops once it has passed the other
+        shard's first non-finite step.
     """
     c = config.coeffs
     n = int(config.n_agents)
     n_steps = int(config.n_steps)
+    stride = int(config.record_stride)
     dt = float(config.dt)
-    root_dt = math.sqrt(dt)
-    if config.initial_incomes is not None:
-        m = config.initial_incomes.copy()
-    else:
-        m = np.full(n, c.b0 / c.a0_low)
+    record_steps = sorted({0, n_steps, *(range(stride, n_steps, stride) if stride else ())})
+    row_of = {step: row for row, step in enumerate(record_steps)}
+    records = np.empty((len(record_steps), n))
+    records[0] = c.b0 / c.a0_low if config.initial_incomes is None else config.initial_incomes
+    # dt folded in: per branch, m -> m*keep - push + sqrt(s0 + s2*m*m)*xi.
+    keep_low, push_low = 1.0 - c.a_low * dt, c.a0_low * dt
+    keep_high, push_high = 1.0 - c.a_high * dt, c.a0_high * dt
+    s0, s2 = 2.0 * dt * c.b0, 2.0 * dt * c.b
+    cut = [0, n // 2, n]
+    streams = np.random.SeedSequence(config.seed).spawn(2)
+    # First non-finite step of each shard; n_steps + 1 while there is none.
+    bad = [n_steps + 1, n_steps + 1]
 
-    rng = np.random.default_rng(config.seed)
-    snapshots = [EnsembleSnapshot(time=0.0, incomes=m.copy())]
-    recorded = 0
-    rows = max(1, _NOISE_BLOCK // n)
-    blocks = [np.empty((rows, n)), np.empty((rows, n))]
-    drift = np.empty(n)
-    sigma = np.empty(n)
-    high = np.empty(n, dtype=bool)
-
-    def draw(block: int, start: int) -> np.ndarray:
-        xi = blocks[block % 2][: min(rows, n_steps - start)]
-        rng.standard_normal(out=xi)
-        return xi
-
-    # Overflow to inf is caught by the finiteness check below and turned
-    # into a NumericalBlowupError; keep numpy from warning on the way.
-    with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(over="ignore", invalid="ignore"):
-        pending = pool.submit(draw, 0, 0) if n_steps else None
-        for block, start in enumerate(range(0, n_steps, rows)):
-            noise = pending.result()
-            if start + rows < n_steps:
-                pending = pool.submit(draw, block + 1, start + rows)
-            for step, xi in enumerate(noise, start + 1):
-                np.multiply(c.a_low, m, out=drift)
-                np.add(c.a0_low, drift, out=drift)
+    def run(shard: int) -> None:
+        rng = np.random.default_rng(streams[shard])
+        cols = slice(cut[shard], cut[shard + 1])
+        m = records[0, cols].copy()
+        xi, scale, high = np.empty_like(m), np.empty_like(m), np.empty(m.size, dtype=bool)
+        # The finiteness check turns overflow into NumericalBlowupError; keep
+        # numpy from warning on the way (the error state is per thread).
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, n_steps + 1):
+                if step > bad[1 - shard]:
+                    return
+                rng.standard_normal(out=xi)
+                np.multiply(m, m, out=scale)
+                np.multiply(s2, scale, out=scale)
+                np.add(s0, scale, out=scale)
+                np.sqrt(scale, out=scale)
+                np.multiply(scale, xi, out=xi)
                 np.greater_equal(m, config.m1, out=high)
-                np.multiply(c.a_high, m, out=drift, where=high)
-                np.add(c.a0_high, drift, out=drift, where=high)
-                np.multiply(c.b, m, out=sigma)
-                np.multiply(sigma, m, out=sigma)
-                np.add(c.b0, sigma, out=sigma)
-                np.multiply(2.0, sigma, out=sigma)
-                np.sqrt(sigma, out=sigma)
-                np.multiply(drift, dt, out=drift)
-                np.subtract(m, drift, out=m)
-                np.multiply(root_dt, xi, out=xi)
-                np.multiply(sigma, xi, out=sigma)
-                np.add(m, sigma, out=m)
+                np.multiply(m, keep_low, out=scale)
+                np.subtract(scale, push_low, out=scale)
+                np.multiply(m, keep_high, out=scale, where=high)
+                np.subtract(scale, push_high, out=scale, where=high)
+                np.add(scale, xi, out=m)
                 np.abs(m, out=m)
                 if not math.isfinite(m.max()):
-                    raise NumericalBlowupError(
-                        f"non-finite income at step {step} (dt={dt:g})", step=step
-                    )
-                if config.record_stride and step % config.record_stride == 0:
-                    snapshots.append(EnsembleSnapshot(time=step * dt, incomes=m.copy()))
-                    recorded = step
-    if recorded != n_steps and n_steps > 0:
-        snapshots.append(EnsembleSnapshot(time=n_steps * dt, incomes=m.copy()))
-    return snapshots
+                    bad[shard] = step
+                    return
+                if step in row_of:
+                    records[row_of[step], cols] = m
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(run, 1)
+        try:
+            if cut[1] > cut[0]:
+                run(0)
+        except BaseException:
+            bad[0] = 0  # an interrupted shard 0 stops shard 1 before the join
+            raise
+        other.result()
+    step = min(bad)
+    if step <= n_steps:
+        raise NumericalBlowupError(f"non-finite income at step {step} (dt={dt:g})", step=step)
+    return [EnsembleSnapshot(time=s * dt, incomes=row) for s, row in zip(record_steps, records)]
 
 
 def ks_distance(sample: Sequence[float], model: NormalizedModel) -> float:
@@ -234,5 +230,5 @@ def write_snapshots_csv(dest, snapshots: Sequence[EnsembleSnapshot]) -> None:
     with target as fh:
         fh.write("time,income\n")
         for snap in snapshots:
-            t = format(snap.time, ".12g")
-            fh.write("".join(f"{t},{value:.12g}\n" for value in snap.incomes.tolist()))
+            row = format(snap.time, ".12g") + ",%.12g\n"
+            fh.write((row * snap.incomes.size) % tuple(snap.incomes.tolist()))

@@ -417,8 +417,11 @@ def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
+    try:
+        u = np.random.default_rng(seed).random(int(n))
+    except (TypeError, ValueError):
+        raise DomainError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from None
     log_p_grid, log_m_grid = model._sample_table
-    u = np.random.default_rng(seed).random(int(n))
     with np.errstate(divide="ignore"):
         return np.exp(np.interp(np.log(u), log_p_grid, log_m_grid))
 

@@ -213,6 +213,19 @@ class TestNonObjectJson:
         assert "JSON object" in result.output
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["fit", "sample", "simulate"])
+    def test_is_input_error(self, runner, tmp_path, quick_income_csv, command):
+        if command == "fit":
+            args = ["fit", "--incomes", quick_income_csv, "--restarts", "1"]
+        else:
+            args = [command, "--params", write_params_json(tmp_path / "p.json", 2010)]
+            args += ["--n", "5"] if command == "sample" else ["--agents", "4", "--steps", "2"]
+        result = runner.invoke(main, args + ["--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "seed" in result.output
+
+
 class TestSampleCommand:
     def test_deterministic_draws(self, runner, tmp_path):
         params_path = write_params_json(tmp_path / "p2009.json", 2009)
@@ -226,6 +239,8 @@ class TestSampleCommand:
         values = [float(v) for v in lines[1:]]
         assert len(values) == 50
         assert all(v > 0.0 for v in values)
+        draws = idist.sample(idist.normalize(year_params(2009)), 50, 3)
+        assert first.output == "income\n" + "".join(f"{v:.12g}\n" for v in draws.tolist())
 
 
 class TestSimulateCommand:

@@ -51,6 +51,8 @@ class TestFitConfig:
             {"opt_tol": 1.5},
             {"quad_tol": 1e-3},
             {"quad_tol": 0.0},
+            {"seed": -1},
+            {"seed": 2.0},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):

@@ -1,12 +1,13 @@
 import csv
+import io
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 import incomedist as idist
-from incomedist import langevin
 from incomedist.langevin import (
     EnsembleSnapshot,
     SimConfig,
@@ -19,28 +20,38 @@ from incomedist.langevin import (
 from conftest import year_params
 
 
-def euler_maruyama_oracle(config):
-    """The one-draw-per-step loop that ``simulate_ensemble`` must reproduce bit for bit."""
+def sharded_oracle(config):
+    """The loop that ``simulate_ensemble`` must reproduce bit for bit.
+
+    Each shard, agents [0, n//2) and [n//2, n), draws one normal per agent
+    and step from its own child of ``SeedSequence(seed)``; the whole
+    ensemble then takes one Euler-Maruyama step with dt folded into the
+    coefficients.
+    """
     c = config.coeffs
     n = int(config.n_agents)
     dt = float(config.dt)
-    root_dt = math.sqrt(dt)
     if config.initial_incomes is not None:
         m = config.initial_incomes.copy()
     else:
         m = np.full(n, c.b0 / c.a0_low)
+    keep_low, push_low = 1.0 - c.a_low * dt, c.a0_low * dt
+    keep_high, push_high = 1.0 - c.a_high * dt, c.a0_high * dt
+    s0, s2 = 2.0 * dt * c.b0, 2.0 * dt * c.b
+    cut = [0, n // 2, n]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(config.seed).spawn(2)]
 
-    rng = np.random.default_rng(config.seed)
     snapshots = [EnsembleSnapshot(time=0.0, incomes=m.copy())]
     recorded = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, int(config.n_steps) + 1):
-            below = m < config.m1
-            drift = np.where(below, c.a0_low + c.a_low * m, c.a0_high + c.a_high * m)
-            sigma = np.sqrt(2.0 * (c.b0 + c.b * m * m))
-            m -= drift * dt
-            m += sigma * (root_dt * rng.standard_normal(n))
-            np.abs(m, out=m)
+            xi = np.concatenate([
+                rng.standard_normal(hi - lo) for rng, lo, hi in zip(rngs, cut, cut[1:]) if hi > lo
+            ])
+            high = m >= config.m1
+            keep = np.where(high, keep_high, keep_low)
+            push = np.where(high, push_high, push_low)
+            m = np.abs((m * keep - push) + np.sqrt(s0 + s2 * (m * m)) * xi)
             if not np.all(np.isfinite(m)):
                 raise idist.NumericalBlowupError(
                     f"non-finite income at step {step} (dt={dt:g})", step=step
@@ -82,6 +93,8 @@ class TestSimConfig:
             ("dt", -1.0),
             ("n_steps", -1),
             ("record_stride", -2),
+            ("seed", -1),
+            ("seed", 1.5),
             ("coeffs", "not-coefficients"),
         ]:
             kwargs = dict(good, **{key: bad})
@@ -183,8 +196,8 @@ class TestSimulateEnsemble:
         assert ks_distance(final, models[2010]) < 0.03
 
 
-class TestPrefetchedNoise:
-    """The prefetch thread and reused buffers leave the integration unchanged."""
+class TestShards:
+    """Two seeded shards on two threads give the one-draw-per-shard loop's output."""
 
     @staticmethod
     def assert_same_snapshots(got, want):
@@ -192,35 +205,88 @@ class TestPrefetchedNoise:
         for a, b in zip(got, want):
             assert a.incomes.tobytes() == b.incomes.tobytes()
 
-    @pytest.mark.parametrize("n_agents", [7, 1000, 65537])
-    def test_matches_oracle_across_block_boundaries(self, n_agents):
-        rows = max(1, langevin._NOISE_BLOCK // n_agents)
-        # Two full blocks and a short last one; with one row per block the
-        # count is simply small.
-        n_steps = 2 * rows + 3 if rows > 1 else 5
+    @pytest.mark.parametrize("n_agents", [1, 2, 7, 1000, 65537])
+    def test_matches_oracle(self, n_agents):
         for stride in (0, 2):
             cfg = unit_2010_config(
-                n_agents=n_agents, n_steps=n_steps, record_stride=stride, seed=n_agents
+                n_agents=n_agents, n_steps=7, record_stride=stride, seed=n_agents
             )
-            self.assert_same_snapshots(simulate_ensemble(cfg), euler_maruyama_oracle(cfg))
+            self.assert_same_snapshots(simulate_ensemble(cfg), sharded_oracle(cfg))
 
     def test_matches_oracle_from_initial_incomes(self):
         start = simulate_ensemble(unit_2010_config(n_agents=1000, n_steps=40, seed=3))[-1].incomes
         cfg = unit_2010_config(
             n_agents=1000, n_steps=77, record_stride=10, seed=4, initial_incomes=start
         )
-        self.assert_same_snapshots(simulate_ensemble(cfg), euler_maruyama_oracle(cfg))
+        self.assert_same_snapshots(simulate_ensemble(cfg), sharded_oracle(cfg))
 
     def test_matches_oracle_with_no_steps(self):
         cfg = unit_2010_config(n_agents=1000, n_steps=0, record_stride=3)
-        self.assert_same_snapshots(simulate_ensemble(cfg), euler_maruyama_oracle(cfg))
+        self.assert_same_snapshots(simulate_ensemble(cfg), sharded_oracle(cfg))
 
     def test_blowup_step_matches_oracle(self):
         with pytest.raises(idist.NumericalBlowupError) as want:
-            euler_maruyama_oracle(runaway_config())
+            sharded_oracle(runaway_config())
         with pytest.raises(idist.NumericalBlowupError) as got:
             simulate_ensemble(runaway_config())
         assert got.value.step == want.value.step
+
+    @staticmethod
+    def count_draws(monkeypatch, hold_shard_0=0):
+        """Count each shard's draws; with ``hold_shard_0`` = k, shard 0's first
+        draw waits until shard 1 has made k draws."""
+        draws = {0: 0, 1: 0}
+        shard_1_ahead = threading.Event()
+        real_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, child):
+                self.rng = real_rng(child)
+                self.shard = child.spawn_key[-1]
+
+            def standard_normal(self, *args, **kwargs):
+                if self.shard == 0 and draws[0] == 0 and hold_shard_0:
+                    assert shard_1_ahead.wait(timeout=60)
+                draws[self.shard] += 1
+                if self.shard == 1 and draws[1] == hold_shard_0:
+                    shard_1_ahead.set()
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        return draws
+
+    @staticmethod
+    def runaway_from(shard_0_start, shard_1_start):
+        start = np.where(np.arange(50) < 25, shard_0_start, shard_1_start)
+        cfg = SimConfig(**{**vars(runaway_config()), "initial_incomes": start})
+        with pytest.raises(idist.NumericalBlowupError) as want:
+            sharded_oracle(cfg)
+        return cfg, want.value.step
+
+    def test_healthy_shard_stops_after_the_blowup(self, monkeypatch):
+        # Shard 1 starts near the overflow and blows up within about a
+        # hundred steps; shard 0 starts where the runaway config does and
+        # would run until that config's blow-up, thousands of steps later.
+        _, alone = self.runaway_from(1.0, 1.0)
+        cfg, first = self.runaway_from(1.0, 1e150)
+        draws = self.count_draws(monkeypatch)
+        with pytest.raises(idist.NumericalBlowupError) as got:
+            simulate_ensemble(cfg)
+        assert got.value.step == first < alone
+        assert draws[1] == first
+        assert draws[0] < alone
+
+    def test_earliest_step_wins_when_both_shards_blow_up(self, monkeypatch):
+        # Shard 0 blows up first in model time but is held back until shard
+        # 1 has drawn for its own, later, blow-up step.
+        _, later = self.runaway_from(1.0, 1e150)
+        cfg, first = self.runaway_from(1e153, 1e150)
+        assert first < later
+        draws = self.count_draws(monkeypatch, hold_shard_0=later)
+        with pytest.raises(idist.NumericalBlowupError) as got:
+            simulate_ensemble(cfg)
+        assert got.value.step == first
+        assert draws == {0: first, 1: later}
 
     def test_worker_thread_is_joined(self):
         before = threading.active_count()
@@ -229,6 +295,17 @@ class TestPrefetchedNoise:
         with pytest.raises(idist.NumericalBlowupError):
             simulate_ensemble(runaway_config())
         assert threading.active_count() == before
+
+    def test_output_ignores_thread_switching(self):
+        cfg = unit_2010_config(n_agents=1001, n_steps=300, record_stride=100, seed=9)
+        default = simulate_ensemble(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switching = simulate_ensemble(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        self.assert_same_snapshots(switching, default)
 
 
 class TestKsDistance:
@@ -308,3 +385,18 @@ class TestCsvExport:
         times = sorted({float(r["time"]) for r in rows})
         assert times == [s.time for s in snaps]
         assert all(float(r["income"]) >= 0.0 for r in rows)
+
+    def test_same_bytes_as_per_value_formatting(self):
+        values = np.array([
+            0.0, -0.0, 1e-300, 5e-324, 1e300, 1.7976931348623157e308, math.inf, math.nan,
+            0.1234567890125, 1.0000000000005, 9.9999999999995, 999999999999.5,
+            123456789012.5, 2.5, 1.0 / 3.0, -7.25e-5,
+        ])
+        snaps = [EnsembleSnapshot(time=0.0, incomes=values),
+                 EnsembleSnapshot(time=0.1 + 0.2, incomes=values[::-1].copy())]
+        buf = io.StringIO()
+        write_snapshots_csv(buf, snaps)
+        want = "time,income\n" + "".join(
+            f"{snap.time:.12g},{v:.12g}\n" for snap in snaps for v in snap.incomes.tolist()
+        )
+        assert buf.getvalue() == want

@@ -445,6 +445,11 @@ class TestSample:
         oracle /= 0.9
         assert abs(kept.mean() / oracle - 1.0) <= 0.05
 
+    @pytest.mark.parametrize("seed", [-1, (1, -2), 1.5, "7"])
+    def test_bad_seed_is_domain_error(self, models, seed):
+        with pytest.raises(idist.DomainError):
+            idist.sample(models[2010], 10, seed=seed)
+
     def test_positive_and_finite(self, models):
         draws = idist.sample(models[2009], 5000, seed=3)
         assert np.all(np.isfinite(draws))

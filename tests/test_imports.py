@@ -5,12 +5,17 @@ A name counts as used when the module references it, lists it in
 re-export that something outside the module reaches through it).
 ``__init__.py`` is skipped: its imports are the package namespace.
 Every ``__all__`` entry must resolve to an attribute of its module, so
-a deletion cannot leave a stale export behind.
+a deletion cannot leave a stale export behind.  Importing the CLI must not
+load ``scipy.stats``, and importing the package must load no scipy at all:
+either would add to the start-up time of every command.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +80,21 @@ def test_guard_sees_a_stale_export(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert _stale_exports(module) == ["gone"]
+
+
+def _scipy_modules_after(statement: str) -> list[str]:
+    """The ``scipy*`` modules a fresh interpreter holds after ``statement``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    assert "scipy.stats" not in _scipy_modules_after("import incomedist.cli")
+
+
+def test_package_import_loads_no_scipy():
+    assert _scipy_modules_after("import incomedist") == []

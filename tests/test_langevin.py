@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import incomedist as idist
 from incomedist.langevin import (
@@ -328,6 +329,14 @@ class TestKsDistance:
             ks_distance([], models[2010])
 
 
+def snaps(*incomes):
+    """Snapshots at times 0, 1, ...; with two, the first is the half-time one."""
+    return [EnsembleSnapshot(time=float(t), incomes=np.array(m)) for t, m in enumerate(incomes)]
+
+
+_RNG = np.random.default_rng(20131210)
+
+
 class TestRelaxation:
     def test_detects_stationarity(self):
         coeffs = idist.FpCoefficients(
@@ -355,9 +364,6 @@ class TestRelaxation:
         assert not relaxation_reached(cold, threshold=0.005)
 
     def test_two_sample_statistic_at_its_extremes(self):
-        def snaps(*incomes):
-            return [EnsembleSnapshot(time=float(t), incomes=np.array(m)) for t, m in enumerate(incomes)]
-
         # Identical snapshots: KS 0, below any positive threshold.
         assert relaxation_reached(snaps([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), threshold=1e-300)
         # Disjoint snapshots: KS exactly 1.
@@ -366,6 +372,47 @@ class TestRelaxation:
         assert relaxation_reached(disjoint, threshold=math.nextafter(1.0, 2.0))
         with pytest.raises(idist.DomainError):
             relaxation_reached(snaps([], [1.0]))
+
+    @pytest.mark.parametrize(
+        "half, final",
+        [
+            (_RNG.lognormal(0.0, 1.0, 400), _RNG.lognormal(0.05, 1.1, 400)),
+            (_RNG.normal(5.0, 1.0, 250), _RNG.normal(5.0, 1.0, 250)),
+            (_RNG.integers(0, 6, 300).astype(float), _RNG.integers(0, 6, 300).astype(float)),
+            (_RNG.integers(0, 4, 37), _RNG.integers(1, 5, 1000)),
+            (_RNG.exponential(1.0, 1), _RNG.exponential(1.0, 777)),
+            (_RNG.exponential(1.0, 1000), _RNG.exponential(1.3, 3)),
+            ([2.0], [3.0]),
+            ([2.0], [2.0]),
+            ([1.0, 2.0, 2.0, 5.0], [1.0, 2.0, 2.0, 5.0]),
+            ([1.0, 2.0, 3.0], [10.0, 20.0]),
+        ],
+        ids=[
+            "lognormal", "same-law", "integer-ties", "integer-ties-unequal",
+            "1-vs-777", "1000-vs-3", "1-vs-1", "1-vs-1-tied", "identical", "disjoint",
+        ],
+    )
+    def test_statistic_equals_scipy(self, half, final):
+        # The asymptotic p-value divides by zero at n1 = n2 = 1; only the
+        # statistic is compared.
+        with np.errstate(divide="ignore"):
+            s = float(scipy.stats.ks_2samp(half, final, method="asymp").statistic)
+        pair = snaps(half, final)
+        if s > 0.0:
+            assert not relaxation_reached(pair, threshold=s)
+        assert relaxation_reached(pair, threshold=math.nextafter(s, math.inf))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_incomes(self, bad):
+        with pytest.raises(idist.DomainError):
+            relaxation_reached(snaps([1.0, bad, 3.0], [1.0, 2.0, 3.0]))
+        with pytest.raises(idist.DomainError):
+            relaxation_reached(snaps([1.0, 2.0, 3.0], [bad, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0, 0.0, -0.0, "0.01", None])
+    def test_rejects_bad_threshold(self, threshold):
+        with pytest.raises(idist.DomainError):
+            relaxation_reached(snaps([1.0, 2.0], [1.0, 2.0]), threshold=threshold)
 
     def test_needs_two_snapshots(self):
         snaps = simulate_ensemble(unit_2010_config(n_steps=0))

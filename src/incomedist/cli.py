@@ -44,7 +44,7 @@ from .errors import (
     QuadratureError,
     UnreliableErrorsError,
 )
-from .fit import FitConfig, bootstrap_errors, fit, fit_result_document
+from .fit import FitConfig, _positive_points, bootstrap_errors, fit, fit_result_document
 from .model import Params, ccdf, normalize, params_from_dict, params_to_dict, sample
 
 __all__ = ["main", "ReportRow", "crisis_indicator", "aggregate_params"]
@@ -58,6 +58,7 @@ _INPUT_ERRORS = (
     DomainError,
     OSError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 _CONVERGENCE_ERRORS = (
     UnreliableErrorsError,
@@ -260,10 +261,7 @@ def cmd_plotdata(config_path, params_path, **flags):
         params, _ = _load_params_file(params_path)
         mod = normalize(params)
         ds, _ = _load_dataset(opts)
-        curve = empirical_ccdf(ds)
-        keep = curve.m > 0.0
-        m_emp = curve.m[keep]
-        p_emp = curve.p[keep]
+        m_emp, p_emp = _positive_points(empirical_ccdf(ds))
         grid = np.geomspace(m_emp[0], m_emp[-1], int(opts["curve_points"]))
         p_model = ccdf(mod, grid)
         lines = ["kind,m,p"]

@@ -106,6 +106,7 @@ class EmpiricalCcdf:
 
 _INCOME_COLUMN = "income"
 _WEIGHT_COLUMN = "weight"
+_WEALTH_COLUMN = "wealth_usd"
 
 
 def _open_text(source):
@@ -115,6 +116,29 @@ def _open_text(source):
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8", newline="")
     raise DataFormatError(f"expected a path or an open text stream, got {type(source).__name__}")
+
+
+def _numbered_rows(fh, column: str):
+    """(header, rows numbered from file row 2) of a CSV whose header names ``column``."""
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames
+    if header is None or column not in header:
+        raise DataFormatError(f"missing required column {column!r} in header {header!r}")
+    return header, enumerate(reader, start=2)
+
+
+def _number(row_no: int, raw, what: str, diagnostics: list, positive: bool = False):
+    """``raw`` as a finite float >= 0 (> 0 if ``positive``), or None after noting the skip."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        diagnostics.append(f"row {row_no}: unreadable {what} {raw!r}, skipped")
+        return None
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        rule = "positive" if positive else "finite and >= 0"
+        diagnostics.append(f"row {row_no}: {what} must be {rule}, got {raw}, skipped")
+        return None
+    return value
 
 
 def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
@@ -134,40 +158,19 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
         If no valid rows remain.
     """
     with _open_text(source) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None or _INCOME_COLUMN not in header:
-            raise DataFormatError(
-                f"missing required column {_INCOME_COLUMN!r} in header {header!r}"
-            )
+        header, rows = _numbered_rows(fh, _INCOME_COLUMN)
         has_weight = _WEIGHT_COLUMN in header
         values: list[float] = []
         weights: list[float] = []
         diagnostics: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            raw = row.get(_INCOME_COLUMN)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                diagnostics.append(f"row {row_no}: unreadable income {raw!r}, skipped")
-                continue
-            if not math.isfinite(value) or value < 0.0:
-                diagnostics.append(
-                    f"row {row_no}: income must be finite and >= 0, got {raw}, skipped"
-                )
+        for row_no, row in rows:
+            value = _number(row_no, row.get(_INCOME_COLUMN), "income", diagnostics)
+            if value is None:
                 continue
             weight = 1.0
             if has_weight:
-                raw_w = row.get(_WEIGHT_COLUMN)
-                try:
-                    weight = float(raw_w)
-                except (TypeError, ValueError):
-                    diagnostics.append(f"row {row_no}: unreadable weight {raw_w!r}, skipped")
-                    continue
-                if not math.isfinite(weight) or weight < 0.0:
-                    diagnostics.append(
-                        f"row {row_no}: weight must be finite and >= 0, got {raw_w}, skipped"
-                    )
+                weight = _number(row_no, row.get(_WEIGHT_COLUMN), "weight", diagnostics)
+                if weight is None:
                     continue
             values.append(value)
             weights.append(weight)
@@ -180,27 +183,13 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
 def load_billionaires(source) -> tuple[np.ndarray, list[str]]:
     """Positive wealth values of a billionaire CSV (column ``wealth_usd``) plus row diagnostics."""
     with _open_text(source) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None or "wealth_usd" not in header:
-            raise DataFormatError(
-                f"missing required column 'wealth_usd' in header {header!r}"
-            )
+        _, rows = _numbered_rows(fh, _WEALTH_COLUMN)
         wealth: list[float] = []
         diagnostics: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            raw = row.get("wealth_usd")
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                diagnostics.append(f"row {row_no}: unreadable wealth {raw!r}, skipped")
-                continue
-            if not math.isfinite(value) or value <= 0.0:
-                diagnostics.append(
-                    f"row {row_no}: wealth must be positive, got {raw}, skipped"
-                )
-                continue
-            wealth.append(value)
+        for row_no, row in rows:
+            value = _number(row_no, row.get(_WEALTH_COLUMN), "wealth", diagnostics, positive=True)
+            if value is not None:
+                wealth.append(value)
     return np.array(wealth), diagnostics
 
 
@@ -244,14 +233,10 @@ def empirical_ccdf(ds: Dataset) -> EmpiricalCcdf:
     Zero-weight records are ignored and duplicate values collapse to a
     single point at their largest rank, i.e. the smallest p.
     """
-    if len(ds) == 0:
-        raise DomainError("cannot build a CCDF from an empty dataset")
     keep = ds.weights > 0.0
     values = ds.values[keep]
     weights = ds.weights[keep]
     n = values.size
-    if n == 0:
-        raise DomainError("cannot build a CCDF with all weights zero")
     if np.all(weights == weights[0]):
         positions = 1.0 - np.arange(1, n + 1) / (n + 1.0)
     else:

@@ -20,9 +20,9 @@ normalization whose two branch sweeps also give the model curve.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -48,6 +48,7 @@ _LN10 = math.log(10.0)
 _PENALTY = 1e9
 _DIFF_STEP = 1e-6  # relative to max(1, |log p|): about 1e-5 in log space
 _MAX_STEPS = 300  # trust-region trial points per run; Jacobian columns come on top
+_TAIL_FLOOR = 20  # effective exceedances that must back the grid's last point
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,11 @@ def _positive_points(ccdf: EmpiricalCcdf):
     return m, p
 
 
-def _grid_ceiling(m: np.ndarray, p: np.ndarray, tail_floor: int = 20) -> float:
+def _grid_ceiling(m: np.ndarray, p: np.ndarray) -> float:
     """Largest income the objective grid may reach (see ``objective``)."""
-    if tail_floor > 0:
-        reliable = np.flatnonzero(p >= tail_floor * p[-1])
-        if reliable.size >= 2:
-            return float(m[reliable[-1]])
+    reliable = np.flatnonzero(p >= _TAIL_FLOOR * p[-1])
+    if reliable.size >= 2:
+        return float(m[reliable[-1]])
     return float(m[-1])
 
 
@@ -132,12 +132,11 @@ def _derive_bounds(ccdf: EmpiricalCcdf) -> dict:
 class FitProblem:
     """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF."""
 
-    def __init__(self, ccdf: EmpiricalCcdf, grid_points: int,
-                 quad_tol: float = 1e-10, tail_floor: int = 20):
+    def __init__(self, ccdf: EmpiricalCcdf, grid_points: int, quad_tol: float = 1e-10):
         if grid_points < 2:
             raise DomainError(f"grid_points must be >= 2, got {grid_points!r}")
         m, p = _positive_points(ccdf)
-        self.grid = np.geomspace(m[0], _grid_ceiling(m, p, tail_floor), int(grid_points))
+        self.grid = np.geomspace(m[0], _grid_ceiling(m, p), int(grid_points))
         self.log10_emp = np.interp(np.log(self.grid), np.log(m), np.log(p)) / _LN10
         self.quad_tol = quad_tol
 
@@ -155,21 +154,19 @@ class FitProblem:
 
 
 def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
-              quad_tol: float = 1e-10, tail_floor: int = 20) -> float:
+              quad_tol: float = 1e-10) -> float:
     """Mean squared log10-CCDF misfit over a log-spaced income grid.
 
     The empirical curve is interpolated linearly in (log m, log p).
-    The grid starts at the smallest positive data point and, with the
-    default ``tail_floor``, stops where fewer than that many effective
-    exceedances back the empirical curve (p below tail_floor times the
-    final plotting position): beyond it the extreme order statistics
-    scatter by whole factors around the true CCDF, and letting them
-    into a mean-squared criterion drowns the signal of every other
-    regime.  ``tail_floor=0`` spans the full data range, in which case
-    a CCDF produced by evaluating the model on that exact grid scores
-    exactly zero.
+    The grid starts at the smallest positive data point and stops where
+    fewer than 20 effective exceedances back the empirical curve (p
+    below 20 times the final plotting position), or at the largest
+    point when fewer than two points pass that test: beyond it the
+    extreme order statistics scatter by whole factors around the true
+    CCDF, and letting them into a mean-squared criterion drowns the
+    signal of every other regime.
     """
-    return FitProblem(ccdf, grid_points, quad_tol, tail_floor).misfit(params)
+    return FitProblem(ccdf, grid_points, quad_tol).misfit(params)
 
 
 def _coarse_shape(log_m: np.ndarray, log_p: np.ndarray, nodes: int = 60):
@@ -369,20 +366,14 @@ def _refit_from(center: Params, ccdf: EmpiricalCcdf, bounds, config: FitConfig):
     return _unpack(x, names, config.tie_t1_m1), converged
 
 
-def bootstrap_errors(
-    ds: Dataset,
-    config: FitConfig,
-    center: Params,
-    index_sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None,
-) -> dict:
+def bootstrap_errors(ds: Dataset, config: FitConfig, center: Params) -> dict:
     """Per-parameter standard deviations over bootstrap refits.
 
     Each of the ``config.bootstrap_resamples`` tasks draws len(ds)
     records with replacement (probability proportional to weight),
     rebuilds the CCDF, and refits once starting from ``center``.  Task
     k's random stream is seeded by (config.seed, 2, k) so results do
-    not depend on execution order.  ``index_sampler`` replaces the
-    resampling draw and exists for controlled experiments.
+    not depend on execution order.
 
     Raises
     ------
@@ -399,11 +390,7 @@ def bootstrap_errors(
     draws = []
     failed = 0
     for k in range(int(config.bootstrap_resamples)):
-        rng = np.random.default_rng((config.seed, 2, k))
-        if index_sampler is not None:
-            idx = np.asarray(index_sampler(k, rng), dtype=np.intp)
-        else:
-            idx = rng.choice(n, size=n, replace=True, p=probs)
+        idx = np.random.default_rng((config.seed, 2, k)).choice(n, size=n, replace=True, p=probs)
         resampled = Dataset(values=ds.values[idx], label=f"resample-{k}")
         params_k, ok = _refit_from(center, empirical_ccdf(resampled), bounds, config)
         if not ok:
@@ -419,7 +406,6 @@ def bootstrap_errors(
 
 def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> dict:
     """JSON-ready document: result fields, per-parameter errors and the config echo."""
-    diag = result.diagnostics
     return {
         "params": model_mod.params_to_dict(result.params),
         "errors": dict(errors),
@@ -427,20 +413,6 @@ def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> d
         "iterations": result.iterations,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
-        "diagnostics": {
-            "bound_saturated": list(diag.get("bound_saturated", [])),
-            "degenerate_ridge": bool(diag.get("degenerate_ridge", False)),
-            "misfit_calls": int(diag.get("misfit_calls", 0)),
-            "restart_objectives": [float(v) for v in diag.get("restart_objectives", [])],
-            "grid_points_above_m1": int(diag.get("grid_points_above_m1", 0)),
-        },
-        "config": {
-            "grid_points": config.grid_points,
-            "tie_t1_m1": config.tie_t1_m1,
-            "restarts": config.restarts,
-            "bootstrap_resamples": config.bootstrap_resamples,
-            "seed": config.seed,
-            "opt_tol": config.opt_tol,
-            "quad_tol": config.quad_tol,
-        },
+        "diagnostics": copy.deepcopy(result.diagnostics),
+        "config": asdict(config),
     }

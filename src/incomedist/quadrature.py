@@ -72,7 +72,6 @@ _G7_W[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
 _SERIES_ORDER = 9          # coefficients d_0 .. d_8
 _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
-_MAX_SPLIT_ROUNDS = 60
 _MAX_BATCH_PANELS = 200_000
 
 
@@ -178,19 +177,17 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol):
 def _gk_log_segments(lo, hi, beta, alpha, rel_tol):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments must lie inside [series cutoff, pi/2].  Returns per-segment
-    (log_value, log_error) arrays.
+    Segments (at least one) must lie inside [series cutoff, pi/2].  A
+    failing panel is halved; the width test of ``_gk_panel_batch`` passes
+    any panel within about 51 halvings, and past ``_MAX_BATCH_PANELS``
+    panels all are taken.  Returns per-segment (log_value, log_error) arrays.
     """
     nseg = lo.size
-    if nseg == 0:
-        return np.empty(0), np.empty(0)
     cur_lo, cur_hi = lo.astype(float), hi.astype(float)
     cur_id = np.arange(nseg)
     got_id, got_val, got_err = [], [], []
     spent = 0
-    for _ in range(_MAX_SPLIT_ROUNDS):
-        if cur_lo.size == 0:
-            break
+    while cur_lo.size:
         spent += cur_lo.size
         log_val, log_err, ok = _gk_panel_batch(cur_lo, cur_hi, beta, alpha, rel_tol)
         if spent > _MAX_BATCH_PANELS:
@@ -199,19 +196,11 @@ def _gk_log_segments(lo, hi, beta, alpha, rel_tol):
         got_val.append(log_val[ok])
         got_err.append(log_err[ok])
         bad = ~ok
-        if not np.any(bad):
-            cur_lo = np.empty(0)
-            break
         blo, bhi, bid = cur_lo[bad], cur_hi[bad], cur_id[bad]
         mid = 0.5 * (blo + bhi)
         cur_lo = np.concatenate([blo, mid])
         cur_hi = np.concatenate([mid, bhi])
         cur_id = np.concatenate([bid, bid])
-    else:  # pragma: no cover - depth exhausted, keep best estimates
-        log_val, log_err, _ = _gk_panel_batch(cur_lo, cur_hi, beta, alpha, rel_tol)
-        got_id.append(cur_id)
-        got_val.append(log_val)
-        got_err.append(log_err)
 
     ids = np.concatenate(got_id)
     vals = np.concatenate(got_val)

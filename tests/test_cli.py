@@ -185,6 +185,15 @@ class TestPlotdataCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("incomes", ["0\n0\n0\n", "0\n0\n5000\n"])
+    def test_fewer_than_two_positive_incomes_rejected(self, runner, tmp_path, incomes):
+        params_path = write_params_json(tmp_path / "p2010.json", 2010)
+        csv_path = tmp_path / "zeros.csv"
+        csv_path.write_text("income\n" + incomes)
+        result = runner.invoke(main, ["plotdata", "--params", params_path,
+                                      "--incomes", str(csv_path)])
+        assert result.exit_code == 2, result.output
+        assert "two positive-income" in result.output
 
     @pytest.mark.parametrize("points", ["-1", "0", "1"])
     def test_too_few_curve_points_rejected(self, runner, quick_income_csv, tmp_path, points):
@@ -211,6 +220,24 @@ class TestNonObjectJson:
         result = runner.invoke(main, command + [flag, str(bad)])
         assert result.exit_code == 2, result.output
         assert "JSON object" in result.output
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("flag", ["--incomes", "--billionaires", "--params", "--fit-json",
+                                      "--config"])
+    def test_is_input_error(self, runner, tmp_path, quick_income_csv, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("income\n1000\n2000 €\n".encode("cp1252"))
+        args = {
+            "--incomes": ["fit", "--incomes", str(bad)],
+            "--billionaires": ["fit", "--incomes", quick_income_csv, "--billionaires", str(bad)],
+            "--params": ["sample", "--n", "5", "--params", str(bad)],
+            "--fit-json": ["report", "--fit-json", str(bad)],
+            "--config": ["fit", "--incomes", quick_income_csv, "--config", str(bad)],
+        }[flag]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "utf-8" in result.output
 
 
 class TestNegativeSeed:

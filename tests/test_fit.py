@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -79,8 +80,13 @@ class TestObjective:
 
     def test_model_evaluated_curve_scores_zero(self, models):
         grid = np.geomspace(500.0, 2e6, 150)
-        curve = EmpiricalCcdf(m=grid, p=idist.ccdf(models[2010], grid))
-        value = objective(year_params(2010), curve, 150, tail_floor=0)
+        p = idist.ccdf(models[2010], grid)
+        # A trailing point 40x below the last model value puts every grid
+        # point above 20x the final position, so the objective's grid
+        # stops at 2e6 and is the curve's own grid.
+        curve = EmpiricalCcdf(m=np.append(grid, 4e6), p=np.append(p, p[-1] / 40.0))
+        assert np.array_equal(FitProblem(curve, 150).grid, grid)
+        value = objective(year_params(2010), curve, 150)
         # Only the round trip through stored linear-space p remains.
         assert value <= 1e-30
 
@@ -289,21 +295,6 @@ class TestBootstrapErrors:
                          bootstrap_resamples=20, seed=5, opt_tol=1e-3,
                          quad_tol=1e-8)
 
-    def test_identity_resampler_gives_zero_spread(
-        self, tiny_ds, cfg, monkeypatch
-    ):
-        monkeypatch.setattr(fit_mod, "_refit_from", _bump_refit)
-        errs = bootstrap_errors(
-            tiny_ds, cfg, year_params(2010),
-            index_sampler=lambda k, rng: np.arange(len(tiny_ds)),
-        )
-        assert set(errs) == PARAM_KEYS
-        # All twenty draws are identical; only the rounding of their
-        # mean survives, so allow a few ulp rather than literal zero.
-        center = idist.params_to_dict(year_params(2010))
-        for key, value in errs.items():
-            assert value <= 8.0 * np.finfo(float).eps * center[key]
-
     def test_real_resampling_spreads_the_touched_parameter(
         self, tiny_ds, cfg, monkeypatch
     ):
@@ -358,8 +349,8 @@ class TestFitResultDocument:
         result = FitResult(
             params=year_params(2010),
             objective=0.5, iterations=42, converged=True, restarts_used=3,
-            diagnostics={"bound_saturated": ("m1",), "degenerate_ridge": False,
-                         "misfit_calls": 812, "restart_objectives": (0.5, 0.7, 0.5),
+            diagnostics={"bound_saturated": ["m1"], "degenerate_ridge": False,
+                         "misfit_calls": 812, "restart_objectives": [0.5, 0.7, 0.5],
                          "grid_points_above_m1": 17},
         )
         cfg = FitConfig(grid_points=120, tie_t1_m1=True, bootstrap_resamples=0)
@@ -375,3 +366,17 @@ class TestFitResultDocument:
         assert doc["diagnostics"]["misfit_calls"] == 812
         assert doc["diagnostics"]["restart_objectives"] == [0.5, 0.7, 0.5]
         assert doc["diagnostics"]["grid_points_above_m1"] == 17
+        # The document holds its own lists, not the frozen result's.
+        doc["diagnostics"]["bound_saturated"].append("t1")
+        assert result.diagnostics["bound_saturated"] == ["m1"]
+
+    def test_real_fit_document_keys(self, fit_2010):
+        # The document echoes fit()'s diagnostics and FitConfig as they are,
+        # so their key sets are the fit JSON's.
+        cfg = FitConfig(tie_t1_m1=True, seed=7, restarts=5)
+        doc = fit_result_document(fit_2010, cfg, {})
+        assert json.loads(json.dumps(doc)) == doc  # JSON-native values only
+        assert set(doc["diagnostics"]) == {"bound_saturated", "degenerate_ridge", "misfit_calls",
+                                           "restart_objectives", "grid_points_above_m1"}
+        assert set(doc["config"]) == {"grid_points", "tie_t1_m1", "restarts",
+                                      "bootstrap_resamples", "seed", "opt_tol", "quad_tol"}

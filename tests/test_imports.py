@@ -5,7 +5,9 @@ A name counts as used when the module references it, lists it in
 re-export that something outside the module reaches through it).
 ``__init__.py`` is skipped: its imports are the package namespace.
 Every ``__all__`` entry must resolve to an attribute of its module, so
-a deletion cannot leave a stale export behind.  Importing the CLI must not
+a deletion cannot leave a stale export behind.  Every private module-level
+name (``_name``) must be referenced somewhere in the package, so a deletion
+cannot leave its helpers or constants behind either.  Importing the CLI must not
 load ``scipy.stats``, and importing the package must load no scipy at all:
 either would add to the start-up time of every command.
 """
@@ -80,6 +82,49 @@ def test_guard_sees_a_stale_export(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert _stale_exports(module) == ["gone"]
+
+
+def _unreferenced_privates(paths) -> list[str]:
+    """``file:line: name`` of each module-level ``_name`` that no file in ``paths`` reads."""
+    defined, referenced = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{file}:{lineno}: {name}" for file, lineno, name in defined
+            if name not in referenced]
+
+
+def test_every_private_name_is_referenced():
+    assert _unreferenced_privates(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_sees_an_unreferenced_private(tmp_path):
+    owner = tmp_path / "owner.py"
+    owner.write_text(
+        "_USED = 1\n_LEFT = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
+        "def _shared():\n    pass\n\n\nclass _Gone:\n    pass\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import owner\nfrom owner import _shared\nowner._helper()\n",
+                    encoding="utf-8")
+    assert _unreferenced_privates([owner, user]) == ["owner.py:2: _LEFT", "owner.py:13: _Gone"]
 
 
 def _scipy_modules_after(statement: str) -> list[str]:

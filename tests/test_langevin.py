@@ -270,7 +270,9 @@ class TestShards:
         # would run until that config's blow-up, thousands of steps later.
         _, alone = self.runaway_from(1.0, 1.0)
         cfg, first = self.runaway_from(1.0, 1e150)
-        draws = self.count_draws(monkeypatch)
+        # Held until shard 1 has drawn its blow-up step, shard 0 cannot run
+        # to its own blow-up before the pool thread gets scheduled.
+        draws = self.count_draws(monkeypatch, hold_shard_0=first)
         with pytest.raises(idist.NumericalBlowupError) as got:
             simulate_ensemble(cfg)
         assert got.value.step == first < alone

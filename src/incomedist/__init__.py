@@ -19,7 +19,6 @@ from .model import (
     Params,
     ccdf,
     fp_coefficients_for,
-    from_fp_coefficients,
     logccdf,
     logpdf,
     normalize,

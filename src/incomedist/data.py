@@ -119,12 +119,19 @@ def _open_text(source):
 
 
 def _numbered_rows(fh, column: str):
-    """(header, rows numbered from file row 2) of a CSV whose header names ``column``."""
+    """Yield the header of a CSV that names ``column``, then its rows numbered from file row 2.
+
+    A line the csv module cannot read (a field over its size limit) raises DataFormatError.
+    """
     reader = csv.DictReader(fh)
-    header = reader.fieldnames
-    if header is None or column not in header:
-        raise DataFormatError(f"missing required column {column!r} in header {header!r}")
-    return header, enumerate(reader, start=2)
+    try:
+        header = reader.fieldnames
+        if header is None or column not in header:
+            raise DataFormatError(f"missing required column {column!r} in header {header!r}")
+        yield header
+        yield from enumerate(reader, start=2)
+    except csv.Error as exc:
+        raise DataFormatError(f"line {reader.reader.line_num}: unreadable CSV ({exc})") from None
 
 
 def _number(row_no: int, raw, what: str, diagnostics: list, positive: bool = False):
@@ -158,8 +165,8 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
         If no valid rows remain.
     """
     with _open_text(source) as fh:
-        header, rows = _numbered_rows(fh, _INCOME_COLUMN)
-        has_weight = _WEIGHT_COLUMN in header
+        rows = _numbered_rows(fh, _INCOME_COLUMN)
+        has_weight = _WEIGHT_COLUMN in next(rows)
         values: list[float] = []
         weights: list[float] = []
         diagnostics: list[str] = []
@@ -183,7 +190,8 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
 def load_billionaires(source) -> tuple[np.ndarray, list[str]]:
     """Positive wealth values of a billionaire CSV (column ``wealth_usd``) plus row diagnostics."""
     with _open_text(source) as fh:
-        _, rows = _numbered_rows(fh, _WEALTH_COLUMN)
+        rows = _numbered_rows(fh, _WEALTH_COLUMN)
+        next(rows)
         wealth: list[float] = []
         diagnostics: list[str] = []
         for row_no, row in rows:

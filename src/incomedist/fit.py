@@ -358,14 +358,6 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     )
 
 
-def _refit_from(center: Params, ccdf: EmpiricalCcdf, bounds, config: FitConfig):
-    names = _pack_names(config.tie_t1_m1)
-    x, _value, converged, _calls = _minimize_from(
-        FitProblem(ccdf, config.grid_points, config.quad_tol),
-        np.log([getattr(center, n) for n in names]), np.log([bounds[n] for n in names]), config)
-    return _unpack(x, names, config.tie_t1_m1), converged
-
-
 def bootstrap_errors(ds: Dataset, config: FitConfig, center: Params) -> dict:
     """Per-parameter standard deviations over bootstrap refits.
 
@@ -386,16 +378,20 @@ def bootstrap_errors(ds: Dataset, config: FitConfig, center: Params) -> dict:
         )
     n = len(ds)
     probs = ds.weights / ds.weights.sum()
+    names = _pack_names(config.tie_t1_m1)
     bounds = _derive_bounds(empirical_ccdf(ds))
+    log_bounds = np.log([bounds[name] for name in names])
+    x0 = np.log([getattr(center, name) for name in names])
     draws = []
     failed = 0
     for k in range(int(config.bootstrap_resamples)):
         idx = np.random.default_rng((config.seed, 2, k)).choice(n, size=n, replace=True, p=probs)
         resampled = Dataset(values=ds.values[idx], label=f"resample-{k}")
-        params_k, ok = _refit_from(center, empirical_ccdf(resampled), bounds, config)
+        problem = FitProblem(empirical_ccdf(resampled), config.grid_points, config.quad_tol)
+        x, _value, ok, _calls = _minimize_from(problem, x0, log_bounds, config)
         if not ok:
             failed += 1
-        draws.append(list(model_mod.params_to_dict(params_k).values()))
+        draws.append(list(model_mod.params_to_dict(_unpack(x, names, config.tie_t1_m1)).values()))
     if 2 * failed > config.bootstrap_resamples:
         raise UnreliableErrorsError(
             f"{failed}/{config.bootstrap_resamples} bootstrap refits failed to converge"

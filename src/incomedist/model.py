@@ -19,12 +19,14 @@ Parameters arise from a drift/diffusion description: with drift
 A(m) = A0 + a*m below m1 (A0' + a'*m above) and diffusion
 B(m) = B0 + b*m^2, the stationary density has exactly the shape above
 with alpha = 1 + a/b, alpha1 = 1 + a'/b, T = B0/A0, T1 = B0/A0' and
-m0 = sqrt(B0/b).  :func:`from_fp_coefficients` performs that mapping and
-:func:`fp_coefficients_for` inverts it for a chosen b.
+m0 = sqrt(B0/b).  :func:`fp_coefficients_for` gives coefficients that
+realize a parameter set for a chosen b.
 
 All evaluation is carried out in log space; realistic parameters put
 exponents of order (m0/T)*pi/2 into the branch constants, which is fine
-for log arithmetic and fatal for linear arithmetic.
+for log arithmetic and fatal for linear arithmetic.  The branch kernel
+masses come from :mod:`quadrature` in income space; this module only
+composes the branch constants and the CCDF from them.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from . import quadrature
 from .errors import (DataFormatError, DomainError, InvalidParamsError, NonNormalizableError,
                      QuadratureError)
 
-__all__ = ["Params", "FpCoefficients", "NormalizedModel", "from_fp_coefficients",
-           "fp_coefficients_for", "normalize", "pdf", "logpdf", "ccdf", "logccdf", "quantile",
-           "sample", "tail_slope", "params_to_dict", "params_from_dict"]
+__all__ = ["Params", "FpCoefficients", "NormalizedModel", "fp_coefficients_for", "normalize",
+           "pdf", "logpdf", "ccdf", "logccdf", "quantile", "sample", "tail_slope",
+           "params_to_dict", "params_from_dict"]
 
-_HALF_PI = math.pi / 2.0
 _LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
@@ -115,34 +116,6 @@ class FpCoefficients:
             raise InvalidParamsError(f"diffusion must be positive: b0={self.b0!r}, b={self.b!r}")
 
 
-def from_fp_coefficients(coeffs: FpCoefficients, m1: float) -> Params:
-    """Map drift/diffusion coefficients to distribution parameters.
-
-    Parameters
-    ----------
-    coeffs : FpCoefficients
-    m1 : float
-        Breakpoint income (EUR) at which the drift switches.
-
-    Returns
-    -------
-    Params
-        With alpha = 1 + a/b, alpha1 = 1 + a'/b, T = B0/A0, T1 = B0/A0'
-        and m0 = sqrt(B0/b).
-    """
-    if coeffs.a0_low <= 0.0 or coeffs.a0_high <= 0.0:
-        raise InvalidParamsError("constant drift terms must be positive to define temperatures: "
-                                 f"a0_low={coeffs.a0_low!r}, a0_high={coeffs.a0_high!r}")
-    return Params(
-        t_low=coeffs.b0 / coeffs.a0_low,
-        t_high=coeffs.b0 / coeffs.a0_high,
-        m0=math.sqrt(coeffs.b0 / coeffs.b),
-        m1=m1,
-        alpha=1.0 + coeffs.a_low / coeffs.b,
-        alpha1=1.0 + coeffs.a_high / coeffs.b,
-    )
-
-
 def fp_coefficients_for(params: Params, b: float = 1.0) -> FpCoefficients:
     """Drift/diffusion coefficients realizing ``params`` for a chosen b."""
     if b <= 0.0 or not math.isfinite(b):
@@ -207,12 +180,14 @@ class NormalizedModel:
             # that underflowed; the table would start at income 0.
             raise QuadratureError(f"sampling table low anchor exp({log_m_lo:.6g}) underflows "
                                   f"(log c_low = {self.log_c_low:.6g})")
-        m_hi = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
-        target = math.log(1e-13)
-        for _ in range(300):
-            if logccdf(self, m_hi) < target or m_hi > 1e280:
-                break
-            m_hi *= 10.0
+        # High anchor: the first decade up from 10 max(m1, m0, T, T1), through the
+        # first above 1e280, whose log CCDF is below log(1e-13); all in one sweep.
+        with np.errstate(over="ignore"):  # decades past 1e280 are cut off below
+            ladder = np.multiply.accumulate(
+                np.concatenate([[10.0 * max(p.m1, p.m0, p.t_low, p.t_high)], np.full(300, 10.0)]))
+        ladder = ladder[:np.searchsorted(ladder, 1e280, side="right") + 1]
+        below = np.flatnonzero(logccdf(self, ladder) < math.log(1e-13))
+        m_hi = float(ladder[below[0] if below.size else -1])
         grid = np.geomspace(m_lo, m_hi, 4096)
         log_m = np.log(grid)
         log_p = logccdf(self, grid)
@@ -243,36 +218,22 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
 def _sweep(p: Params, quad_tol: float, m: np.ndarray):
     """Branch kernel log masses, as kernel_log_mass gives them, at ascending incomes ``m``.
 
-    One kernel_log_cumulative sweep per branch in v = arctan(m0/m), over the
-    incomes given and no others: the high kernel from 0 to each v(m >= m1), then
-    the low kernel from v1 = arctan(m0/m1) to each v(m < m1).  Returns
-    (low, high), each in the order of ``m``.
+    One :func:`quadrature.branch_log_masses` sweep per branch over the incomes
+    given and no others: the high kernel from each m >= m1 up to infinity, then
+    the low kernel from each m < m1 up to m1.  Returns (low, high), each in the
+    order of ``m``.
     """
-    v1 = float(np.arctan(p.m0 / p.m1))  # _v_of_m(m1) without its errstate: m1 > 0
-    v = quadrature._v_of_m(m, p.m0)[::-1]  # ascending, so m >= m1 comes first
-    n_high = m.size - int(np.searchsorted(m, p.m1))
-    masses = []
-    for temperature, alpha, start, points in ((p.t_high, p.alpha1, 0.0, v[:n_high]),
-                                              (p.t_low, p.alpha, v1, np.maximum(v[n_high:], v1))):
-        if points.size == 0:
-            masses.append(points)
-            continue
-        beta = p.m0 / temperature
-        cum, achieved = quadrature.kernel_log_cumulative(start, points, beta, alpha, quad_tol)
-        if achieved > quad_tol:
-            raise QuadratureError(f"branch quadrature reached {achieved:.3e} > {quad_tol:.3e}",
-                                  achieved_tol=achieved)
-        masses.append(math.log(p.m0) - beta * _HALF_PI + cum[::-1])
-    high, low = masses
-    return low, high
+    i = int(np.searchsorted(m, p.m1))
+    high = quadrature.branch_log_masses(p.m0, p.t_high, p.alpha1, math.inf, m[i:], quad_tol)
+    return quadrature.branch_log_masses(p.m0, p.t_low, p.alpha, p.m1, m[:i], quad_tol), high
 
 
 def _normalize_on(p: Params, quad_tol: float, m: np.ndarray):
     """:func:`normalize` and the log CCDF at ascending incomes ``m``.
 
-    Sweeps ``m`` with 0 and m1 added: their knots pi/2 and v1 end the low and
-    high sweeps, so ``low[0]`` and ``high[0]`` are the whole branch masses.  With
-    no incomes the knots are those of kernel_log_mass, so the constants equal it.
+    Sweeps ``m`` with 0 and m1 added, so ``low[0]`` and ``high[0]`` are the whole
+    branch masses on [0, m1] and [m1, inf).  With no incomes each sweep is the one
+    kernel_log_mass makes, so the constants equal it.
     """
     if not (0.0 < quad_tol <= 1e-6):
         raise DomainError(f"quad_tol must lie in (0, 1e-6], got {quad_tol!r}")

@@ -21,6 +21,10 @@ rigorously small cutoff; elsewhere by Gauss-Kronrod panels that are
 subdivided until an embedded error estimate passes.  All kernel masses
 are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
+
+No other module knows the substitution: :func:`branch_log_masses` maps
+incomes to v, checks the sweep's tolerance and returns log masses in
+income space, scaled back by m0 * exp(-beta*pi/2).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, NonNormalizableError, QuadratureError
 
-__all__ = ["kernel_log_cumulative", "kernel_log_mass"]
+__all__ = ["branch_log_masses", "kernel_log_cumulative", "kernel_log_mass"]
 
 _HALF_PI = math.pi / 2.0
 
@@ -80,12 +84,6 @@ _MAX_BATCH_PANELS = 200_000
 # ---------------------------------------------------------------------------
 
 
-def _v_of_m(m, m0: float):
-    """Map income to v = arctan(m0/m); m = 0 gives pi/2, m -> inf gives 0."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.arctan(m0 / np.asarray(m, dtype=float))
-
-
 def _series_cutoff(beta: float, alpha: float) -> float:
     """Largest v for which the order-8 series keeps ~1e-13 relative accuracy."""
     cut = min(0.05, 0.1 / max(beta, 1.0))
@@ -119,28 +117,19 @@ def _log_series_primitive(x, beta: float, alpha: float, d: np.ndarray):
     Valid for 0 <= x <= the series cutoff.  Returns -inf at x = 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0.0
-    if np.any(pos):
-        xp = x[pos]
-        js = np.arange(_SERIES_ORDER)
-        poly = (d / (alpha + js)) * xp[:, None] ** js[None, :]
-        out[pos] = alpha * np.log(xp) + np.log(poly.sum(axis=1))
-    return out
+    js = np.arange(_SERIES_ORDER)
+    poly = (d / (alpha + js)) * x[:, None] ** js[None, :]
+    with np.errstate(divide="ignore"):
+        return alpha * np.log(x) + np.log(poly.sum(axis=1))
 
 
 def _log_series_increment(x_lo, x_hi, beta: float, alpha: float, d: np.ndarray):
-    """log(S(x_hi) - S(x_lo)) for points inside the series region."""
-    x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
+    """log(S(x_hi) - S(x_lo)) for points inside the series region; S(0) = 0 gives log S(x_hi)."""
     hi = _log_series_primitive(x_hi, beta, alpha, d)
-    out = hi.copy()
-    inner = x_lo > 0.0
-    if np.any(inner):
-        lo = _log_series_primitive(x_lo[inner], beta, alpha, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = -np.expm1(lo - hi[inner])
-            out[inner] = hi[inner] + np.log(np.where(delta > 0.0, delta, 0.0))
-    return out
+    lo = _log_series_primitive(x_lo, beta, alpha, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = -np.expm1(lo - hi)
+        return hi + np.log(np.where(delta > 0.0, delta, 0.0))
 
 
 def _gk_panel_batch(lo, hi, beta, alpha, rel_tol):
@@ -265,6 +254,27 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12):
     return cum_val, achieved
 
 
+def branch_log_masses(m0, temperature, alpha, top, m, rel_tol):
+    """Log kernel masses in income space from each income of ``m`` up to ``top``.
+
+    ``m`` ascends below ``top`` (inf or the breakpoint).  One kernel_log_cumulative
+    sweep in v = arctan(m0/m) from v(top) through every v(m), none for an empty ``m``;
+    the masses are log m0 - beta*pi/2 plus the sweep, in the order of ``m``.  Raises
+    :class:`QuadratureError` if the sweep misses ``rel_tol``.
+    """
+    if m.size == 0:
+        return np.empty(0)
+    beta = m0 / temperature
+    with np.errstate(divide="ignore", over="ignore"):  # m = 0 maps to pi/2, inf to 0
+        v_top = float(np.arctan(m0 / np.asarray(top, dtype=float)))
+        v = np.maximum(np.arctan(m0 / np.asarray(m, dtype=float))[::-1], v_top)
+    cum, achieved = kernel_log_cumulative(v_top, v, beta, alpha, rel_tol)
+    if achieved > rel_tol:
+        raise QuadratureError(f"kernel mass up to {top!r} reached relative error "
+                              f"{achieved:.3e} (requested {rel_tol:.3e})", achieved_tol=achieved)
+    return math.log(m0) - beta * _HALF_PI + cum[::-1]
+
+
 def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
     """log of integral_a^b of one branch kernel in income space.
 
@@ -278,19 +288,6 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
         raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     if a == b:
         return -np.inf
-    beta = m0 / temperature
     if alpha <= 0.0 and np.isinf(b):
-        raise NonNormalizableError(
-            f"kernel tail exponent alpha={alpha!r} gives a divergent integral"
-        )
-    v_hi = float(_v_of_m(a, m0))
-    v_lo = 0.0 if np.isinf(b) else float(_v_of_m(b, m0))
-    cum, achieved = kernel_log_cumulative(v_lo, np.array([v_hi]), beta, alpha, rel_tol)
-    if achieved > rel_tol:
-        raise QuadratureError(
-            f"kernel mass on [{a!r}, {b!r}] reached relative error "
-            f"{achieved:.3e} (requested {rel_tol:.3e})",
-            achieved_tol=achieved,
-        )
-    return math.log(m0) - beta * _HALF_PI + float(cum[0])
-
+        raise NonNormalizableError(f"kernel tail exponent alpha={alpha!r} gives a divergent integral")
+    return float(branch_log_masses(m0, temperature, alpha, b, np.array([float(a)]), rel_tol)[0])

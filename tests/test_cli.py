@@ -240,6 +240,22 @@ class TestNonUtf8Input:
         assert "utf-8" in result.output
 
 
+class TestCsvFieldOverLimit:
+    @pytest.mark.parametrize("flag", ["fit --incomes", "plotdata --incomes", "--billionaires"])
+    def test_is_input_error(self, runner, tmp_path, quick_income_csv, flag):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("income,wealth_usd\n1000,1e9\n" + "9" * 200_000 + ",2e9\n")
+        args = {
+            "fit --incomes": ["fit", "--incomes", str(bad)],
+            "plotdata --incomes": ["plotdata", "--params",
+                                   write_params_json(tmp_path / "p.json", 2010), "--incomes", str(bad)],
+            "--billionaires": ["fit", "--incomes", quick_income_csv, "--billionaires", str(bad)],
+        }[flag]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "line 3" in result.output and "field larger than field limit" in result.output
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", ["fit", "sample", "simulate"])
     def test_is_input_error(self, runner, tmp_path, quick_income_csv, command):

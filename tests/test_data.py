@@ -91,6 +91,12 @@ class TestLoadIncomes:
             ds, _ = load_incomes(source)
             assert list(ds.values) == [42.0]
 
+    def test_field_over_csv_limit_is_format_error(self):
+        # The csv module refuses fields over 131,072 characters with its own csv.Error.
+        text = "income\n10\n" + "9" * 200_000 + "\n20\n"
+        with pytest.raises(idist.DataFormatError, match="line 3"):
+            load_incomes(io.StringIO(text))
+
     def test_source_must_be_path_or_text_stream(self):
         with pytest.raises(idist.DataFormatError):
             load_incomes(b"income\n42\n")
@@ -216,6 +222,11 @@ class TestBillionaires:
     def test_missing_column_rejected(self):
         with pytest.raises(idist.DataFormatError):
             load_billionaires(io.StringIO("name,net_worth\nA,1\n"))
+
+    def test_field_over_csv_limit_is_format_error(self):
+        text = "name,wealth_usd\nA,1e9\n" + "B" * 200_000 + ",2e9\n"
+        with pytest.raises(idist.DataFormatError, match="line 3"):
+            load_billionaires(io.StringIO(text))
 
     def test_pathlib_source(self, tmp_path):
         path = tmp_path / "billionaires.csv"

@@ -279,9 +279,10 @@ class TestFit:
         assert res.diagnostics["degenerate_ridge"] is True
 
 
-def _bump_refit(center, curve, bounds, config):
-    wiggle = float(curve.p.mean())
-    return replace(center, t_low=center.t_low * (1.0 + wiggle)), True
+def _bump_refit(problem, x0, log_bounds, config):
+    """A refit that moves only T (the first log-parameter), by the resample's mean CCDF."""
+    wiggle = float(np.mean(10.0 ** problem.log10_emp))
+    return x0 + np.eye(x0.size)[0] * np.log1p(wiggle), 0.0, True, 1
 
 
 class TestBootstrapErrors:
@@ -298,7 +299,7 @@ class TestBootstrapErrors:
     def test_real_resampling_spreads_the_touched_parameter(
         self, tiny_ds, cfg, monkeypatch
     ):
-        monkeypatch.setattr(fit_mod, "_refit_from", _bump_refit)
+        monkeypatch.setattr(fit_mod, "_minimize_from", _bump_refit)
         errs = bootstrap_errors(tiny_ds, cfg, year_params(2010))
         assert errs["T"] > 1.0
         center = idist.params_to_dict(year_params(2010))
@@ -311,18 +312,18 @@ class TestBootstrapErrors:
                              year_params(2010))
 
     def test_mostly_failed_refits_raise(self, tiny_ds, cfg, monkeypatch):
-        monkeypatch.setattr(fit_mod, "_refit_from",
-                            lambda center, curve, bounds, config: (center, False))
+        monkeypatch.setattr(fit_mod, "_minimize_from",
+                            lambda problem, x0, log_bounds, config: (x0, 0.0, False, 1))
         with pytest.raises(UnreliableErrorsError, match="failed to converge"):
             bootstrap_errors(tiny_ds, cfg, year_params(2010))
 
     def test_half_failed_refits_tolerated(self, tiny_ds, cfg, monkeypatch):
         calls = itertools.count()
 
-        def flaky(center, curve, bounds, config):
-            return center, next(calls) % 2 == 0
+        def flaky(problem, x0, log_bounds, config):
+            return x0, 0.0, next(calls) % 2 == 0, 1
 
-        monkeypatch.setattr(fit_mod, "_refit_from", flaky)
+        monkeypatch.setattr(fit_mod, "_minimize_from", flaky)
         errs = bootstrap_errors(tiny_ds, cfg, year_params(2010))
         assert set(errs) == PARAM_KEYS
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,28 +49,15 @@ class TestParams:
                 idist.Params(t_low=1.0, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=alpha1)
 
 
+def _params_from_coefficients(coeffs, m1):
+    """The README mapping: alpha = 1 + a/b, alpha1 = 1 + a'/b, T = B0/A0, T1 = B0/A0',
+    m0 = sqrt(B0/b)."""
+    return idist.Params(t_low=coeffs.b0 / coeffs.a0_low, t_high=coeffs.b0 / coeffs.a0_high,
+                        m0=math.sqrt(coeffs.b0 / coeffs.b), m1=m1,
+                        alpha=1.0 + coeffs.a_low / coeffs.b, alpha1=1.0 + coeffs.a_high / coeffs.b)
+
+
 class TestFpMapping:
-    def test_unit_coefficients(self):
-        coeffs = idist.FpCoefficients(
-            a0_low=1.0, a_low=2.0, a0_high=1.0, a_high=2.0, b0=1.0, b=1.0
-        )
-        p = idist.from_fp_coefficients(coeffs, m1=5.0)
-        assert p == idist.Params(t_low=1.0, t_high=1.0, m0=1.0, m1=5.0, alpha=3.0, alpha1=3.0)
-
-    def test_equal_drift_slopes_give_equal_exponents(self):
-        coeffs = idist.FpCoefficients(
-            a0_low=0.7, a_low=1.3, a0_high=2.0, a_high=1.3, b0=4.0, b=0.5
-        )
-        p = idist.from_fp_coefficients(coeffs, m1=10.0)
-        assert p.alpha == p.alpha1
-
-    def test_nonpositive_constant_drift_rejected(self):
-        coeffs = idist.FpCoefficients(
-            a0_low=0.0, a_low=1.0, a0_high=1.0, a_high=1.0, b0=1.0, b=1.0
-        )
-        with pytest.raises(idist.InvalidParamsError):
-            idist.from_fp_coefficients(coeffs, m1=1.0)
-
     def test_nonpositive_diffusion_rejected(self):
         with pytest.raises(idist.InvalidParamsError):
             idist.FpCoefficients(a0_low=1.0, a_low=1.0, a0_high=1.0, a_high=1.0, b0=1.0, b=0.0)
@@ -77,7 +65,7 @@ class TestFpMapping:
     def test_round_trip_is_exact_on_published_rows(self):
         for year in YEAR_ROWS:
             p = year_params(year)
-            back = idist.from_fp_coefficients(idist.fp_coefficients_for(p, b=1.0), p.m1)
+            back = _params_from_coefficients(idist.fp_coefficients_for(p, b=1.0), p.m1)
             assert back == p
 
     @given(
@@ -97,7 +85,7 @@ class TestFpMapping:
             alpha=alpha,
             alpha1=alpha1,
         )
-        back = idist.from_fp_coefficients(idist.fp_coefficients_for(p, b=b), p.m1)
+        back = _params_from_coefficients(idist.fp_coefficients_for(p, b=b), p.m1)
         for name in ("t_low", "t_high", "m0", "m1", "alpha", "alpha1"):
             a, c = getattr(p, name), getattr(back, name)
             assert abs(c - a) <= 8.0 * EPS * abs(a)
@@ -454,6 +442,24 @@ class TestSample:
         draws = idist.sample(models[2009], 5000, seed=3)
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0.0)
+
+    @pytest.mark.parametrize("alpha1", [0.77, 0.05])
+    def test_table_top_in_one_sweep(self, monkeypatch, alpha1):
+        # The 2010 row, and its tail at alpha1 = 0.05, which falls to 1e-13 only
+        # some 200 decades past m1: one log CCDF call for the top, one for the grid.
+        model = idist.normalize(replace(year_params(2010), alpha1=alpha1))
+        real = idist.logccdf
+        calls = []
+        monkeypatch.setattr("incomedist.model.logccdf",
+                            lambda model, m: (calls.append(m), real(model, m))[1])
+        log_m_top = model._sample_table[1][0]
+        assert len(calls) <= 2
+        p = model.params
+        decade = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
+        while real(model, decade) >= math.log(1e-13):
+            decade *= 10.0
+        assert decade < 1e280
+        assert log_m_top == pytest.approx(math.log(decade), rel=1e-14)
 
     def test_underflowed_low_anchor_raises_quadrature_error(self):
         # m0/T = 2e5 loses the low-branch mass to underflow, so the branch

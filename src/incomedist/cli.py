@@ -87,6 +87,8 @@ def crisis_indicator(params: Params, threshold: float = 2.0) -> tuple[bool, floa
     fires on score strictly greater than ``threshold`` (default 2, the
     midpoint decade of the empirically empty band).
     """
+    if not np.isfinite(threshold):
+        raise DomainError(f"crisis threshold must be a finite number, got {threshold}")
     return bool(params.alpha1 > threshold), float(params.alpha1)
 
 

@@ -15,7 +15,9 @@ nonparametric bootstrap: resample the dataset, refit from the fitted
 center, report per-parameter standard deviations, which the caller
 passes to :func:`fit_result_document`.  A :class:`FitProblem` builds the
 grid and empirical curve once per curve; each evaluation is then one
-normalization whose two branch sweeps also give the model curve.
+normalization whose two branch sweeps also give the model curve.  Only a
+running fit imports ``scipy.optimize``, so every command's cold start costs
+about numpy and click.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.optimize import minimize  # noqa: F401 (bench/tracing.py)
 
 from . import model as model_mod
 from .data import Dataset, EmpiricalCcdf, empirical_ccdf
@@ -301,6 +301,7 @@ def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
             return penalty
         return r if np.all(np.isfinite(r)) else penalty
 
+    from scipy.optimize import least_squares  # here, so only a running fit loads scipy
     start = np.clip(x0, log_bounds[:, 0] + 1e-9, log_bounds[:, 1] - 1e-9)
     res = least_squares(residuals, start, bounds=tuple(log_bounds.T), method="trf",
                         x_scale="jac", diff_step=_DIFF_STEP, max_nfev=_MAX_STEPS,
@@ -412,3 +413,10 @@ def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> d
         "diagnostics": copy.deepcopy(result.diagnostics),
         "config": asdict(config),
     }
+
+
+def __getattr__(name):  # bench/tracing.py wraps fit.minimize; goes with ROADMAP item 1/6
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

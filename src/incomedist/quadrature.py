@@ -111,10 +111,10 @@ def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
     return np.convolve(e, c)[:_SERIES_ORDER]
 
 
-def _log_series_primitive(x, beta: float, alpha: float, d: np.ndarray):
+def _log_series_primitive(x, alpha: float, d: np.ndarray):
     """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv.
 
-    Valid for 0 <= x <= the series cutoff.  Returns -inf at x = 0.
+    Valid for 0 <= x <= the series cutoff; ``d`` carries beta.  Returns -inf at x = 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     js = np.arange(_SERIES_ORDER)
@@ -123,10 +123,10 @@ def _log_series_primitive(x, beta: float, alpha: float, d: np.ndarray):
         return alpha * np.log(x) + np.log(poly.sum(axis=1))
 
 
-def _log_series_increment(x_lo, x_hi, beta: float, alpha: float, d: np.ndarray):
+def _log_series_increment(x_lo, x_hi, alpha: float, d: np.ndarray):
     """log(S(x_hi) - S(x_lo)) for points inside the series region; S(0) = 0 gives log S(x_hi)."""
-    hi = _log_series_primitive(x_hi, beta, alpha, d)
-    lo = _log_series_primitive(x_lo, beta, alpha, d)
+    hi = _log_series_primitive(x_hi, alpha, d)
+    lo = _log_series_primitive(x_lo, alpha, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = -np.expm1(lo - hi)
         return hi + np.log(np.where(delta > 0.0, delta, 0.0))
@@ -228,12 +228,12 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12):
 
     if np.any(in_series):
         log_inc[in_series] = _log_series_increment(
-            seg_lo[in_series], seg_hi[in_series], beta, alpha, d
+            seg_lo[in_series], seg_hi[in_series], alpha, d
         )
         log_err[in_series] = log_inc[in_series] + math.log(_SERIES_REL_ERR)
     if np.any(straddle):
         head = _log_series_increment(
-            seg_lo[straddle], np.full(straddle.sum(), cut), beta, alpha, d
+            seg_lo[straddle], np.full(straddle.sum(), cut), alpha, d
         )
         gk_val, gk_err = _gk_log_segments(
             np.full(straddle.sum(), cut), seg_hi[straddle], beta, alpha, rel_tol

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ class TestCrisisIndicator:
         p = idist.Params(t_low=1.0, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=2.0)
         flag, _ = crisis_indicator(p, threshold=2.0)
         assert not flag
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_is_domain_error(self, threshold):
+        with pytest.raises(idist.DomainError):
+            crisis_indicator(year_params(2010), threshold=threshold)
 
 
 class TestFitCommand:
@@ -350,6 +356,14 @@ class TestReportCommand:
         for key in ("T", "T1", "m0", "m1"):
             assert rounded[key] % 1000 == 0
         assert rounded["alpha"] == doc["rows"][0]["params"]["alpha"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_input_error(self, runner, year_files, threshold):
+        result = runner.invoke(
+            main, ["report", "--fit-json", year_files[0], "--crisis-threshold", threshold]
+        )
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
 
     def test_excluding_everything_is_an_error(self, runner, year_files):
         result = runner.invoke(

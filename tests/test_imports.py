@@ -7,20 +7,25 @@ re-export that something outside the module reaches through it).
 Every ``__all__`` entry must resolve to an attribute of its module, so
 a deletion cannot leave a stale export behind.  Every private module-level
 name (``_name``) must be referenced somewhere in the package, so a deletion
-cannot leave its helpers or constants behind either.  Importing the CLI must not
-load ``scipy.stats``, and importing the package must load no scipy at all:
-either would add to the start-up time of every command.
+cannot leave its helpers or constants behind either.  Importing the package or
+the CLI must load no scipy at all, and neither may running any command but
+``fit``: only a running fit imports ``scipy.optimize``, so every other
+command's cold start stays at numpy and click.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import incomedist as idist
+from conftest import year_params
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "incomedist"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -127,18 +132,41 @@ def test_guard_sees_an_unreferenced_private(tmp_path):
     assert _unreferenced_privates([owner, user]) == ["owner.py:2: _LEFT", "owner.py:13: _Gone"]
 
 
-def _scipy_modules_after(statement: str) -> list[str]:
+def _scipy_modules_after(statement: str, cwd=None) -> list[str]:
     """The ``scipy*`` modules a fresh interpreter holds after ``statement``."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True,
+        timeout=120, check=True,
     )
     return done.stdout.split()
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    assert "scipy.stats" not in _scipy_modules_after("import incomedist.cli")
+    assert _scipy_modules_after("import incomedist.cli") == []
+
+
+def test_commands_other_than_fit_load_no_scipy(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps(idist.params_to_dict(year_params(2010))))
+    commands = [
+        ["sample", "--params", "p.json", "--n", "500", "--seed", "1", "--out", "s.csv"],
+        ["simulate", "--params", "p.json", "--agents", "20", "--steps", "10",
+         "--seed", "1", "--out", "sim.csv"],
+        ["plotdata", "--params", "p.json", "--incomes", "s.csv", "--curve-points", "20",
+         "--out", "plot.csv"],
+        ["report", "--fit-json", "p.json", "--out", "report.json"],
+    ]
+    statement = (
+        "from incomedist.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    try:\n"
+        "        main(args, standalone_mode=False)\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, (args, exc.code)"
+    )
+    assert _scipy_modules_after(statement, cwd=tmp_path) == []
+    assert (tmp_path / "report.json").exists()
 
 
 def test_package_import_loads_no_scipy():

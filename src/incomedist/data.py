@@ -119,19 +119,24 @@ def _open_text(source):
 
 
 def _numbered_rows(fh, column: str):
-    """Yield the header of a CSV that names ``column``, then its rows numbered from file row 2.
+    """Yield the column indices of a CSV header that names ``column``, then (file line, fields) per row.
 
+    A name the header repeats maps to its last column.  Blank lines are skipped; a row's file line
+    is the reader's ``line_num``, the line it ends on.  A short row's missing fields read as None.
     A line the csv module cannot read (a field over its size limit) raises DataFormatError.
     """
-    reader = csv.DictReader(fh)
+    reader = csv.reader(fh)
     try:
-        header = reader.fieldnames
+        header = next(reader, None)
         if header is None or column not in header:
             raise DataFormatError(f"missing required column {column!r} in header {header!r}")
-        yield header
-        yield from enumerate(reader, start=2)
+        yield {name: i for i, name in enumerate(header)}
+        for row in reader:
+            if row:
+                row += [None] * (len(header) - len(row))
+                yield reader.line_num, row
     except csv.Error as exc:
-        raise DataFormatError(f"line {reader.reader.line_num}: unreadable CSV ({exc})") from None
+        raise DataFormatError(f"line {reader.line_num}: unreadable CSV ({exc})") from None
 
 
 def _number(row_no: int, raw, what: str, diagnostics: list, positive: bool = False):
@@ -155,7 +160,7 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
     1.  The header must contain ``income``; ``weight`` is honored when
     present and defaults to weight 1 otherwise.  Rows whose income is
     missing, non-numeric, non-finite, or negative are skipped, each
-    contributing one diagnostic string citing its file row number.
+    contributing one diagnostic string citing its file row (the line it ends on).
 
     Raises
     ------
@@ -166,17 +171,18 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
     """
     with _open_text(source) as fh:
         rows = _numbered_rows(fh, _INCOME_COLUMN)
-        has_weight = _WEIGHT_COLUMN in next(rows)
+        columns = next(rows)
+        i_income, i_weight = columns[_INCOME_COLUMN], columns.get(_WEIGHT_COLUMN)
         values: list[float] = []
         weights: list[float] = []
         diagnostics: list[str] = []
         for row_no, row in rows:
-            value = _number(row_no, row.get(_INCOME_COLUMN), "income", diagnostics)
+            value = _number(row_no, row[i_income], "income", diagnostics)
             if value is None:
                 continue
             weight = 1.0
-            if has_weight:
-                weight = _number(row_no, row.get(_WEIGHT_COLUMN), "weight", diagnostics)
+            if i_weight is not None:
+                weight = _number(row_no, row[i_weight], "weight", diagnostics)
                 if weight is None:
                     continue
             values.append(value)
@@ -188,14 +194,14 @@ def load_incomes(source, label: str = "") -> tuple[Dataset, list[str]]:
 
 
 def load_billionaires(source) -> tuple[np.ndarray, list[str]]:
-    """Positive wealth values of a billionaire CSV (column ``wealth_usd``) plus row diagnostics."""
+    """Positive wealth values of a billionaire CSV (column ``wealth_usd``) plus file-row diagnostics."""
     with _open_text(source) as fh:
         rows = _numbered_rows(fh, _WEALTH_COLUMN)
-        next(rows)
+        i_wealth = next(rows)[_WEALTH_COLUMN]
         wealth: list[float] = []
         diagnostics: list[str] = []
         for row_no, row in rows:
-            value = _number(row_no, row.get(_WEALTH_COLUMN), "wealth", diagnostics, positive=True)
+            value = _number(row_no, row[i_wealth], "wealth", diagnostics, positive=True)
             if value is not None:
                 wealth.append(value)
     return np.array(wealth), diagnostics

@@ -302,7 +302,7 @@ def logccdf(model: NormalizedModel, m):
     :func:`normalize`; requesting many points at once shares one sweep.
     """
     arr = _validate_incomes(m)
-    uniq, inverse = np.unique(arr.ravel(), return_inverse=True)
+    uniq, inverse = (arr.reshape(1), 0) if arr.size == 1 else np.unique(arr.ravel(), return_inverse=True)
     out = _log_ccdf_from(model, *_sweep(model.params, model.quad_tol, uniq))
     result = out[inverse].reshape(arr.shape)
     return float(result) if np.isscalar(m) else result

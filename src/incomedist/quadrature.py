@@ -22,6 +22,13 @@ subdivided until an embedded error estimate passes.  All kernel masses
 are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 
+A sweep's ascending knots split, by one binary search for the cutoff,
+into contiguous runs: series segments, at most one segment straddling the
+cutoff (series head, then a one-panel batch of its own) and Gauss-Kronrod
+segments.  The series primitive is taken once per knot and once at the
+cutoff.  A panel batch that passes in its first round returns as it is.
+No panel moves between batches: BLAS may round a row differently elsewhere.
+
 No other module knows the substitution: :func:`branch_log_masses` maps
 incomes to v, checks the sweep's tolerance and returns log masses in
 income space, scaled back by m0 * exp(-beta*pi/2).
@@ -76,6 +83,8 @@ _G7_W[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
 _SERIES_ORDER = 9          # coefficients d_0 .. d_8
 _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
+_LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
+_TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _MAX_BATCH_PANELS = 200_000
 
 
@@ -101,12 +110,8 @@ def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
     c[2] = -w / 6.0
     c[4] = w * w / 72.0 - w / 180.0
     c[6] = -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0
-    c[8] = (
-        (w**4) / 31104.0
-        - (w**3) / 12960.0
-        + w * w * (1.0 / 17010.0 + 1.0 / 64800.0)
-        - w / 37800.0
-    )
+    c[8] = ((w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0)
+            - w / 37800.0)
     e = np.array([beta**k / math.factorial(k) for k in range(_SERIES_ORDER)])
     return np.convolve(e, c)[:_SERIES_ORDER]
 
@@ -116,20 +121,15 @@ def _log_series_primitive(x, alpha: float, d: np.ndarray):
 
     Valid for 0 <= x <= the series cutoff; ``d`` carries beta.  Returns -inf at x = 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     js = np.arange(_SERIES_ORDER)
     poly = (d / (alpha + js)) * x[:, None] ** js[None, :]
-    with np.errstate(divide="ignore"):
-        return alpha * np.log(x) + np.log(poly.sum(axis=1))
+    return alpha * np.log(x) + np.log(poly.sum(axis=1))
 
 
-def _log_series_increment(x_lo, x_hi, alpha: float, d: np.ndarray):
-    """log(S(x_hi) - S(x_lo)) for points inside the series region; S(0) = 0 gives log S(x_hi)."""
-    hi = _log_series_primitive(x_hi, alpha, d)
-    lo = _log_series_primitive(x_lo, alpha, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = -np.expm1(lo - hi)
-        return hi + np.log(np.where(delta > 0.0, delta, 0.0))
+def _log_series_increment(log_lo, log_hi):
+    """log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive."""
+    delta = -np.expm1(log_lo - log_hi)
+    return np.where(delta > 0.0, log_hi + np.log(delta), -np.inf)
 
 
 def _gk_panel_batch(lo, hi, beta, alpha, rel_tol):
@@ -139,51 +139,52 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol):
     log_error already include the +beta*hi exponent, so contributions
     from different panels combine directly via logaddexp.
     """
-    h = 0.5 * (hi - lo)
-    v = 0.5 * (hi + lo)[:, None] + h[:, None] * _GK_NODES[None, :]
-    with np.errstate(divide="ignore"):
-        logf = beta * (v - hi[:, None]) + (alpha - 1.0) * np.log(np.sin(v))
-    f = np.exp(logf)
+    width = hi - lo
+    h = 0.5 * width
+    # In place on the (panel, node) arrays: the plain expressions' arithmetic, fewer large allocations.
+    v = h[:, None] * _GK_NODES
+    v += (0.5 * (hi + lo))[:, None]
+    f = v - hi[:, None]
+    f *= beta
+    v = np.log(np.sin(v, out=v), out=v)
+    v *= alpha - 1.0
+    f += v
+    f = np.exp(f, out=f)
     resk = f @ _GK_W
     resg = f @ _G7_W
-    resasc = (np.abs(f - 0.5 * resk[:, None]) @ _GK_W) * h
+    v = np.abs(np.subtract(f, (0.5 * resk)[:, None], out=v), out=v)
+    resasc = (v @ _GK_W) * h
     val = resk * h
     err = np.abs(resk - resg) * h
     scale = resasc > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shrunk = resasc * np.minimum(1.0, (200.0 * err / np.where(scale, resasc, 1.0)) ** 1.5)
+    shrunk = resasc * np.minimum(1.0, (200.0 * err / np.where(scale, resasc, 1.0)) ** 1.5)
     err = np.where(scale & (err > 0.0), shrunk, err)
-    tiny = (hi - lo) <= 8.0 * np.finfo(float).eps * np.maximum(hi, 1.0)
+    tiny = width <= _TINY_WIDTH * np.maximum(hi, 1.0)
     accepted = (err <= 0.5 * rel_tol * val) | (val == 0.0) | tiny
-    # invalid: an overflowed beta (inf) times hi meets log(0) = -inf; the
-    # NaN fails the caller's tolerance check and becomes a QuadratureError.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_val = beta * hi + np.log(val)
-        log_err = beta * hi + np.log(err)
-    return log_val, log_err, accepted
+    log_scale = beta * hi
+    return log_scale + np.log(val), log_scale + np.log(err), accepted
 
 
 def _gk_log_segments(lo, hi, beta, alpha, rel_tol):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one) must lie inside [series cutoff, pi/2].  A
-    failing panel is halved; the width test of ``_gk_panel_batch`` passes
-    any panel within about 51 halvings, and past ``_MAX_BATCH_PANELS``
-    panels all are taken.  Returns per-segment (log_value, log_error) arrays.
+    Segments (at least one, none of zero width) must lie inside [series
+    cutoff, pi/2].  A failing panel is halved; the width test of
+    ``_gk_panel_batch`` passes any panel within about 51 halvings, and past
+    ``_MAX_BATCH_PANELS`` panels all are taken.  Returns per-segment
+    (log_value, log_error) arrays.
     """
-    nseg = lo.size
-    cur_lo, cur_hi = lo.astype(float), hi.astype(float)
-    cur_id = np.arange(nseg)
-    got_id, got_val, got_err = [], [], []
+    cur_lo, cur_hi, cur_id = lo, hi, np.arange(lo.size)
+    got = []
     spent = 0
     while cur_lo.size:
         spent += cur_lo.size
         log_val, log_err, ok = _gk_panel_batch(cur_lo, cur_hi, beta, alpha, rel_tol)
         if spent > _MAX_BATCH_PANELS:
             ok = np.ones_like(ok)
-        got_id.append(cur_id[ok])
-        got_val.append(log_val[ok])
-        got_err.append(log_err[ok])
+        if spent == lo.size and ok.all():
+            return log_val, log_err  # every panel passed in the first round
+        got.append((cur_id[ok], log_val[ok], log_err[ok]))
         bad = ~ok
         blo, bhi, bid = cur_lo[bad], cur_hi[bad], cur_id[bad]
         mid = 0.5 * (blo + bhi)
@@ -191,17 +192,12 @@ def _gk_log_segments(lo, hi, beta, alpha, rel_tol):
         cur_hi = np.concatenate([mid, bhi])
         cur_id = np.concatenate([bid, bid])
 
-    ids = np.concatenate(got_id)
-    vals = np.concatenate(got_val)
-    errs = np.concatenate(got_err)
+    ids, vals, errs = map(np.concatenate, zip(*got))
     order = np.argsort(ids, kind="stable")
     ids, vals, errs = ids[order], vals[order], errs[order]
-    starts = np.searchsorted(ids, np.arange(nseg))
-    out_val = np.logaddexp.reduceat(vals, starts)
-    out_err = np.logaddexp.reduceat(errs, starts)
-    # reduceat on an empty group would misbehave, but every segment is
-    # accepted at least once by construction.
-    return out_val, out_err
+    starts = np.searchsorted(ids, np.arange(lo.size))
+    # Every segment is accepted at least once, so reduceat meets no empty group.
+    return np.logaddexp.reduceat(vals, starts), np.logaddexp.reduceat(errs, starts)
 
 
 def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12):
@@ -211,47 +207,45 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12):
     for an increasing array of points.  Zero-width segments contribute
     -inf and are harmless.  Returns (log_cumulative, achieved_rel_error).
     """
-    points_v = np.asarray(points_v, dtype=float)
-    knots = np.concatenate([[start_v], points_v])
-    seg_lo, seg_hi = knots[:-1], knots[1:]
-    nseg = seg_lo.size
-    log_inc = np.full(nseg, -np.inf)
-    log_err = np.full(nseg, -np.inf)
-
+    knots = np.concatenate([[start_v], np.asarray(points_v, dtype=float)])
+    nseg = knots.size - 1
     cut = _series_cutoff(beta, alpha)
     d = _series_coefficients(beta, alpha)
-
-    width = seg_hi > seg_lo
-    in_series = width & (seg_hi <= cut)
-    straddle = width & (seg_lo < cut) & (seg_hi > cut)
-    in_gk = width & (seg_lo >= cut)
-
-    if np.any(in_series):
-        log_inc[in_series] = _log_series_increment(
-            seg_lo[in_series], seg_hi[in_series], alpha, d
-        )
-        log_err[in_series] = log_inc[in_series] + math.log(_SERIES_REL_ERR)
-    if np.any(straddle):
-        head = _log_series_increment(
-            seg_lo[straddle], np.full(straddle.sum(), cut), alpha, d
-        )
-        gk_val, gk_err = _gk_log_segments(
-            np.full(straddle.sum(), cut), seg_hi[straddle], beta, alpha, rel_tol
-        )
-        log_inc[straddle] = np.logaddexp(head, gk_val)
-        log_err[straddle] = np.logaddexp(head + math.log(_SERIES_REL_ERR), gk_err)
-    if np.any(in_gk):
-        gk_val, gk_err = _gk_log_segments(seg_lo[in_gk], seg_hi[in_gk], beta, alpha, rel_tol)
-        log_inc[in_gk] = gk_val
-        log_err[in_gk] = gk_err
-
-    cum_val = np.logaddexp.accumulate(log_inc)
-    cum_err = np.logaddexp.accumulate(log_err)
+    # The knots ascend: knots[:n_low] lie at or below the cutoff, so segments [0, n_low - 1)
+    # are series segments, segment n_low - 1 straddles the cutoff if it starts below it, and
+    # segments from first_gk on start at or above it.
+    n_low = int(knots.searchsorted(cut, side="right"))
+    straddle = 0 < n_low <= nseg and bool(knots[n_low - 1] < cut)
+    first_gk = max(n_low - 1, 0) + straddle
+    parts = [(np.empty(0), np.empty(0))]  # (log increments, log errors) of each run
+    # divide: log(0) at v = 0 and of panels that sum to 0.  invalid: an overflowed beta (inf) times
+    # hi meets log(0) = -inf; the NaN masses make normalize raise a QuadratureError.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if first_gk:
+            # One primitive per knot and one at the cutoff; neighbours share theirs.
+            log_s = _log_series_primitive(np.append(knots[:n_low], cut), alpha, d)
+            head = _log_series_increment(log_s[:-1], log_s[1:])
+            parts.append((head[:n_low - 1], head[:n_low - 1] + _LOG_SERIES_REL_ERR))
+        if straddle:
+            gk_val, gk_err = _gk_log_segments(np.array([cut]), knots[n_low:n_low + 1],
+                                              beta, alpha, rel_tol)
+            parts.append((np.logaddexp(head[-1:], gk_val),
+                          np.logaddexp(head[-1:] + _LOG_SERIES_REL_ERR, gk_err)))
+        if first_gk < nseg:
+            lo, hi = knots[first_gk:-1], knots[first_gk + 1:]
+            width = hi > lo
+            if width.all():
+                gk_val, gk_err = _gk_log_segments(lo, hi, beta, alpha, rel_tol)
+            else:  # zero-width segments add -inf and stay out of the panel batch
+                gk_val, gk_err = np.full((2, lo.size), -np.inf)
+                if width.any():
+                    gk_val[width], gk_err[width] = _gk_log_segments(lo[width], hi[width], beta,
+                                                                    alpha, rel_tol)
+            parts.append((gk_val, gk_err))
+    cum_val, cum_err = (np.logaddexp.accumulate(np.concatenate(logs)) for logs in zip(*parts))
     finite = cum_val > -np.inf
-    achieved = 0.0
-    if np.any(finite):
-        achieved = float(np.exp(np.max(cum_err[finite] - cum_val[finite])))
-    return cum_val, achieved
+    achieved = np.max(cum_err[finite] - cum_val[finite], initial=-np.inf)
+    return cum_val, float(np.exp(achieved))
 
 
 def branch_log_masses(m0, temperature, alpha, top, m, rel_tol):

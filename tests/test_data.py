@@ -66,6 +66,16 @@ class TestLoadIncomes:
         assert diags[0].startswith("row 2:")
         assert diags[1].startswith("row 4:")
 
+    def test_rows_cited_by_file_line_past_blank_lines(self):
+        ds, diags = load_incomes(io.StringIO("income\n100\n\n\nabc\n200\n"))
+        assert list(ds.values) == [100.0, 200.0]
+        assert diags == ["row 5: unreadable income 'abc', skipped"]
+
+    def test_repeated_column_reads_last_and_short_row_reads_missing(self):
+        ds, diags = load_incomes(io.StringIO("income,weight,income\n1,2,30\n5,1\n"))
+        assert list(ds.values) == [30.0] and list(ds.weights) == [2.0]
+        assert diags == ["row 3: unreadable income None, skipped"]
+
     def test_bad_weight_skips_row(self):
         ds, diags = load_incomes(io.StringIO("income,weight\n10,x\n20,2\n"))
         assert list(ds.values) == [20.0]
@@ -218,6 +228,11 @@ class TestBillionaires:
         )
         assert wealth.tolist() == [3e9]
         assert diags[0].startswith("row 2:") and diags[1].startswith("row 3:")
+
+    def test_rows_cited_by_file_line_past_blank_lines(self):
+        wealth, diags = load_billionaires(io.StringIO("name,wealth_usd\n\nA,abc\n\nB,2e9\nC,-1\n"))
+        assert wealth.tolist() == [2e9]
+        assert [d.split(":")[0] for d in diags] == ["row 3", "row 6"]
 
     def test_missing_column_rejected(self):
         with pytest.raises(idist.DataFormatError):

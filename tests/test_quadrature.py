@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incomedist as idist
-from incomedist.quadrature import kernel_log_cumulative, kernel_log_mass
+from incomedist.quadrature import _series_cutoff, kernel_log_cumulative, kernel_log_mass
 
 from conftest import year_params
 
@@ -154,6 +155,90 @@ class TestErrorHonesty:
             cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, 1e-10)
             assert achieved <= 1e-10
             assert np.max(np.abs(np.expm1(cum - exact))) <= 1e-9
+
+
+def _oracle_log_mass(beta, alpha, a, b):
+    """log of integral_a^b exp(beta*v) sin(v)^(alpha-1) dv at 30 digits.
+
+    alpha = 1 and alpha = 2 use the closed forms (exp(beta*v)/beta and
+    exp(beta*v) (beta sin v - cos v)/(1 + beta^2)); any other alpha uses
+    mpmath.quad, split at a + k/beta inside the exp(beta*v) layer.
+    """
+    with mpmath.workdps(30):
+        beta, a, b = mpmath.mpf(beta), mpmath.mpf(a), mpmath.mpf(b)
+        if alpha == 1.0:
+            mass = (mpmath.exp(beta * b) - mpmath.exp(beta * a)) / beta
+        elif alpha == 2.0:
+            def primitive(v):
+                return mpmath.exp(beta * v) * (beta * mpmath.sin(v) - mpmath.cos(v)) / (1 + beta**2)
+            mass = primitive(b) - primitive(a)
+        else:
+            splits = [a + k / beta for k in (1, 2, 4, 8, 16) if a + k / beta < b]
+            mass = mpmath.quad(lambda v: mpmath.exp(beta * v) * mpmath.sin(v) ** (alpha - 1.0),
+                               [a, *splits, b])
+        return float(mpmath.log(mass)) if mass > 0 else -math.inf
+
+
+def _region_layouts(cut):
+    """(start, points) sweeps placed around the series cutoff ``cut``."""
+    return {
+        "knots at the cutoff": (0.0, [cut / 2, cut, 2 * cut, 0.5, HALF_PI]),
+        "repeated knot at the cutoff": (0.0, [cut / 2, cut, cut, 3 * cut, HALF_PI]),
+        "start inside the series region": (cut / 3, [cut / 2, 5 * cut, HALF_PI]),
+        "wholly below the cutoff": (cut / 5, [cut / 4, cut / 2, cut]),
+        "wholly above the cutoff": (2 * cut, [3 * cut, 0.7, HALF_PI]),
+        "one segment straddling the cutoff": (cut / 2, [4 * cut]),
+        "a straddle, then a repeated knot": (cut / 2, [4 * cut, 4 * cut]),
+    }
+
+
+class TestSweepRegions:
+    """A sweep splits its segments at the series cutoff; each split must be seamless.
+
+    beta stops at 1e4: from about 1.5e5 on, the v-space sweep is known to
+    depend on its other knots, which the u-side sweep of ROADMAP item 2 is to remove.
+    """
+
+    BETAS = (1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.77])
+    def test_cumulative_masses_match_oracle(self, alpha):
+        """Within 1e-12 relative, plus one rounding of a log mass that large (1.5e4 at beta = 1e4)."""
+        failures = []
+        for beta in self.BETAS:
+            for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
+                cum, achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)
+                exact = np.array([_oracle_log_mass(beta, alpha, start, p) for p in points])
+                error = np.abs(np.expm1(cum - exact))
+                if achieved > 1e-12 or np.any(error > 1e-12 + EPS * np.abs(exact)):
+                    failures.append((beta, name, float(np.max(error)), achieved))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.77])
+    def test_increments_match_segments_swept_alone(self, alpha):
+        """Each increment, recovered from two running masses, is the segment's mass swept alone.
+
+        The recovery loses the ratio (running mass / increment) in relative
+        precision, so the 1e-14 bound is scaled by it.  A repeated knot adds
+        exactly nothing.
+        """
+        failures = []
+        for beta in self.BETAS:
+            for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
+                cum, _ = kernel_log_cumulative(start, points, beta, alpha, 1e-12)
+                knots = np.concatenate([[start], points])
+                alone = np.array([kernel_log_cumulative(lo, [hi], beta, alpha, 1e-12)[0][0]
+                                  for lo, hi in zip(knots[:-1], knots[1:])])
+                before = np.concatenate([[-np.inf], cum[:-1]])
+                repeated = knots[1:] == knots[:-1]
+                if np.any(alone[repeated] != -np.inf) or np.any(cum[repeated] != before[repeated]):
+                    failures.append((beta, name, "repeated knot"))
+                grown = ~repeated
+                increment = cum[grown] + np.log(-np.expm1(before[grown] - cum[grown]))
+                error = np.abs(np.expm1(increment - alone[grown]))
+                if np.any(error > 1e-14 * np.exp(cum[grown] - alone[grown])):
+                    failures.append((beta, name, float(np.max(error))))
+        assert not failures, failures
 
 
 def _scipy_branch_mass(m0, temperature, alpha, a, b):

@@ -7,18 +7,19 @@ incomes from fitted parameters, ``simulate`` runs the Langevin ensemble,
 and ``report`` assembles per-year fits into a parameter table with
 aggregate means and crisis flags.
 
-Every command is deterministic under fixed flags and seed and writes
-structured output (JSON or CSV) to stdout or ``--out``.  Exit codes:
-0 success, 2 input problem (unreadable or malformed data, bad
-configuration), 3 convergence problem (the result, when one exists, is
-still emitted).
+Every command is deterministic under fixed flags and seed and writes JSON
+or CSV to stdout or ``--out`` through :func:`.data.open_output`; every JSON
+input must hold an object.  ``_exits`` maps each outcome to an exit code:
+0 success, 2 input problem (unreadable or malformed data, bad configuration),
+3 convergence problem (the result, when one exists, is still emitted).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import click
 import numpy as np
@@ -28,10 +29,12 @@ from . import model as model_mod
 from .data import (
     Dataset,
     billionaire_effective_income,
+    csv_rows,
     empirical_ccdf,
     load_billionaires,
     load_incomes,
     merge_datasets,
+    open_output,
 )
 from .errors import (
     ConfigError,
@@ -105,16 +108,17 @@ def aggregate_params(rows: list[ReportRow], exclude_labels=frozenset()) -> dict:
     return {key: value / n for key, value in sums.items()}
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _load_json_object(path) -> dict:
+    """The object a JSON file holds; any other JSON value is a DataFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _load_config_overrides(config_path, flag_values: dict) -> dict:
@@ -124,10 +128,7 @@ def _load_config_overrides(config_path, flag_values: dict) -> dict:
     """
     if not config_path:
         return flag_values
-    with open(config_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {config_path} must hold a JSON object")
+    doc = _load_json_object(config_path)
     ctx = click.get_current_context()
     options = {param.name: param for param in ctx.command.params}
     merged = dict(flag_values)
@@ -161,23 +162,23 @@ def _load_dataset(opts) -> tuple[Dataset, list[str]]:
 
 def _load_params_file(path) -> tuple[Params, dict]:
     """Params from a bare params JSON or a fit result, plus the whole document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    doc = _load_json_object(path)
     return params_from_dict(doc.get("params", doc)), doc
 
 
-def _run(body) -> None:
-    try:
-        code = body()
-    except _CONVERGENCE_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(code or 0)
+def _exits(command):
+    """Exit with the command's return code (None is 0); a known error is printed and exits 3 or 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            code = command(*args, **kwargs)
+        except _CONVERGENCE_ERRORS + _INPUT_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3 if isinstance(exc, _CONVERGENCE_ERRORS) else 2)
+        sys.exit(code or 0)
+
+    return run
 
 
 @click.group()
@@ -185,26 +186,22 @@ def main():
     """Two-branch income distribution toolkit."""
 
 
-_dataset_options = [
-    click.option("--incomes", required=True, type=click.Path(), help="Income CSV (column 'income', optional 'weight')."),
-    click.option("--billionaires", type=click.Path(), default=None, help="Billionaire CSV (column 'wealth_usd') merged into the tail."),
-    click.option("--usd-eur", type=float, default=1.0, show_default=True, help="USD to EUR conversion for billionaire wealth."),
-    click.option("--return-rate", type=float, default=0.05, show_default=True, help="Annual return rate imputing income from wealth."),
-    click.option("--top-weight", type=float, default=1.0, show_default=True, help="Statistical weight of each merged top income."),
-    click.option("--label", default=None, help="Dataset label (defaults to none)."),
-]
-
-
-def _add_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
+def _dataset_options(fn):
+    """Add the options that name a dataset, listed in this order."""
+    for option in reversed((
+        click.option("--incomes", required=True, type=click.Path(), help="Income CSV (column 'income', optional 'weight')."),
+        click.option("--billionaires", type=click.Path(), default=None, help="Billionaire CSV (column 'wealth_usd') merged into the tail."),
+        click.option("--usd-eur", type=float, default=1.0, show_default=True, help="USD to EUR conversion for billionaire wealth."),
+        click.option("--return-rate", type=float, default=0.05, show_default=True, help="Annual return rate imputing income from wealth."),
+        click.option("--top-weight", type=float, default=1.0, show_default=True, help="Statistical weight of each merged top income."),
+        click.option("--label", default=None, help="Dataset label (defaults to none)."),
+    )):
+        fn = option(fn)
+    return fn
 
 
 @main.command("fit")
-@_add_options(_dataset_options)
+@_dataset_options
 @click.option("--tie-t1-m1", is_flag=True, default=False, help="Constrain T1 = m1 during the fit.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--bootstrap", type=int, default=0, show_default=True, help="Bootstrap resamples for error bars (0 skips; >= 20 otherwise).")
@@ -214,66 +211,56 @@ def _add_options(options):
 @click.option("--quad-tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here instead of stdout.")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file overriding any flag.")
+@_exits
 def cmd_fit(config_path, **flags):
     """Fit distribution parameters to an income CSV."""
-
-    def body():
-        opts = _load_config_overrides(config_path, flags)
-        ds, diagnostics = _load_dataset(opts)
-        cfg = FitConfig(
-            grid_points=int(opts["grid_points"]),
-            tie_t1_m1=bool(opts["tie_t1_m1"]),
-            restarts=int(opts["restarts"]),
-            bootstrap_resamples=int(opts["bootstrap"]),
-            seed=int(opts["seed"]),
-            opt_tol=float(opts["opt_tol"]),
-            quad_tol=float(opts["quad_tol"]),
-        )
-        curve = empirical_ccdf(ds)
-        result = fit(curve, cfg)
-        if cfg.bootstrap_resamples > 0:
-            errors = bootstrap_errors(ds, cfg, result.params)
-        else:
-            errors = dict.fromkeys(params_to_dict(result.params), 0.0)
-        doc = fit_result_document(result, cfg, errors)
-        doc["data"] = {
-            "label": ds.label,
-            "records": len(ds),
-            "rejected_rows": len(diagnostics),
-        }
-        _emit(_dump_json(doc), opts["out"])
-        return 0 if result.converged else 3
-
-    _run(body)
+    opts = _load_config_overrides(config_path, flags)
+    ds, diagnostics = _load_dataset(opts)
+    opts["bootstrap_resamples"] = opts.pop("bootstrap")
+    cfg = FitConfig(**{field.name: opts[field.name] for field in fields(FitConfig)})
+    curve = empirical_ccdf(ds)
+    result = fit(curve, cfg)
+    if cfg.bootstrap_resamples > 0:
+        errors = bootstrap_errors(ds, cfg, result.params)
+    else:
+        errors = dict.fromkeys(params_to_dict(result.params), 0.0)
+    doc = fit_result_document(result, cfg, errors)
+    doc["data"] = {
+        "label": ds.label,
+        "records": len(ds),
+        "rejected_rows": len(diagnostics),
+    }
+    with open_output(opts["out"] or sys.stdout) as fh:
+        fh.write(_dump_json(doc))
+    return 0 if result.converged else 3
 
 
 @main.command("plotdata")
 @click.option("--params", "params_path", required=True, type=click.Path(), help="Params JSON (bare or a fit result).")
-@_add_options(_dataset_options)
+@_dataset_options
 @click.option("--curve-points", type=int, default=500, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file overriding any flag.")
+@_exits
 def cmd_plotdata(config_path, params_path, **flags):
     """Emit empirical and model CCDF curves as plot-ready CSV."""
-
-    def body():
-        opts = _load_config_overrides(config_path, flags)
-        if opts["curve_points"] < 2:
-            raise ConfigError(f"curve_points must be >= 2, got {opts['curve_points']!r}")
-        params, _ = _load_params_file(params_path)
-        mod = normalize(params)
-        ds, _ = _load_dataset(opts)
-        m_emp, p_emp = _positive_points(empirical_ccdf(ds))
-        grid = np.geomspace(m_emp[0], m_emp[-1], int(opts["curve_points"]))
-        p_model = ccdf(mod, grid)
-        lines = ["kind,m,p"]
-        lines.extend(f"empirical,{m:.12g},{p:.12g}" for m, p in zip(m_emp, p_emp))
-        lines.extend(f"model,{m:.12g},{p:.12g}" for m, p in zip(grid, p_model))
-        lines.append(f"marker_m0,{params.m0:.12g},{ccdf(mod, params.m0):.12g}")
-        lines.append(f"marker_m1,{params.m1:.12g},{ccdf(mod, params.m1):.12g}")
-        _emit("\n".join(lines) + "\n", opts["out"])
-
-    _run(body)
+    opts = _load_config_overrides(config_path, flags)
+    if opts["curve_points"] < 2:
+        raise ConfigError(f"curve_points must be >= 2, got {opts['curve_points']!r}")
+    params, _ = _load_params_file(params_path)
+    mod = normalize(params)
+    ds, _ = _load_dataset(opts)
+    m_emp, p_emp = _positive_points(empirical_ccdf(ds))
+    grid = np.geomspace(m_emp[0], m_emp[-1], opts["curve_points"])
+    text = "".join((
+        "kind,m,p\n",
+        csv_rows(m_emp, p_emp, label="empirical"),
+        csv_rows(grid, ccdf(mod, grid), label="model"),
+        csv_rows(params.m0, ccdf(mod, params.m0), label="marker_m0"),
+        csv_rows(params.m1, ccdf(mod, params.m1), label="marker_m1"),
+    ))
+    with open_output(opts["out"] or sys.stdout) as fh:
+        fh.write(text)
 
 
 @main.command("sample")
@@ -281,16 +268,14 @@ def cmd_plotdata(config_path, params_path, **flags):
 @click.option("--n", type=int, required=True, help="Number of incomes to draw.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
+@_exits
 def cmd_sample(params_path, n, seed, out):
     """Draw synthetic incomes from fitted parameters."""
-
-    def body():
-        params, _ = _load_params_file(params_path)
-        mod = normalize(params)
-        values = sample(mod, n, seed)
-        _emit("income\n" + ("%.12g\n" * values.size) % tuple(values.tolist()), out)
-
-    _run(body)
+    params, _ = _load_params_file(params_path)
+    mod = normalize(params)
+    values = sample(mod, n, seed)
+    with open_output(out or sys.stdout) as fh:
+        fh.write("income\n" + csv_rows(values))
 
 
 @main.command("simulate")
@@ -302,25 +287,22 @@ def cmd_sample(params_path, n, seed, out):
 @click.option("--stride", type=int, default=0, show_default=True, help="Record every this many steps (0: first and last only).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
+@_exits
 def cmd_simulate(params_path, b, agents, dt, steps, stride, seed, out):
     """Integrate the income Langevin ensemble and dump snapshots."""
-
-    def body():
-        params, _ = _load_params_file(params_path)
-        coeffs = model_mod.fp_coefficients_for(params, b=b)
-        cfg = langevin_mod.SimConfig(
-            coeffs=coeffs,
-            m1=params.m1,
-            n_agents=agents,
-            dt=dt,
-            n_steps=steps,
-            seed=seed,
-            record_stride=stride,
-        )
-        snapshots = langevin_mod.simulate_ensemble(cfg)
-        langevin_mod.write_snapshots_csv(out or sys.stdout, snapshots)
-
-    _run(body)
+    params, _ = _load_params_file(params_path)
+    coeffs = model_mod.fp_coefficients_for(params, b=b)
+    cfg = langevin_mod.SimConfig(
+        coeffs=coeffs,
+        m1=params.m1,
+        n_agents=agents,
+        dt=dt,
+        n_steps=steps,
+        seed=seed,
+        record_stride=stride,
+    )
+    snapshots = langevin_mod.simulate_ensemble(cfg)
+    langevin_mod.write_snapshots_csv(out or sys.stdout, snapshots)
 
 
 @main.command("report")
@@ -328,48 +310,46 @@ def cmd_simulate(params_path, b, agents, dt, steps, stride, seed, out):
 @click.option("--exclude", "excludes", multiple=True, help="Labels to drop from the aggregate means (repeatable).")
 @click.option("--crisis-threshold", type=float, default=2.0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
+@_exits
 def cmd_report(fit_paths, excludes, crisis_threshold, out):
     """Combine fit results into a parameter table with aggregates."""
-
-    def body():
-        rows = []
-        for path in fit_paths:
-            params, doc = _load_params_file(path)
-            data, errors = doc.get("data") or {}, doc.get("errors") or {}
-            if not (isinstance(data, dict) and isinstance(errors, dict)):
-                raise DataFormatError(f"{path}: 'data' and 'errors' must be JSON objects")
-            label = str(doc.get("label") or data.get("label") or _stem(path))
-            flag, _score = crisis_indicator(params, crisis_threshold)
-            rows.append(ReportRow(label=label, params=params, errors=errors, crisis=flag))
-        rows.sort(key=lambda r: r.label)
-        table = []
-        for row in rows:
-            raw = params_to_dict(row.params)
-            rounded = {
-                key: (1000 * round(value / 1000.0) if key in _SCALE_KEYS else value)
-                for key, value in raw.items()
-            }
-            table.append({
-                "label": row.label,
-                "params_rounded": rounded,
-                "params": raw,
-                "errors": dict(row.errors),
-                "crisis": row.crisis,
-            })
-        doc = {
-            "rows": table,
-            "aggregates": {
-                "all": aggregate_params(rows),
-                "included_labels": [r.label for r in rows if r.label not in set(excludes)],
-            },
-            "crisis_threshold": crisis_threshold,
+    rows = []
+    for path in fit_paths:
+        params, doc = _load_params_file(path)
+        data, errors = doc.get("data") or {}, doc.get("errors") or {}
+        if not (isinstance(data, dict) and isinstance(errors, dict)):
+            raise DataFormatError(f"{path}: 'data' and 'errors' must be JSON objects")
+        label = str(doc.get("label") or data.get("label") or _stem(path))
+        flag, _score = crisis_indicator(params, crisis_threshold)
+        rows.append(ReportRow(label=label, params=params, errors=errors, crisis=flag))
+    rows.sort(key=lambda r: r.label)
+    table = []
+    for row in rows:
+        raw = params_to_dict(row.params)
+        rounded = {
+            key: (1000 * round(value / 1000.0) if key in _SCALE_KEYS else value)
+            for key, value in raw.items()
         }
-        if excludes:
-            doc["aggregates"]["excluding"] = aggregate_params(rows, set(excludes))
-            doc["aggregates"]["excluded_labels"] = sorted(set(excludes))
-        _emit(_dump_json(doc), out)
-
-    _run(body)
+        table.append({
+            "label": row.label,
+            "params_rounded": rounded,
+            "params": raw,
+            "errors": dict(row.errors),
+            "crisis": row.crisis,
+        })
+    doc = {
+        "rows": table,
+        "aggregates": {
+            "all": aggregate_params(rows),
+            "included_labels": [r.label for r in rows if r.label not in set(excludes)],
+        },
+        "crisis_threshold": crisis_threshold,
+    }
+    if excludes:
+        doc["aggregates"]["excluding"] = aggregate_params(rows, set(excludes))
+        doc["aggregates"]["excluded_labels"] = sorted(set(excludes))
+    with open_output(out or sys.stdout) as fh:
+        fh.write(_dump_json(doc))
 
 
 def _stem(path: str) -> str:

@@ -1,4 +1,4 @@
-"""Income microdata ingestion and empirical CCDFs.
+"""Income microdata ingestion, empirical CCDFs, and the package's text output.
 
 CSV survey data (column ``income``, optional ``weight``; a path or an
 open text stream) becomes an immutable sorted :class:`Dataset`; a
@@ -6,7 +6,9 @@ billionaire wealth array can be converted to effective incomes and
 merged in, since surveys top-code or never reach the extreme tail.
 Empirical complementary CDFs use the Weibull plotting position
 1 - i/(n+1), generalized to weighted samples in a way that reduces
-exactly to the unweighted formula when all weights are equal.
+exactly to the unweighted formula when all weights are equal.  Every
+output is written through :func:`open_output`, and every CSV number is
+formatted by :func:`csv_rows`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "billionaire_effective_income",
     "merge_datasets",
     "empirical_ccdf",
+    "open_output",
+    "csv_rows",
 ]
 
 
@@ -100,9 +104,6 @@ class EmpiricalCcdf:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
 
-    def __len__(self) -> int:
-        return int(self.m.size)
-
 
 _INCOME_COLUMN = "income"
 _WEIGHT_COLUMN = "weight"
@@ -110,12 +111,33 @@ _WEALTH_COLUMN = "wealth_usd"
 
 
 def _open_text(source):
-    """A path (``str`` or ``os.PathLike``) is opened; an open text stream is left open."""
+    """A path (``str`` or ``os.PathLike``) is opened as UTF-8, past a byte-order mark if any; a
+    text stream is left open."""
     if isinstance(source, io.TextIOBase):
         return nullcontext(source)
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     raise DataFormatError(f"expected a path or an open text stream, got {type(source).__name__}")
+
+
+def open_output(dest):
+    """A path (``str`` or ``os.PathLike``) is opened for writing as UTF-8, with no byte-order mark;
+    anything else is an open text stream, written in place and left open."""
+    if isinstance(dest, (str, os.PathLike)):
+        return open(dest, "w", encoding="utf-8", newline="")
+    return nullcontext(dest)
+
+
+def csv_rows(*columns, label: str = "") -> str:
+    """``%.12g`` CSV lines, one per entry of the array columns (of one length; one line if none).
+
+    A scalar column repeats on every line; ``label``, if given, opens each line as a text field."""
+    arrays = [np.ravel(c) for c in columns if np.ndim(c)]
+    fields = ["%.12g" % c if np.ndim(c) == 0 else "%.12g" for c in columns]
+    line = ",".join([label] + fields if label else fields) + "\n"
+    if not arrays:
+        return line % ()
+    return (line * arrays[0].size) % tuple(np.column_stack(arrays).ravel().tolist())
 
 
 def _numbered_rows(fh, column: str):

@@ -25,19 +25,19 @@ release the GIL, so the shards draw and step on two cores without
 synchronising per step; the output depends only on the seed.  The
 relaxation check computes its two-sample KS statistic in numpy, with the
 operations of ``scipy.stats.ks_2samp``, so the two agree bit for bit.
+Snapshot CSV goes through the writer and row formatter of :mod:`.data`.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import csv_rows, open_output
 from .errors import ConfigError, DomainError, NumericalBlowupError
 from .model import FpCoefficients, NormalizedModel, ccdf
 
@@ -230,14 +230,10 @@ def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float =
 def write_snapshots_csv(dest, snapshots: Sequence[EnsembleSnapshot]) -> None:
     """Write recorded snapshots as CSV rows (time, income), one per agent.
 
-    ``dest`` is a path or an open text stream; a stream is left open.
+    ``dest`` is a path or an open text stream, which is left open.  Snapshots are formatted one
+    at a time.
     """
-    if isinstance(dest, io.TextIOBase):
-        target = nullcontext(dest)
-    else:
-        target = open(dest, "w", encoding="utf-8", newline="")
-    with target as fh:
+    with open_output(dest) as fh:
         fh.write("time,income\n")
         for snap in snapshots:
-            row = format(snap.time, ".12g") + ",%.12g\n"
-            fh.write((row * snap.incomes.size) % tuple(snap.incomes.tolist()))
+            fh.write(csv_rows(snap.time, snap.incomes))

@@ -259,7 +259,7 @@ def _log_ccdf_from(model: NormalizedModel, low, high):
 
 
 def _validate_incomes(m):
-    arr = np.asarray(m, dtype=float)
+    arr = np.asarray(m, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0, which maps to v = pi/2
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
         raise DomainError("income values must be finite and >= 0")
     return arr

@@ -218,12 +218,15 @@ class TestNonObjectJson:
         ["sample", "--n", "5"],
         ["simulate", "--steps", "1"],
         ["report"],
+        ["fit"],
     ])
-    def test_number_instead_of_object_is_input_error(self, runner, tmp_path, command):
+    def test_number_instead_of_object_is_input_error(
+        self, runner, tmp_path, quick_income_csv, command
+    ):
         bad = tmp_path / "five.json"
         bad.write_text("5")
-        flag = "--fit-json" if command[0] == "report" else "--params"
-        result = runner.invoke(main, command + [flag, str(bad)])
+        flag = {"report": ["--fit-json"], "fit": ["--incomes", quick_income_csv, "--config"]}
+        result = runner.invoke(main, command + flag.get(command[0], ["--params"]) + [str(bad)])
         assert result.exit_code == 2, result.output
         assert "JSON object" in result.output
 
@@ -305,17 +308,6 @@ class TestSimulateCommand:
         repeat = runner.invoke(main, args)
         assert repeat.output == result.output
 
-    def test_stdout_and_out_file_are_identical(self, runner, tmp_path):
-        params_path = write_params_json(tmp_path / "p2010.json", 2010)
-        args = ["simulate", "--params", params_path, "--agents", "20",
-                "--dt", "0.004", "--steps", "10", "--stride", "5", "--seed", "1"]
-        to_stdout = runner.invoke(main, args)
-        out = tmp_path / "snapshots.csv"
-        to_file = runner.invoke(main, args + ["--out", str(out)])
-        assert to_stdout.exit_code == 0 and to_file.exit_code == 0
-        assert to_file.stdout_bytes == b""
-        assert to_stdout.stdout_bytes == out.read_bytes()
-
 
 class TestReportCommand:
     @pytest.fixture()
@@ -383,6 +375,29 @@ class TestReportCommand:
     def test_aggregate_params_requires_rows(self):
         with pytest.raises(idist.DomainError):
             aggregate_params([])
+
+
+class TestOutFlag:
+    @pytest.mark.parametrize("command", ["fit", "plotdata", "sample", "simulate", "report"])
+    def test_stdout_and_out_file_are_identical(self, runner, tmp_path, quick_income_csv, command):
+        params_path = write_params_json(tmp_path / "p2010.json", 2010)
+        args = {
+            "fit": ["--incomes", quick_income_csv, "--restarts", "2", "--grid-points", "120",
+                    "--seed", "7"],
+            "plotdata": ["--params", params_path, "--incomes", quick_income_csv,
+                         "--curve-points", "20"],
+            "sample": ["--params", params_path, "--n", "50", "--seed", "3"],
+            "simulate": ["--params", params_path, "--agents", "20", "--dt", "0.004",
+                         "--steps", "10", "--stride", "5", "--seed", "1"],
+            "report": ["--fit-json", params_path, "--exclude", "none"],
+        }[command]
+        to_stdout = runner.invoke(main, [command, *args])
+        out = tmp_path / "out.txt"
+        to_file = runner.invoke(main, [command, *args, "--out", str(out)])
+        assert to_stdout.exit_code == 0 and to_file.exit_code == 0, to_stdout.output
+        assert to_stdout.stdout_bytes
+        assert to_file.stdout_bytes == b""
+        assert to_stdout.stdout_bytes == out.read_bytes()
 
 
 class TestCliSurface:

@@ -10,10 +10,12 @@ from incomedist.data import (
     Dataset,
     EmpiricalCcdf,
     billionaire_effective_income,
+    csv_rows,
     empirical_ccdf,
     load_billionaires,
     load_incomes,
     merge_datasets,
+    open_output,
 )
 
 
@@ -101,6 +103,12 @@ class TestLoadIncomes:
             ds, _ = load_incomes(source)
             assert list(ds.values) == [42.0]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfincome\n10\n20\n")
+        ds, _ = load_incomes(path)
+        assert list(ds.values) == [10.0, 20.0]
+
     def test_field_over_csv_limit_is_format_error(self):
         # The csv module refuses fields over 131,072 characters with its own csv.Error.
         text = "income\n10\n" + "9" * 200_000 + "\n20\n"
@@ -112,6 +120,23 @@ class TestLoadIncomes:
             load_incomes(b"income\n42\n")
         with pytest.raises(idist.DataFormatError):
             load_incomes(io.BytesIO(b"income\n42\n"))
+
+
+class TestOutput:
+    def test_csv_rows(self):
+        assert csv_rows([1.0, 2.5e-13]) == "1\n2.5e-13\n"
+        assert csv_rows(0.1, np.array([3.0, 1 / 3]), label="t") == "t,0.1,3\nt,0.1,0.333333333333\n"
+        assert csv_rows(1e20, 0.5, label="marker") == "marker,1e+20,0.5\n"
+        assert csv_rows(np.array([]), label="empty") == ""
+
+    def test_open_output_writes_paths_and_leaves_streams_open(self, tmp_path):
+        with open_output(tmp_path / "out.csv") as fh:
+            fh.write("a\n")
+        assert (tmp_path / "out.csv").read_bytes() == b"a\n"
+        stream = io.StringIO()
+        with open_output(stream) as fh:
+            fh.write("b\n")
+        assert not stream.closed and stream.getvalue() == "b\n"
 
 
 def _points(curve):

@@ -253,6 +253,13 @@ class TestPdf:
         with pytest.raises(idist.DomainError):
             idist.ccdf(models[2010], np.array([1.0, math.nan]))
 
+    def test_negative_zero_reads_as_zero(self):
+        model = idist.normalize(idist.Params(t_low=6200.0, t_high=48000.0, m0=20000.0,
+                                             m1=48000.0, alpha=2.6, alpha1=0.77))
+        assert idist.logccdf(model, -0.0) == idist.logccdf(model, 0.0)
+        np.testing.assert_array_equal(idist.logccdf(model, np.array([-0.0, 1.0])),
+                                      idist.logccdf(model, np.array([0.0, 1.0])))
+
     def test_vector_matches_scalar(self, models):
         model = models[2009]
         grid = np.geomspace(1.0, 1e10, 40)

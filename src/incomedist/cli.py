@@ -70,6 +70,7 @@ _CONVERGENCE_ERRORS = (
 )
 
 _SCALE_KEYS = ("T", "T1", "m0", "m1")
+_SAMPLE_CHUNK = 65536  # draws formatted per write: sample's memory stays flat in --n
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,9 @@ def cmd_sample(params_path, n, seed, out):
     mod = normalize(params)
     values = sample(mod, n, seed)
     with open_output(out or sys.stdout) as fh:
-        fh.write("income\n" + csv_rows(values))
+        fh.write("income\n")
+        for start in range(0, values.size, _SAMPLE_CHUNK):  # text for one chunk at a time
+            fh.write(csv_rows(values[start:start + _SAMPLE_CHUNK]))
 
 
 @main.command("simulate")
@@ -353,5 +356,6 @@ def cmd_report(fit_paths, excludes, crisis_threshold, out):
 
 
 def _stem(path: str) -> str:
+    """The file name without its last extension, or whole if that would leave nothing."""
     name = path.replace("\\", "/").rsplit("/", 1)[-1]
-    return name.rsplit(".", 1)[0] if "." in name else name
+    return name.rsplit(".", 1)[0] or name

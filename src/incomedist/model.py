@@ -215,30 +215,35 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     return _normalize_on(params, quad_tol, np.empty(0))[0]
 
 
-def _sweep(p: Params, quad_tol: float, m: np.ndarray):
+def _sweep(p: Params, quad_tol: float, m: np.ndarray, grad: bool = False):
     """Branch kernel log masses, as kernel_log_mass gives them, at ascending incomes ``m``.
 
     One :func:`quadrature.branch_log_masses` sweep per branch over the incomes
     given and no others: the high kernel from each m >= m1 up to infinity, then
     the low kernel from each m < m1 up to m1.  Returns (low, high), each in the
-    order of ``m``.
+    order of ``m``; with ``grad`` each is the (masses, derivatives) pair of
+    :func:`quadrature.branch_log_masses`.
     """
     i = int(np.searchsorted(m, p.m1))
-    high = quadrature.branch_log_masses(p.m0, p.t_high, p.alpha1, math.inf, m[i:], quad_tol)
-    return quadrature.branch_log_masses(p.m0, p.t_low, p.alpha, p.m1, m[:i], quad_tol), high
+    high = quadrature.branch_log_masses(p.m0, p.t_high, p.alpha1, math.inf, m[i:], quad_tol, grad)
+    return quadrature.branch_log_masses(p.m0, p.t_low, p.alpha, p.m1, m[:i], quad_tol, grad), high
 
 
-def _normalize_on(p: Params, quad_tol: float, m: np.ndarray):
+def _normalize_on(p: Params, quad_tol: float, m: np.ndarray, grad: bool = False):
     """:func:`normalize` and the log CCDF at ascending incomes ``m``.
 
     Sweeps ``m`` with 0 and m1 added, so ``low[0]`` and ``high[0]`` are the whole
     branch masses on [0, m1] and [m1, inf).  With no incomes each sweep is the one
-    kernel_log_mass makes, so the constants equal it.
+    kernel_log_mass makes, so the constants equal it.  With ``grad`` a third
+    element follows: the log CCDF's derivatives by the log of each parameter, an
+    (m.size, 6) array with columns in :class:`Params` field order.
     """
     if not (0.0 < quad_tol <= 1e-6):
         raise DomainError(f"quad_tol must lie in (0, 1e-6], got {quad_tol!r}")
     i = int(np.searchsorted(m, p.m1))
-    low, high = _sweep(p, quad_tol, np.concatenate([[0.0], m[:i], [p.m1], m[i:]]))
+    low, high = _sweep(p, quad_tol, np.concatenate([[0.0], m[:i], [p.m1], m[i:]]), grad)
+    if grad:
+        (low, d_low), (high, d_high) = low, high
     log_ratio = _log_kernel_ratio_at_m1(p)
     # invalid: both masses infinite (overflowed parameters); caught just below.
     with np.errstate(invalid="ignore"):
@@ -249,7 +254,46 @@ def _normalize_on(p: Params, quad_tol: float, m: np.ndarray):
     log_ccdf_at_m1 = float(log_c_high + high[0])
     model = NormalizedModel(params=p, log_c_low=float(log_c_low), log_c_high=float(log_c_high),
                             log_ccdf_at_m1=log_ccdf_at_m1, quad_tol=quad_tol)
-    return model, _log_ccdf_from(model, low[1:], high[1:])
+    curve = _log_ccdf_from(model, low[1:], high[1:])
+    if not grad:
+        return model, curve
+    g_low = _branch_grad(d_low, 0, 4, p.alpha)
+    g_high = _branch_grad(d_high, 1, 5, p.alpha1)
+    g_high[0, 3] += d_high[2, 0]  # the high sweep starts at m1 itself
+    # The derivatives of log R, R = k_low(m1)/k_high(m1), by log T, T1, m0, m1, alpha, alpha1.
+    r = p.m1 / p.m0
+    q, u1, log1p_r2 = r / (1.0 + r * r), math.atan(r), math.log1p(r * r)
+    b_low, b_high, a_gap = p.m0 / p.t_low, p.m0 / p.t_high, p.alpha1 - p.alpha
+    g_ratio = np.array([b_low * u1, -b_high * u1, (b_high - b_low) * (u1 - q) - a_gap * r * q,
+                        (b_high - b_low) * q + a_gap * r * q, -0.5 * p.alpha * log1p_r2,
+                        0.5 * p.alpha1 * log1p_r2])
+    # log c_low = -log(low mass + R * high mass), weighted by each branch's share of the total.
+    g_c_low = -(math.exp(low[0] + log_c_low) * g_low[0]
+                + math.exp(log_ratio + high[0] + log_c_low) * (g_ratio + g_high[0]))
+    g_c_high = g_c_low + g_ratio
+    g_at_m1 = g_c_high + g_high[0]
+    # Below m1 the log CCDF is logaddexp(log CCDF(m1), log c_low + low): weight each by its share.
+    n_low = low.size - 1
+    with np.errstate(invalid="ignore"):  # -inf - -inf where a zero mass meets a zero CCDF
+        w_at_m1 = np.exp(log_ccdf_at_m1 - curve[:n_low])[:, None]
+        w_low = np.exp(log_c_low + low[1:] - curve[:n_low])[:, None]
+    return model, curve, np.concatenate([w_at_m1 * g_at_m1 + w_low * (g_c_low + g_low[1:]),
+                                         g_c_high + g_high[1:]])
+
+
+def _branch_grad(d, t: int, a: int, alpha: float):
+    """Branch log-mass derivatives (quadrature.branch_log_masses rows) by log parameters.
+
+    ``t`` and ``a`` are the branch's temperature and exponent columns; the sweep's top
+    is m1 (column 3) or inf, and its incomes are data, fixed.
+    """
+    d_t, d_alpha, d_m, d_top = d
+    g = np.zeros((d_t.size, 6))
+    g[:, t] = d_t
+    g[:, 2] = 1.0 - d_t - d_m - d_top
+    g[:, 3] = d_top
+    g[:, a] = alpha * d_alpha
+    return g
 
 
 def _log_ccdf_from(model: NormalizedModel, low, high):

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import incomedist as idist
+import incomedist.cli as cli_mod
 from incomedist.cli import aggregate_params, crisis_indicator, main
 from incomedist.fit import FitResult
 
@@ -294,6 +295,14 @@ class TestSampleCommand:
         draws = idist.sample(idist.normalize(year_params(2009)), 50, 3)
         assert first.output == "income\n" + "".join(f"{v:.12g}\n" for v in draws.tolist())
 
+    def test_chunked_output_is_one_csv(self, runner, tmp_path, monkeypatch):
+        # 50 draws in chunks of 7 (the last one short) write the bytes of one chunk.
+        params_path = write_params_json(tmp_path / "p2009.json", 2009)
+        args = ["sample", "--params", params_path, "--n", "50", "--seed", "3"]
+        whole = runner.invoke(main, args).output
+        monkeypatch.setattr(cli_mod, "_SAMPLE_CHUNK", 7)
+        assert runner.invoke(main, args).output == whole
+
 
 class TestSimulateCommand:
     def test_snapshot_csv_shape(self, runner, tmp_path):
@@ -371,6 +380,16 @@ class TestReportCommand:
         result = runner.invoke(main, ["report", "--fit-json", str(path)])
         assert result.exit_code == 2, result.output
         assert "must be JSON objects" in result.output
+
+    def test_dot_json_file_is_labelled_by_its_name(self, runner, tmp_path, year_files):
+        # A file named ".json" has an empty stem; its row keeps a label --exclude can name.
+        path = write_params_json(tmp_path / ".json", 2009)
+        result = runner.invoke(main, ["report", "--fit-json", path, "--fit-json", year_files[0],
+                                      "--exclude", ".json"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert [r["label"] for r in doc["rows"]] == [".json", "2005"]
+        assert doc["aggregates"]["included_labels"] == ["2005"]
 
     def test_aggregate_params_requires_rows(self):
         with pytest.raises(idist.DomainError):

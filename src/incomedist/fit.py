@@ -4,24 +4,23 @@ The estimator is least squares between model and data in log-log CCDF
 space: both curves are compared as log10 p over a log-spaced income
 grid spanning the data range, which weights the Pareto tail and the
 exponential bulk about equally instead of letting the bulk (where
-nearly all probability mass sits) drown the tail.  Minimization is
-bounded trust-region least squares on the grid residuals in
-log-parameter space, so positivity holds by construction.  Its
-Jacobian is exact: one augmented sweep per evaluation carries, next to
-each branch mass, its kernel-weighted means of u = arctan(m/m0) and of
-log cos u (the derivatives by log T and by alpha) and the integrand at
-both ends (Leibniz's rule), from which the model composes the log CCDF's
-derivatives through both branch constants and the continuity ratio.  It
-costs about 1.3 residual evaluations where forward differences cost five
-or six, and has no step size to trade against quadrature noise.
+nearly all probability mass sits) drown the tail.  Minimization is a
+bounded Levenberg-Marquardt loop on the grid residuals in log-parameter
+space, so positivity holds by construction.  Its Jacobian is exact: one
+augmented sweep per trial point carries, next to each branch mass, its
+kernel-weighted means of u = arctan(m/m0) and of log cos u (the
+derivatives by log T and by alpha) and the integrand at both ends
+(Leibniz's rule), from which the model composes the log CCDF and its
+derivatives through both branch constants and the continuity ratio.
+That sweep costs about 1.5 residual-only ones, and has no step size to
+trade against quadrature noise.
 Uncertainty comes from a nonparametric bootstrap: resample the
 dataset, refit from the fitted center, report per-parameter standard
 deviations, which the caller passes to :func:`fit_result_document`.
 A :class:`FitProblem` builds the grid and empirical curve once per
 curve; each evaluation is then one normalization whose two branch
-sweeps also give the model curve.  Only a running fit imports
-``scipy.optimize``, so every command's cold start costs about numpy
-and click.
+sweeps also give the model curve.  The fit needs numpy alone, so every
+command's cold start costs about numpy and click.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ _ORDER = ("t_low", "t_high", "m0", "m1", "alpha", "alpha1")  # Params field orde
 _KEYS = {attr: key for key, attr in model_mod._PARAM_KEYS.items()}  # t_low -> "T", ...
 _LN10 = math.log(10.0)
 _PENALTY = 1e9
-_MAX_STEPS = 300  # trust-region trial points per run; Jacobian evaluations come on top
+_MAX_STEPS = 300  # misfit calls per run: trial points, each one sweep with its Jacobian
 _TAIL_FLOOR = 20  # effective exceedances that must back the grid's last point
 
 
@@ -82,7 +81,7 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of :func:`fit`; ``iterations`` counts the winning restart's
-    misfit evaluations, each exact Jacobian counted as one.
+    misfit evaluations, each a sweep that gives the residuals and their exact Jacobian.
     ``diagnostics`` holds ``bound_saturated``, ``degenerate_ridge``, ``misfit_calls`` (all
     restarts, counted alike), ``restart_objectives``, ``grid_points_above_m1`` (grid points
     >= m1), ``jacobian_singular_values`` (descending) of the residual Jacobian in
@@ -153,13 +152,12 @@ class FitProblem:
         out = model_mod._normalize_on(params, self.quad_tol, self.grid, grad)
         return out[1:] if grad else out[1]
 
-    def residuals(self, params: Params) -> np.ndarray:
-        """log10 CCDF gaps on the grid over sqrt(n); their sum of squares is the misfit."""
-        return (self.logccdf(params) / _LN10 - self.log10_emp) / math.sqrt(self.grid.size)
-
-    def jacobian(self, params: Params) -> np.ndarray:
-        """Derivatives of :meth:`residuals` by the log of each parameter (one augmented sweep)."""
-        return self.logccdf(params, grad=True)[1] / (_LN10 * math.sqrt(self.grid.size))
+    def residuals(self, params: Params, grad: bool = False):
+        """log10 CCDF gaps on the grid over sqrt(n); their sum of squares is the misfit.
+        With ``grad``, (gaps, their derivatives by the log of each parameter) from one sweep."""
+        out = self.logccdf(params, grad)
+        r = ((out[0] if grad else out) / _LN10 - self.log10_emp) / math.sqrt(self.grid.size)
+        return (r, out[1] / (_LN10 * math.sqrt(self.grid.size))) if grad else r
 
     def misfit(self, params: Params) -> float:
         r = self.residuals(params)
@@ -293,58 +291,103 @@ def _unpack(x: np.ndarray, names, tie: bool) -> Params:
     return Params(**kw)
 
 
-def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
-    """One bounded trust-region least-squares run from x0 clipped into the box.
-
-    Twice the least-squares cost of ``problem.residuals`` is the misfit;
-    a penalised point gives a constant vector whose sum of squares is
-    ``_PENALTY`` and a zero Jacobian.  Returns (log-space end point,
-    objective there, converged, misfit calls, Jacobian there), where one
-    exact Jacobian counts as one misfit call.
-    """
+def _evaluator(problem: FitProblem, config: FitConfig):
+    """x -> (residuals, Jacobian) at packed log-parameters x from one sweep; a point the
+    model refuses or that gives non-finite output gets the penalty vector and a zero Jacobian."""
     names = _pack_names(config.tie_t1_m1)
     # Maps Params-order columns onto the packed ones; a tied T1 moves with m1.
     fold = np.eye(len(_ORDER))[:, [_ORDER.index(n) for n in names]]
     if config.tie_t1_m1:
         fold[_ORDER.index("t_high"), names.index("m1")] = 1.0
-    penalty = np.full(problem.grid.size, math.sqrt(_PENALTY / problem.grid.size))
-    calls = 0
+    penalty = (np.full(problem.grid.size, math.sqrt(_PENALTY / problem.grid.size)),
+               np.zeros((problem.grid.size, len(names))))
 
-    def guarded(evaluate, fallback):
-        def call(x):
-            nonlocal calls
-            calls += 1
-            try:
-                out = evaluate(_unpack(x, names, config.tie_t1_m1))
-            except (InvalidParamsError, QuadratureError, OverflowError):
-                return fallback
-            return out if np.all(np.isfinite(out)) else fallback
-        return call
+    def evaluate(x):
+        try:
+            r, jac = problem.residuals(_unpack(x, names, config.tie_t1_m1), grad=True)
+        except (InvalidParamsError, QuadratureError, OverflowError):
+            return penalty
+        jac = jac @ fold
+        return (r, jac) if np.all(np.isfinite(r)) and np.all(np.isfinite(jac)) else penalty
 
-    from scipy.optimize import least_squares  # here, so only a running fit loads scipy
-    start = np.clip(x0, log_bounds[:, 0] + 1e-9, log_bounds[:, 1] - 1e-9)
-    res = least_squares(guarded(problem.residuals, penalty), start,
-                        jac=guarded(lambda params: problem.jacobian(params) @ fold,
-                                    np.zeros((problem.grid.size, len(names)))),
-                        bounds=tuple(log_bounds.T), method="trf", x_scale="jac",
-                        max_nfev=_MAX_STEPS,
-                        xtol=config.opt_tol / max(1.0, float(np.linalg.norm(start))),
-                        ftol=1e-9, gtol=1e-10)
-    value = 2.0 * float(res.cost)  # a penalised end point scores _PENALTY up to rounding
-    return res.x, value, bool(res.status > 0 and value < 0.5 * _PENALTY), calls, res.jac
+    return evaluate
+
+
+def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
+    """One bounded Levenberg-Marquardt run (Moré 1978) from x0 clipped into the box.
+
+    Each trial point is one :func:`_evaluator` sweep, so an accepted point already
+    holds the next step's Jacobian.  The box enters through Coleman & Li's affine
+    scaling (SIAM J. Optim. 6, 1996), as in scipy's ``trf``.  A step that would
+    leave the box stops at 0.995 of the way to the first bound it meets, or if the
+    best step along the scaled gradient then gains more, that one is taken.  Stops
+    as :func:`fit` says.  Returns (log-space end point, objective there (twice the
+    cost), converged, misfit calls, Jacobian there).
+    """
+    evaluate = _evaluator(problem, config)
+    lb, ub = log_bounds.T
+
+    def reach(step_h):  # 1, or 0.995 of the fraction of a hat step that meets the first bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d * step_h > 0, ub - x, lb - x) / (d * step_h)
+        return min(1.0, 0.995 * float(np.min(room, where=room >= 0, initial=2.0)))
+
+    def gain(step_h):  # the decrease in cost that the model predicts
+        return -float(g_h @ step_h + 0.5 * np.sum((aug @ step_h) ** 2))
+
+    x = np.clip(x0, lb + 1e-9, ub - 1e-9)
+    r, jac = evaluate(x)
+    calls, cost, col_norm = 1, 0.5 * float(r @ r), np.zeros(x.size)
+    damping, grow, converged = None, 2.0, False
+    while not converged and calls < _MAX_STEPS:
+        g = jac.T @ r
+        # Coleman-Li: a step shrinks with the root of its distance to the bound -g points at,
+        # over the largest Jacobian column norm seen so far.
+        dist = np.where(g > 0, x - lb, np.where(g < 0, ub - x, 1.0))
+        converged = np.max(np.abs(g * dist)) < 1e-10  # vanishing scaled gradient
+        col_norm = np.maximum(col_norm, np.linalg.norm(jac, axis=0))
+        norm = np.where(col_norm > 0.0, col_norm, 1.0)
+        d = np.sqrt(dist / norm)
+        # In hat variables (step = d * hat) the model's Hessian is aug.T @ aug: the Gauss-Newton
+        # term plus Coleman-Li's diagonal |g| / norm from the scaling's own slope.
+        aug = np.vstack([jac * d, np.diag(np.sqrt(np.abs(g) / norm))])
+        g_h = d * g
+        _, sv, vt = np.linalg.svd(aug, full_matrices=False)
+        damping = 1e-3 * float(sv[0]) ** 2 if damping is None else damping
+        while not converged and calls < _MAX_STEPS:
+            full = -vt.T @ ((vt @ g_h) / (sv * sv + damping))  # the damped Gauss-Newton step
+            small_step = np.linalg.norm(d * full) < config.opt_tol
+            cut = reach(full)
+            step_h = cut * full
+            if cut < 1.0:  # the box cut the step: the best one along -g may gain more
+                cauchy = -g_h * (g_h @ g_h) / (np.sum((aug @ g_h) ** 2) + damping * (g_h @ g_h))
+                cauchy = reach(cauchy) * cauchy
+                step_h = cauchy if gain(cauchy) > gain(step_h) else step_h
+            r_new, jac_new = evaluate(x + d * step_h)
+            calls, cost_new = calls + 1, 0.5 * float(r_new @ r_new)
+            converged = small_step
+            if cost_new < cost:
+                ratio = (cost - cost_new) / gain(step_h)
+                converged |= cost - cost_new < 1e-9 * cost and ratio > 0.25
+                x, r, jac, cost = x + d * step_h, r_new, jac_new, cost_new
+                damping, grow = damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
+                break
+            damping, grow = damping * grow, 2.0 * grow  # Nielsen's updates, here and above
+    value = 2.0 * cost  # a penalised end point scores _PENALTY up to rounding
+    return x, value, bool(converged and value < 0.5 * _PENALTY), calls, jac
 
 
 def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     """Best-of-restarts least-squares fit of the six (or five, tied) parameters.
 
     Starts at :func:`initial_guess`, then from seeded log-space
-    perturbations of it; each restart runs scipy's bounded trust-region
-    ``trf`` inside positive bounds derived from the data range.
+    perturbations of it; each restart runs a bounded Levenberg-Marquardt
+    loop inside positive bounds derived from the data range.
     ``converged`` is the winning restart's: it stopped on a tolerance
-    test (a log-space step shorter than about ``opt_tol``, a relative
-    cost change under 1e-9, or a vanishing scaled gradient) rather than
-    the step budget, at a point that is not penalised.  A non-converged
-    result is still returned.
+    test (a damped Gauss-Newton step shorter than ``opt_tol`` in log
+    space, an accepted step that cut the cost by under 1e-9 relative, or
+    a vanishing scaled gradient) rather than the step budget, at a point
+    that is not penalised.  A non-converged result is still returned.
     """
     guess = initial_guess(ccdf)
     names = _pack_names(config.tie_t1_m1)
@@ -443,7 +486,7 @@ def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> d
     }
 
 
-def __getattr__(name):  # bench/tracing.py wraps fit.minimize; goes with ROADMAP item 1/6
+def __getattr__(name):  # bench/tracing.py wraps fit.minimize, unused here; goes with ROADMAP item 6
     if name == "minimize":
         from scipy.optimize import minimize
         return minimize

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _STABILITY_LIMIT = 0.1
+_SMIRNOV = object()  # relaxation_reached's default: the threshold follows the snapshot sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,16 +204,21 @@ def ks_distance(sample: Sequence[float], model: NormalizedModel) -> float:
     return float(max(d_plus, d_minus))
 
 
-def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float = 0.005) -> bool:
+def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float = _SMIRNOV) -> bool:
     """Whether the half-time and final snapshots agree to the KS threshold.
 
     Compares the last snapshot with the recorded one closest to half its
     time; a two-sample KS statistic (max |F1 - F2| over the pooled incomes,
     equal to ``scipy.stats.ks_2samp``'s) below ``threshold`` declares the
-    ensemble stationary.  A threshold that is not a finite number > 0, or
-    an empty or non-finite snapshot, raises ``DomainError``.
+    ensemble stationary.  By default the threshold is Smirnov's 5% critical
+    value 1.36 sqrt((n1 + n2) / (n1 n2)) for the two snapshot sizes, so two
+    samples of one law pass 95% of the time at any ensemble size.  An explicit
+    threshold that is not a finite number > 0, or an empty or non-finite
+    snapshot, raises ``DomainError``.
     """
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold) and threshold > 0):
+    explicit = threshold is not _SMIRNOV
+    if explicit and not (isinstance(threshold, (int, float)) and math.isfinite(threshold)
+                         and threshold > 0):
         raise DomainError(f"threshold must be a finite number > 0, got {threshold!r}")
     if len(snapshots) < 2:
         raise DomainError("relaxation check needs at least two snapshots")
@@ -224,7 +230,8 @@ def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float =
         raise DomainError("relaxation check needs non-empty snapshots of finite incomes")
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     gap = cdf_a - np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(gap))) < threshold
+    critical = threshold if explicit else 1.36 * math.sqrt((a.size + b.size) / (a.size * b.size))
+    return float(np.max(np.abs(gap))) < critical
 
 
 def write_snapshots_csv(dest, snapshots: Sequence[EnsembleSnapshot]) -> None:

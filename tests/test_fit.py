@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,9 +170,9 @@ class TestFit:
     def test_work_and_quality_guard(self, request, year):
         result = request.getfixturevalue(f"fit_{year}")
         curve = request.getfixturevalue(f"ccdf_{year}_100k")
-        # Hardware-independent work bound, twice the 182 and 248 calls (an exact
-        # Jacobian counts as one) measured here; Nelder-Mead needed about 7,300 and
-        # 7,900, forward differences 510 and 727.
+        # Hardware-independent work bound, twice the 182 and 248 calls that scipy's trf
+        # took here with separate Jacobian calls; the own loop takes 81 and 144 sweeps.
+        # Nelder-Mead needed about 7,300 and 7,900, forward differences 510 and 727.
         assert result.diagnostics["misfit_calls"] <= 500
         cfg = FitConfig()
         recomputed = objective(result.params, curve, cfg.grid_points, cfg.quad_tol)
@@ -206,6 +205,21 @@ class TestFit:
         weights = res.diagnostics["weakest_direction"]
         assert sorted(weights, key=lambda key: -abs(weights[key]))[:2] == ["alpha1", "m1"]
         assert weights["alpha1"] > 0.9
+
+    def test_run_started_at_the_alpha_bound_leaves_it(self, fit_2010, ccdf_2010_100k):
+        # A loop that clips its steps onto the box stays on alpha's lower bound from here;
+        # the scaled steps leave it and reach the fixture's interior minimum.
+        cfg = FitConfig(tie_t1_m1=True, seed=7, restarts=5)
+        names = fit_mod._pack_names(True)
+        log_bounds = np.log([fit_mod._derive_bounds(ccdf_2010_100k)[n] for n in names])
+        k = names.index("alpha")
+        x0 = np.log([getattr(initial_guess(ccdf_2010_100k), n) for n in names])
+        x0[k] = log_bounds[k, 0] + 1e-6
+        problem = FitProblem(ccdf_2010_100k, cfg.grid_points, cfg.quad_tol)
+        x, value, converged = fit_mod._minimize_from(problem, x0, log_bounds, cfg)[:3]
+        assert converged
+        assert math.exp(x[k]) == pytest.approx(fit_2010.params.alpha, rel=1e-3)
+        assert value == pytest.approx(fit_2010.objective, rel=1e-9, abs=0.0)
 
     def test_diagnostics_count_every_evaluation(self, models, monkeypatch):
         values = idist.sample(models[2010], 800, seed=13)
@@ -336,7 +350,8 @@ class TestJacobian:
                                                        t_high_over_m1):
         problem = FitProblem(ccdf_2010_100k, 200, quad_tol=1e-12)
         params = replace(year_params(year), t_high=t_high_over_m1 * year_params(year).m1)
-        exact = problem.jacobian(params)
+        gaps, exact = problem.residuals(params, grad=True)
+        assert np.array_equal(gaps, problem.residuals(params))
         assert exact.shape == (200, 6)
         assert column_gaps(exact, central_differences(problem.residuals, params)).max() <= 1e-6
 
@@ -361,44 +376,47 @@ class TestJacobian:
         assert column_gaps(exact, reference, floor=1e-4).max() <= 1e-4
 
     @staticmethod
-    def fitter_functions(models, monkeypatch, config):
-        """(x0, residuals, jacobian) that one fit of a 2010 sample hands ``least_squares``."""
+    def fitter_evaluation(models, monkeypatch, config):
+        """(x0, evaluate) of one fit of a 2010 sample: where it starts and the sweep it steps on."""
         seen = []
-        real = scipy.optimize.least_squares
+        real = fit_mod._evaluator
 
-        def spy(fun, x0, jac, **kwargs):
-            seen.append((x0, fun, jac))
-            return real(fun, x0, jac=jac, **kwargs)
+        def spy(problem, cfg):
+            evaluate = real(problem, cfg)
+            seen.append(evaluate)
+            return lambda x: (seen.append(np.copy(x)), evaluate(x))[1]
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+        monkeypatch.setattr(fit_mod, "_evaluator", spy)
         fit(empirical_ccdf(Dataset(values=idist.sample(models[2010], 800, seed=13))), config)
-        (functions,) = seen
-        return functions
+        evaluate, x0 = seen[:2]
+        return x0, evaluate
 
     @pytest.mark.parametrize("tie", [True, False])
-    def test_least_squares_gets_the_jacobian_of_its_residuals(self, models, monkeypatch, tie):
+    def test_loop_steps_on_the_jacobian_of_its_residuals(self, models, monkeypatch, tie):
         # In packed log-parameters, a tied T1 folded into m1, where the fit starts.
-        x0, fun, jac = self.fitter_functions(
+        x0, evaluate = self.fitter_evaluation(
             models, monkeypatch, FitConfig(grid_points=80, tie_t1_m1=tie, restarts=1,
                                            quad_tol=1e-12))
         h = 1e-5
-        reference = np.array([(fun(x0 + e) - fun(x0 - e)) / (2.0 * h)
+        reference = np.array([(evaluate(x0 + e)[0] - evaluate(x0 - e)[0]) / (2.0 * h)
                               for e in np.eye(x0.size) * h]).T
-        assert jac(x0).shape == (80, 5 if tie else 6)
-        assert column_gaps(jac(x0), reference).max() <= 1e-6
+        jac = evaluate(x0)[1]
+        assert jac.shape == (80, 5 if tie else 6)
+        assert column_gaps(jac, reference).max() <= 1e-6
 
     def test_penalised_point_gets_a_zero_jacobian(self, models, monkeypatch):
-        _x0, fun, jac = self.fitter_functions(
+        _x0, evaluate = self.fitter_evaluation(
             models, monkeypatch, FitConfig(grid_points=80, tie_t1_m1=True, restarts=1))
         x = np.log([30000.0, 100000.0, 400000.0, 3.0, 1.0])
-        assert np.all(jac(x))
+        assert np.all(evaluate(x)[1])
 
         def refuse(self, params, grad=False):
             raise QuadratureError("refused")
 
         monkeypatch.setattr(FitProblem, "logccdf", refuse)
-        assert fun(x) @ fun(x) == pytest.approx(fit_mod._PENALTY)
-        assert jac(x).shape == (80, 5) and not np.any(jac(x))
+        residuals, jac = evaluate(x)
+        assert residuals @ residuals == pytest.approx(fit_mod._PENALTY)
+        assert jac.shape == (80, 5) and not np.any(jac)
 
 
 def _bump_refit(problem, x0, log_bounds, config):

@@ -8,9 +8,8 @@ Every ``__all__`` entry must resolve to an attribute of its module, so
 a deletion cannot leave a stale export behind.  Every private module-level
 name (``_name``) must be referenced somewhere in the package, so a deletion
 cannot leave its helpers or constants behind either.  Importing the package or
-the CLI must load no scipy at all, and neither may running any command but
-``fit``: only a running fit imports ``scipy.optimize``, so every other
-command's cold start stays at numpy and click.
+the CLI must load no scipy at all, and neither may running any command,
+``fit`` included, so every command's cold start stays at numpy and click.
 """
 
 import ast
@@ -147,10 +146,12 @@ def test_cli_import_leaves_out_scipy_stats():
     assert _scipy_modules_after("import incomedist.cli") == []
 
 
-def test_commands_other_than_fit_load_no_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "p.json").write_text(json.dumps(idist.params_to_dict(year_params(2010))))
     commands = [
         ["sample", "--params", "p.json", "--n", "500", "--seed", "1", "--out", "s.csv"],
+        ["fit", "--incomes", "s.csv", "--restarts", "1", "--grid-points", "40",
+         "--out", "fit.json"],
         ["simulate", "--params", "p.json", "--agents", "20", "--steps", "10",
          "--seed", "1", "--out", "sim.csv"],
         ["plotdata", "--params", "p.json", "--incomes", "s.csv", "--curve-points", "20",
@@ -166,6 +167,7 @@ def test_commands_other_than_fit_load_no_scipy(tmp_path):
         "        assert not exc.code, (args, exc.code)"
     )
     assert _scipy_modules_after(statement, cwd=tmp_path) == []
+    assert json.loads((tmp_path / "fit.json").read_text())["diagnostics"]["misfit_calls"] > 0
     assert (tmp_path / "report.json").exists()
 
 

@@ -365,6 +365,16 @@ class TestRelaxation:
         )
         assert not relaxation_reached(cold, threshold=0.005)
 
+    def test_default_threshold_follows_the_snapshot_sizes(self):
+        # Two independent samples of one law at the simulate benchmark's size: their
+        # statistic, 0.00576 on this seed, fails a fixed 0.005 but passes Smirnov's 5%
+        # critical value 1.36 sqrt(2 / 1e5) = 0.00608.
+        rng = np.random.default_rng(3)
+        pair = snaps(rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000))
+        assert not relaxation_reached(pair, threshold=0.005)
+        assert relaxation_reached(pair)
+        assert not relaxation_reached(pair, threshold=0.0057)
+
     def test_two_sample_statistic_at_its_extremes(self):
         # Identical snapshots: KS 0, below any positive threshold.
         assert relaxation_reached(snaps([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), threshold=1e-300)

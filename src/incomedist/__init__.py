@@ -27,7 +27,6 @@ from .model import (
     pdf,
     quantile,
     sample,
-    tail_slope,
 )
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .errors import (
     QuadratureError,
     UnreliableErrorsError,
 )
-from .model import NormalizedModel, Params, logccdf, normalize  # noqa: F401 (bench/tracing.py)
+from .model import Params, logccdf, normalize  # noqa: F401 (bench/tracing.py)
 
 __all__ = ["FitConfig", "FitResult", "FitProblem", "initial_guess", "objective", "fit",
            "bootstrap_errors", "fit_result_document"]
@@ -82,11 +82,12 @@ class FitConfig:
 class FitResult:
     """Outcome of :func:`fit`; ``iterations`` counts the winning restart's
     misfit evaluations, each a sweep that gives the residuals and their exact Jacobian.
-    ``diagnostics`` holds ``bound_saturated``, ``degenerate_ridge``, ``misfit_calls`` (all
-    restarts, counted alike), ``restart_objectives``, ``grid_points_above_m1`` (grid points
-    >= m1), ``jacobian_singular_values`` (descending) of the residual Jacobian in
-    log-parameter space at the fit, and ``weakest_direction``, the right singular vector
-    of the smallest as {parameter: weight}, its largest weight positive.
+    ``diagnostics`` holds ``bound_saturated``, ``misfit_calls`` (all restarts, counted
+    alike), ``restart_objectives``, ``grid_points_above_m1`` (grid points >= m1),
+    ``jacobian_singular_values`` (descending) of the residual Jacobian in log-parameter
+    space at the fit, and ``weakest_direction``, the right singular vector of the smallest
+    as {parameter: weight}, its largest weight positive.  One-branch data (T1 = T, alpha1 =
+    alpha) fitted with m1 above the grid give a smallest value near 0, T1 or alpha1 weighted most.
     """
 
     params: Params
@@ -136,7 +137,8 @@ def _derive_bounds(ccdf: EmpiricalCcdf) -> dict:
 
 
 class FitProblem:
-    """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF."""
+    """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF.
+    Each evaluation is one sweep that gives the residuals and their exact Jacobian."""
 
     def __init__(self, ccdf: EmpiricalCcdf, grid_points: int, quad_tol: float = 1e-10):
         if grid_points < 2:
@@ -146,22 +148,13 @@ class FitProblem:
         self.log10_emp = np.interp(np.log(self.grid), np.log(m), np.log(p)) / _LN10
         self.quad_tol = quad_tol
 
-    def logccdf(self, params: Params, grad: bool = False):
-        """Model log CCDF (natural log) on the grid; with ``grad``, (curve, derivatives by
-        the log of each parameter), the derivatives as columns in :class:`Params` field order."""
-        out = model_mod._normalize_on(params, self.quad_tol, self.grid, grad)
-        return out[1:] if grad else out[1]
-
-    def residuals(self, params: Params, grad: bool = False):
-        """log10 CCDF gaps on the grid over sqrt(n); their sum of squares is the misfit.
-        With ``grad``, (gaps, their derivatives by the log of each parameter) from one sweep."""
-        out = self.logccdf(params, grad)
-        r = ((out[0] if grad else out) / _LN10 - self.log10_emp) / math.sqrt(self.grid.size)
-        return (r, out[1] / (_LN10 * math.sqrt(self.grid.size))) if grad else r
-
-    def misfit(self, params: Params) -> float:
-        r = self.residuals(params)
-        return float(r @ r)
+    def residuals(self, params: Params):
+        """(gaps, Jacobian) from one sweep: the log10 CCDF gaps on the grid over sqrt(n), whose
+        sum of squares is the misfit, and their derivatives by the log of each parameter as
+        columns in :class:`Params` field order."""
+        _model, curve, jac = model_mod._normalize_on(params, self.quad_tol, self.grid, grad=True)
+        scale = math.sqrt(self.grid.size)
+        return (curve / _LN10 - self.log10_emp) / scale, jac / (_LN10 * scale)
 
 
 def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
@@ -177,7 +170,8 @@ def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
     CCDF, and letting them into a mean-squared criterion drowns the
     signal of every other regime.
     """
-    return FitProblem(ccdf, grid_points, quad_tol).misfit(params)
+    r = FitProblem(ccdf, grid_points, quad_tol).residuals(params)[0]
+    return float(r @ r)
 
 
 def _coarse_shape(log_m: np.ndarray, log_p: np.ndarray, nodes: int = 60):
@@ -304,7 +298,7 @@ def _evaluator(problem: FitProblem, config: FitConfig):
 
     def evaluate(x):
         try:
-            r, jac = problem.residuals(_unpack(x, names, config.tie_t1_m1), grad=True)
+            r, jac = problem.residuals(_unpack(x, names, config.tie_t1_m1))
         except (InvalidParamsError, QuadratureError, OverflowError):
             return penalty
         jac = jac @ fold
@@ -405,13 +399,6 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     params = _unpack(x, names, config.tie_t1_m1)
     gaps = np.minimum(x - log_bounds[:, 0], log_bounds[:, 1] - x)
     saturated = [name for name, gap in zip(names, gaps) if gap < 1e-3]
-    # Ridge geometry: the two branches describe the same law, so m1 is
-    # unidentifiable.  The 0.15 margins sit well above estimator noise
-    # yet an order of magnitude below any genuinely two-branch dataset.
-    ridge = (
-        abs(math.log(params.t_high / params.t_low)) < 0.15
-        and abs(params.alpha - params.alpha1) < 0.15
-    )
     # The residual Jacobian's spectrum at the fit: which log-parameter combinations the data fix.
     _, singular, vt = np.linalg.svd(jac, full_matrices=False)
     weakest = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])  # largest weight positive
@@ -421,8 +408,7 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
         iterations=calls,
         converged=converged,
         restarts_used=int(config.restarts),
-        diagnostics={"bound_saturated": saturated, "degenerate_ridge": ridge,
-                     "misfit_calls": sum(run[3] for run in runs),
+        diagnostics={"bound_saturated": saturated, "misfit_calls": sum(run[3] for run in runs),
                      "restart_objectives": [run[1] for run in runs],
                      "grid_points_above_m1": int(np.count_nonzero(problem.grid >= params.m1)),
                      "jacobian_singular_values": singular.tolist(),

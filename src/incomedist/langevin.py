@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _STABILITY_LIMIT = 0.1
-_SMIRNOV = object()  # relaxation_reached's default: the threshold follows the snapshot sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,34 +203,33 @@ def ks_distance(sample: Sequence[float], model: NormalizedModel) -> float:
     return float(max(d_plus, d_minus))
 
 
-def relaxation_reached(snapshots: Sequence[EnsembleSnapshot], threshold: float = _SMIRNOV) -> bool:
-    """Whether the half-time and final snapshots agree to the KS threshold.
+def _ks_two_sample(a, b) -> float:
+    """Two-sample KS statistic, max |F_a - F_b| over the pooled values (``ks_2samp``'s)."""
+    a, b = np.sort(np.ravel(a)), np.sort(np.ravel(b))
+    pooled = np.concatenate([a, b])
+    gap = (np.searchsorted(a, pooled, side="right") / a.size
+           - np.searchsorted(b, pooled, side="right") / b.size)
+    return float(np.max(np.abs(gap)))
+
+
+def relaxation_reached(snapshots: Sequence[EnsembleSnapshot]) -> bool:
+    """Whether the half-time and final snapshots are two samples of one law.
 
     Compares the last snapshot with the recorded one closest to half its
-    time; a two-sample KS statistic (max |F1 - F2| over the pooled incomes,
-    equal to ``scipy.stats.ks_2samp``'s) below ``threshold`` declares the
-    ensemble stationary.  By default the threshold is Smirnov's 5% critical
-    value 1.36 sqrt((n1 + n2) / (n1 n2)) for the two snapshot sizes, so two
-    samples of one law pass 95% of the time at any ensemble size.  An explicit
-    threshold that is not a finite number > 0, or an empty or non-finite
-    snapshot, raises ``DomainError``.
+    time: a two-sample KS statistic below Smirnov's 5% critical value
+    1.36 sqrt((n1 + n2) / (n1 n2)) for the two snapshot sizes declares the
+    ensemble stationary, so two samples of one law pass 95% of the time at
+    any ensemble size.  Fewer than two snapshots, or an empty or non-finite
+    one, raises ``DomainError``.
     """
-    explicit = threshold is not _SMIRNOV
-    if explicit and not (isinstance(threshold, (int, float)) and math.isfinite(threshold)
-                         and threshold > 0):
-        raise DomainError(f"threshold must be a finite number > 0, got {threshold!r}")
     if len(snapshots) < 2:
         raise DomainError("relaxation check needs at least two snapshots")
     final = snapshots[-1]
     half = min(snapshots[:-1], key=lambda s: abs(s.time - final.time / 2.0))
-    a, b = np.sort(np.ravel(half.incomes)), np.sort(np.ravel(final.incomes))
-    pooled = np.concatenate([a, b])
-    if a.size == 0 or b.size == 0 or not np.all(np.isfinite(pooled)):
+    a, b = np.ravel(half.incomes), np.ravel(final.incomes)
+    if a.size == 0 or b.size == 0 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("relaxation check needs non-empty snapshots of finite incomes")
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    gap = cdf_a - np.searchsorted(b, pooled, side="right") / b.size
-    critical = threshold if explicit else 1.36 * math.sqrt((a.size + b.size) / (a.size * b.size))
-    return float(np.max(np.abs(gap))) < critical
+    return _ks_two_sample(a, b) < 1.36 * math.sqrt((a.size + b.size) / (a.size * b.size))
 
 
 def write_snapshots_csv(dest, snapshots: Sequence[EnsembleSnapshot]) -> None:

@@ -43,7 +43,7 @@ from .errors import (DataFormatError, DomainError, InvalidParamsError, NonNormal
                      QuadratureError)
 
 __all__ = ["Params", "FpCoefficients", "NormalizedModel", "fp_coefficients_for", "normalize",
-           "pdf", "logpdf", "ccdf", "logccdf", "quantile", "sample", "tail_slope",
+           "pdf", "logpdf", "ccdf", "logccdf", "quantile", "sample",
            "params_to_dict", "params_from_dict"]
 
 _LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
@@ -311,9 +311,9 @@ def _validate_incomes(m):
 
 def logpdf(model: NormalizedModel, m):
     """Log density at income m (scalar or array)."""
-    arr = _validate_incomes(m)
-    out = np.where(arr < model.params.m1, branch_logpdf(model, arr, "low"),
-                   branch_logpdf(model, arr, "high"))
+    arr, p = _validate_incomes(m), model.params
+    out = np.where(arr < p.m1, _log_kernel(arr, p.m0, p.m0 / p.t_low, p.alpha) + model.log_c_low,
+                   _log_kernel(arr, p.m0, p.m0 / p.t_high, p.alpha1) + model.log_c_high)
     return float(out) if np.isscalar(m) else out
 
 
@@ -326,16 +326,6 @@ def pdf(model: NormalizedModel, m):
     """
     out = np.exp(logpdf(model, m))
     return float(out) if np.isscalar(m) else out
-
-
-def branch_logpdf(model: NormalizedModel, m, branch: str):
-    """Log density of one branch's formula, ignoring the breakpoint."""
-    p = model.params
-    if branch == "low":
-        return _log_kernel(m, p.m0, p.m0 / p.t_low, p.alpha) + model.log_c_low
-    if branch == "high":
-        return _log_kernel(m, p.m0, p.m0 / p.t_high, p.alpha1) + model.log_c_high
-    raise DomainError(f"unknown branch {branch!r}; expected 'low' or 'high'")
 
 
 def logccdf(model: NormalizedModel, m):
@@ -429,22 +419,6 @@ def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
     log_p_grid, log_m_grid = model._sample_table
     with np.errstate(divide="ignore"):
         return np.exp(np.interp(np.log(u), log_p_grid, log_m_grid))
-
-
-def tail_slope(model: NormalizedModel, m_lo: float, m_hi: float, k: int = 64) -> float:
-    """Least-squares slope of log10 ccdf against log10 m on [m_lo, m_hi].
-
-    Intended for the pure power-law region, so m_lo must not undercut
-    the breakpoint; the slope there converges to -alpha1.
-    """
-    if not (model.params.m1 <= m_lo < m_hi):
-        raise DomainError(f"slope window [{m_lo!r}, {m_hi!r}] must satisfy m1 <= m_lo < m_hi")
-    if k < 2:
-        raise DomainError(f"need at least two points, got k={k!r}")
-    grid = np.geomspace(m_lo, m_hi, int(k))
-    x = np.log10(grid)
-    y = logccdf(model, grid) / math.log(10.0)
-    return float(np.polyfit(x, y, 1)[0])
 
 
 _PARAM_KEYS = {"T": "t_low", "T1": "t_high", "m0": "m0", "m1": "m1",

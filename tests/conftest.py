@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -40,6 +42,12 @@ YEAR_ERRORS = {
 def year_params(year: int) -> idist.Params:
     t, m0, alpha, m1, alpha1 = YEAR_ROWS[year]
     return idist.Params(t_low=t, t_high=m1, m0=m0, m1=m1, alpha=alpha, alpha1=alpha1)
+
+
+def loglog_slope(model, m_lo: float, m_hi: float, k: int = 64) -> float:
+    """Least-squares slope of log10 CCDF against log10 m on k log-spaced points of [m_lo, m_hi]."""
+    grid = np.geomspace(m_lo, m_hi, k)
+    return float(np.polyfit(np.log10(grid), idist.logccdf(model, grid) / math.log(10.0), 1)[0])
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ A name counts as used when the module references it, lists it in
 re-export that something outside the module reaches through it).
 ``__init__.py`` is skipped: its imports are the package namespace.
 Every ``__all__`` entry must resolve to an attribute of its module, so
-a deletion cannot leave a stale export behind.  Every private module-level
+a deletion cannot leave a stale export behind, and must be read by package
+code or named by a benchmark script or the README, so no public name is kept
+for its own tests alone.  Every private module-level
 name (``_name``) must be referenced somewhere in the package, so a deletion
 cannot leave its helpers or constants behind either.  Importing the package or
 the CLI must load no scipy at all, and neither may running any command,
@@ -17,6 +19,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +29,8 @@ import pytest
 import incomedist as idist
 from conftest import year_params
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "incomedist"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "incomedist"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,6 +90,45 @@ def test_guard_sees_a_stale_export(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert _stale_exports(module) == ["gone"]
+
+
+def _exports_no_one_reads(paths, readers) -> list[str]:
+    """``file: name`` of each ``__all__`` entry in ``paths`` that no code in ``paths`` reads
+    (an import alone is not a read) and no file in ``readers`` names."""
+    exports, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exports += [(path.name, name) for name in ast.literal_eval(node.value)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    texts = [path.read_text(encoding="utf-8") for path in readers]
+    return [f"{file}: {name}" for file, name in exports if name not in read
+            and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+
+
+def test_every_export_is_read_outside_the_tests():
+    readers = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "README.md"]
+    assert _exports_no_one_reads(sorted(SRC.glob("*.py")), readers) == []
+
+
+def test_guard_sees_an_export_no_one_reads(tmp_path):
+    owner = tmp_path / "owner.py"
+    owner.write_text("__all__ = ['shared', 'own', 'documented', 'lonely']\n"
+                     "shared = documented = lonely = 1\n\n\ndef own():\n    return 2\n\n\n"
+                     "value = own()\n", encoding="utf-8")
+    user = tmp_path / "user.py"
+    user.write_text("import owner\nfrom owner import lonely\nowner.shared\n", encoding="utf-8")
+    readme = tmp_path / "README.md"
+    readme.write_text("`documented`, and lonely_helper, which is another name.\n",
+                      encoding="utf-8")
+    assert _exports_no_one_reads([owner, user], [readme]) == ["owner.py: lonely"]
 
 
 def _unreferenced_privates(paths) -> list[str]:

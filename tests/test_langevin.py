@@ -13,6 +13,7 @@ from incomedist.langevin import (
     EnsembleSnapshot,
     SimConfig,
     ks_distance,
+    _ks_two_sample,
     relaxation_reached,
     simulate_ensemble,
     write_snapshots_csv,
@@ -339,8 +340,14 @@ def snaps(*incomes):
 _RNG = np.random.default_rng(20131210)
 
 
+def smirnov(n1, n2):
+    """Smirnov's 5% critical value of the two-sample KS statistic."""
+    return 1.36 * math.sqrt((n1 + n2) / (n1 * n2))
+
+
 class TestRelaxation:
     def test_detects_stationarity(self):
+        # KS 0.0056 between the half-time and final snapshots, against 0.0136.
         coeffs = idist.FpCoefficients(
             a0_low=1.0, a_low=0.0, a0_high=1.0, a_high=0.0, b0=1.0, b=1e-12
         )
@@ -353,35 +360,37 @@ class TestRelaxation:
                 record_stride=200, initial_incomes=warm,
             )
         )
-        assert relaxation_reached(steady, threshold=0.02)
+        assert relaxation_reached(steady)
 
     def test_detects_transient(self):
+        # 20 steps from the all-at-temperature start: the snapshots at t = 0.04 and 0.08
+        # differ by KS 0.0205, over three times the 0.0061 critical value at 1e5 agents.
         coeffs = idist.fp_coefficients_for(year_params(2010), b=1.0)
         cold = simulate_ensemble(
             SimConfig(
-                coeffs=coeffs, m1=450000.0, n_agents=20_000, dt=0.004, n_steps=800,
-                seed=43, record_stride=400,
+                coeffs=coeffs, m1=450000.0, n_agents=100_000, dt=0.004, n_steps=20,
+                seed=43, record_stride=10,
             )
         )
-        assert not relaxation_reached(cold, threshold=0.005)
+        assert not relaxation_reached(cold)
 
     def test_default_threshold_follows_the_snapshot_sizes(self):
         # Two independent samples of one law at the simulate benchmark's size: their
-        # statistic, 0.00576 on this seed, fails a fixed 0.005 but passes Smirnov's 5%
+        # statistic, 0.00576 on this seed, is above a fixed 0.005 but below Smirnov's 5%
         # critical value 1.36 sqrt(2 / 1e5) = 0.00608.
         rng = np.random.default_rng(3)
-        pair = snaps(rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000))
-        assert not relaxation_reached(pair, threshold=0.005)
-        assert relaxation_reached(pair)
-        assert not relaxation_reached(pair, threshold=0.0057)
+        a, b = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
+        assert 0.005 < _ks_two_sample(a, b) < smirnov(a.size, b.size)
+        assert relaxation_reached(snaps(a, b))
 
     def test_two_sample_statistic_at_its_extremes(self):
-        # Identical snapshots: KS 0, below any positive threshold.
-        assert relaxation_reached(snaps([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), threshold=1e-300)
-        # Disjoint snapshots: KS exactly 1.
-        disjoint = snaps([1.0, 2.0], [10.0, 20.0])
-        assert not relaxation_reached(disjoint, threshold=1.0)
-        assert relaxation_reached(disjoint, threshold=math.nextafter(1.0, 2.0))
+        # Identical snapshots: KS 0.
+        assert _ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        assert relaxation_reached(snaps([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+        # Disjoint snapshots: KS exactly 1, above the critical value 0.96 of two samples of 4.
+        low, high = [1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]
+        assert _ks_two_sample(low, high) == 1.0
+        assert not relaxation_reached(snaps(low, high))
         with pytest.raises(idist.DomainError):
             relaxation_reached(snaps([], [1.0]))
 
@@ -409,10 +418,9 @@ class TestRelaxation:
         # statistic is compared.
         with np.errstate(divide="ignore"):
             s = float(scipy.stats.ks_2samp(half, final, method="asymp").statistic)
-        pair = snaps(half, final)
-        if s > 0.0:
-            assert not relaxation_reached(pair, threshold=s)
-        assert relaxation_reached(pair, threshold=math.nextafter(s, math.inf))
+        assert _ks_two_sample(half, final) == s
+        verdict = relaxation_reached(snaps(half, final))
+        assert verdict == (s < smirnov(np.size(half), np.size(final)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_incomes(self, bad):
@@ -420,11 +428,6 @@ class TestRelaxation:
             relaxation_reached(snaps([1.0, bad, 3.0], [1.0, 2.0, 3.0]))
         with pytest.raises(idist.DomainError):
             relaxation_reached(snaps([1.0, 2.0, 3.0], [bad, 2.0, 3.0]))
-
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0, 0.0, -0.0, "0.01", None])
-    def test_rejects_bad_threshold(self, threshold):
-        with pytest.raises(idist.DomainError):
-            relaxation_reached(snaps([1.0, 2.0], [1.0, 2.0]), threshold=threshold)
 
     def test_needs_two_snapshots(self):
         snaps = simulate_ensemble(unit_2010_config(n_steps=0))

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import incomedist as idist
 from incomedist.langevin import ks_distance
-from incomedist.model import _log_kernel_ratio_at_m1, branch_logpdf
+from incomedist.model import _log_kernel_ratio_at_m1
 from incomedist.quadrature import kernel_log_mass
 
-from conftest import YEAR_ROWS, year_params
+from conftest import YEAR_ROWS, loglog_slope, year_params
 
 EPS = np.finfo(float).eps
 QUANTILE_GUARD_PS = (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6)
@@ -270,13 +270,12 @@ class TestPdf:
             assert abs(vec_ccdf[i] - idist.logccdf(model, float(m))) <= 5e-15 * max(1.0, abs(vec_ccdf[i]))
 
     def test_branch_extensions_meet_at_breakpoint(self, models):
+        # The density just below m1 is the low branch's, at m1 the high branch's.
         model = models[2010]
         m1 = model.params.m1
-        low = branch_logpdf(model, m1, "low")
-        high = branch_logpdf(model, m1, "high")
+        low = idist.logpdf(model, math.nextafter(m1, 0.0))
+        high = idist.logpdf(model, m1)
         assert abs(low - high) <= 10.0 * EPS * max(1.0, abs(low))
-        with pytest.raises(idist.DomainError):
-            branch_logpdf(model, m1, "middle")
 
     def test_no_probability_atom_at_breakpoint(self, models):
         # The two branch routes reconstruct the survival function at m1
@@ -482,15 +481,15 @@ class TestSample:
 
 class TestTailSlope:
     def test_light_tail_year(self, models):
-        assert abs(idist.tail_slope(models[2010], 1e7, 1e9, k=20) + 0.77) <= 0.02
+        assert abs(loglog_slope(models[2010], 1e7, 1e9, k=20) + 0.77) <= 0.02
 
     def test_heavy_tail_year(self, models):
-        assert abs(idist.tail_slope(models[2009], 1e7, 1e9, k=20) + 2.608) <= 0.05
+        assert abs(loglog_slope(models[2009], 1e7, 1e9, k=20) + 2.608) <= 0.05
 
     def test_asymptotic_slope_matches_exponent(self, models):
         for year, model in models.items():
             m1 = model.params.m1
-            slope = idist.tail_slope(model, 1e3 * m1, 1e5 * m1)
+            slope = loglog_slope(model, 1e3 * m1, 1e5 * m1)
             alpha1 = model.params.alpha1
             assert abs(slope + alpha1) <= 0.01 * alpha1
 
@@ -499,18 +498,9 @@ class TestTailSlope:
         # slope is the same in any window well above m0.
         p = idist.Params(t_low=1e7, t_high=1e7, m0=10.0, m1=50.0, alpha=2.5, alpha1=2.5)
         model = idist.normalize(p)
-        near = idist.tail_slope(model, 1e3, 1e5)
-        far = idist.tail_slope(model, 1e7, 1e9)
+        near = loglog_slope(model, 1e3, 1e5)
+        far = loglog_slope(model, 1e7, 1e9)
         assert abs(near / far - 1.0) <= 0.01
-
-    def test_window_validation(self, models):
-        model = models[2010]
-        with pytest.raises(idist.DomainError):
-            idist.tail_slope(model, 1e5, 1e9)  # undercuts the breakpoint
-        with pytest.raises(idist.DomainError):
-            idist.tail_slope(model, 1e9, 1e7)
-        with pytest.raises(idist.DomainError):
-            idist.tail_slope(model, 1e7, 1e9, k=1)
 
 
 class TestSerialization:

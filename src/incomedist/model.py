@@ -348,6 +348,11 @@ def ccdf(model: NormalizedModel, m):
     return float(out) if np.isscalar(m) else out
 
 
+def _log_ccdf_noise(p: Params) -> float:
+    """How far the log CCDF may rise with m by rounding: 1e-6 + 1e-14 m0/min(T, T1)."""
+    return 1e-6 + 1e-14 * p.m0 / min(p.t_low, p.t_high)
+
+
 def quantile(model: NormalizedModel, p: float) -> float:
     """Income m with ccdf(m) = p, to about 1e-12 relative in the smaller of p and 1 - p.
 
@@ -374,7 +379,7 @@ def quantile(model: NormalizedModel, p: float) -> float:
     log_p_grid, log_m_grid = model._sample_table
     target = math.log(p)
     y = float(np.interp(target, log_p_grid, log_m_grid))
-    noise = 1e-6 + 1e-14 * model.params.m0 / min(model.params.t_low, model.params.t_high)
+    noise = _log_ccdf_noise(model.params)
     lo, hi, g_lo, g_hi, g_last, step = -math.inf, math.inf, math.inf, -math.inf, math.inf, 0.5
     for _ in range(100):
         m = math.exp(y)
@@ -408,7 +413,8 @@ def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
     The inverse is interpolated from a dense precomputed table, which
     keeps the distributional error orders of magnitude below sampling
     noise for any realistic n while staying deterministic: equal seeds
-    give bitwise-equal output.
+    give bitwise-equal output.  Raises :class:`QuadratureError` if the table's
+    log CCDF rises with m by more than the noise :func:`quantile` allows.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
@@ -416,7 +422,9 @@ def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
         u = np.random.default_rng(seed).random(int(n))
     except (TypeError, ValueError):
         raise DomainError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from None
-    log_p_grid, log_m_grid = model._sample_table
+    log_p_grid, log_m_grid = model._sample_table  # m descends
+    if not np.all(log_p_grid >= np.maximum.accumulate(log_p_grid) - _log_ccdf_noise(model.params)):
+        raise QuadratureError("the sampling table's log CCDF rises with m")
     with np.errstate(divide="ignore"):
         return np.exp(np.interp(np.log(u), log_p_grid, log_m_grid))
 

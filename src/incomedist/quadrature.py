@@ -22,12 +22,12 @@ subdivided until an embedded error estimate passes.  All kernel masses
 are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 
-A sweep's ascending knots split, by one binary search for the cutoff,
-into contiguous runs: series segments, at most one segment straddling the
-cutoff (series head, then a one-panel batch of its own) and Gauss-Kronrod
-segments.  The series primitive is taken once per knot and once at the
-cutoff.  A panel batch that passes in its first round returns as it is.
-No panel moves between batches: BLAS may round a row differently elsewhere.
+A sweep makes one series evaluation, of every segment's part below the
+cutoff, and one batch of Gauss-Kronrod panels, of every part above it; a
+segment that straddles the cutoff adds its two parts.  The series primitive
+is taken once per knot and once at the cutoff.  A panel's sums are plain
+row reductions, not BLAS products, so its bits do not depend on its place
+in a batch.  A batch that passes in its first round returns as it is.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
 -log sin v times the integrand: two more weighted sums per panel and, in
@@ -186,10 +186,10 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     v *= alpha - 1.0
     f += v
     f = np.exp(f, out=f)
-    resk = f @ _GK_W
-    resg = f @ _G7_W
+    resk = np.einsum("pn,n->p", f, _GK_W)
+    resg = np.einsum("pn,n->p", f, _G7_W)
     v = np.abs(np.subtract(f, (0.5 * resk)[:, None], out=v), out=v)
-    resasc = (v @ _GK_W) * h
+    resasc = np.einsum("pn,n->p", v, _GK_W) * h
     val = resk * h
     err = np.abs(resk - resg) * h
     scale = resasc > 0.0
@@ -200,18 +200,20 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     log_scale = beta * hi
     logs = [log_scale + np.log(val), log_scale + np.log(err)]
     if moments:
-        logs += [log_scale + np.log(((f * g) @ _GK_W) * h) for g in (u, neg_log_sin)]
+        logs += [log_scale + np.log(np.einsum("pn,n->p", f * g, _GK_W) * h)
+                 for g in (u, neg_log_sin)]
     return logs, accepted
 
 
 def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one, none of zero width) must lie inside [series
-    cutoff, pi/2].  A failing panel is halved; the width test of
-    ``_gk_panel_batch`` passes any panel within about 51 halvings, and past
-    ``_MAX_BATCH_PANELS`` panels all are taken.  Returns the per-segment
-    arrays of ``_gk_panel_batch``'s list: (log_value, log_error[, moments]).
+    Segments (at least one) must lie inside [series cutoff, pi/2]; one of
+    zero width passes at once with mass -inf.  A failing panel is halved;
+    the width test of ``_gk_panel_batch`` passes any panel within about 51
+    halvings, and past ``_MAX_BATCH_PANELS`` panels all are taken.  Returns
+    the per-segment arrays of ``_gk_panel_batch``'s list: (log_value,
+    log_error[, moments]).
     """
     cur_lo, cur_hi, cur_id = lo, hi, np.arange(lo.size)
     got = []
@@ -253,19 +255,17 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     knots = np.concatenate([[start_v], np.asarray(points_v, dtype=float)])
     nseg = knots.size - 1
     cut = _series_cutoff(beta, alpha)
+    # Even with no series segment: past beta ~ 3e38 it raises OverflowError, not a zero panel mass.
     d = _series_coefficients(beta, alpha)
-    # The knots ascend: knots[:n_low] lie at or below the cutoff, so segments [0, n_low - 1)
-    # are series segments, segment n_low - 1 straddles the cutoff if it starts below it, and
-    # segments from first_gk on start at or above it.
+    # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the series up
+    # to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut) if k >= n_low - 1.
     n_low = int(knots.searchsorted(cut, side="right"))
-    straddle = 0 < n_low <= nseg and bool(knots[n_low - 1] < cut)
-    first_gk = max(n_low - 1, 0) + straddle
-    # Per run, the log increments, log errors and (with moments) log moment increments.
-    parts = [[np.empty(0)] * (4 if moments else 2)]
+    # Per segment, the log increment, log error and (with moments) log moment increments.
+    logs = np.full((4 if moments else 2, nseg), -np.inf)
     # divide: log(0) at v = 0 and of panels that sum to 0.  invalid: an overflowed beta (inf) times
     # hi meets log(0) = -inf; the NaN masses make normalize raise a QuadratureError.
     with np.errstate(divide="ignore", invalid="ignore"):
-        if first_gk:
+        if n_low:
             # One primitive per knot and one at the cutoff; neighbours share theirs.
             ends = np.append(knots[:n_low], cut)
             log_s = _log_series_primitive(ends, alpha, d)
@@ -274,24 +274,13 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
             if moments:
                 heads += [_log_series_increment(log_m[:-1], log_m[1:])
                           for log_m in _log_series_moments(ends, beta, alpha, d)]
-            parts.append([a[:n_low - 1] for a in heads])
-        if straddle:
-            gk = _gk_log_segments(np.array([cut]), knots[n_low:n_low + 1], beta, alpha, rel_tol,
-                                  moments)
-            parts.append([np.logaddexp(a[-1:], b) for a, b in zip(heads, gk)])
-        if first_gk < nseg:
-            lo, hi = knots[first_gk:-1], knots[first_gk + 1:]
-            width = hi > lo
-            if width.all():
-                gk = _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments)
-            else:  # zero-width segments add -inf and stay out of the panel batch
-                gk = np.full((len(parts[0]), lo.size), -np.inf)
-                if width.any():
-                    gk[:, width] = _gk_log_segments(lo[width], hi[width], beta, alpha, rel_tol,
-                                                    moments)
-            parts.append(gk)
-        cum_val, cum_err, *cum_moments = (np.logaddexp.accumulate(np.concatenate(logs))
-                                          for logs in zip(*parts))
+            logs[:, :n_low] = np.array(heads)[:, :nseg]
+        first = max(n_low - 1, 0)
+        if first < nseg:
+            gk = _gk_log_segments(np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha,
+                                  rel_tol, moments)
+            logs[:, first:] = np.logaddexp(logs[:, first:], gk)
+        cum_val, cum_err, *cum_moments = np.logaddexp.accumulate(logs, axis=1)
         finite = cum_val > -np.inf
         achieved = np.max(cum_err[finite] - cum_val[finite], initial=-np.inf)
         if moments:
@@ -340,16 +329,17 @@ def branch_log_masses(m0, temperature, alpha, top, m, rel_tol, moments=False):
 def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
     """log of integral_a^b of one branch kernel in income space.
 
-    ``b`` may be inf.  Raises :class:`QuadratureError` if the requested
-    relative tolerance is not met and :class:`NonNormalizableError` for
-    a divergent improper integral (alpha <= 0 with b = inf).
+    ``b`` may be inf.  Raises :class:`QuadratureError` if the requested relative tolerance
+    is not met, :class:`NonNormalizableError` for a divergent improper integral (alpha <= 0
+    with b = inf) and :class:`DomainError` for any other bound or parameter out of range.
     """
     if not (0.0 <= a <= b):
         raise DomainError(f"invalid kernel bounds [{a!r}, {b!r}]")
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
-    if a == b:
-        return -np.inf
     if alpha <= 0.0 and np.isinf(b):
         raise NonNormalizableError(f"kernel tail exponent alpha={alpha!r} gives a divergent integral")
+    if not all(0.0 < x < math.inf for x in (m0, temperature, alpha)):
+        raise DomainError(f"kernel m0, temperature and alpha must be positive and finite, "
+                          f"got {m0!r}, {temperature!r}, {alpha!r}")
     return float(branch_log_masses(m0, temperature, alpha, b, np.array([float(a)]), rel_tol)[0])

@@ -467,6 +467,16 @@ class TestSample:
         assert decade < 1e280
         assert log_m_top == pytest.approx(math.log(decade), rel=1e-14)
 
+    @pytest.mark.parametrize("point", BROKEN_CCDF_POINTS)
+    def test_broken_table_raises_quadrature_error(self, point):
+        # The table's log CCDF rises with m by 9.5 and 15 here: interpolated
+        # draws would land where the CCDF is 0 (78.8% above m1 at the first).
+        model = idist.normalize(idist.params_from_dict(point))
+        log_p, _ = model._sample_table
+        assert np.max(np.maximum.accumulate(log_p) - log_p) > 1.0
+        with pytest.raises(idist.QuadratureError):
+            idist.sample(model, 1000, seed=1)
+
     def test_underflowed_low_anchor_raises_quadrature_error(self):
         # m0/T = 2e5 loses the low-branch mass to underflow, so the branch
         # constant is ~3e5 and the table's low anchor exp(-3e5) is 0.

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incomedist as idist
-from incomedist.quadrature import _series_cutoff, kernel_log_cumulative, kernel_log_mass
+from incomedist.quadrature import (_gk_panel_batch, _series_cutoff, kernel_log_cumulative,
+                                   kernel_log_mass)
 
 from conftest import year_params
 
@@ -194,6 +195,32 @@ def _region_layouts(cut):
     }
 
 
+class TestPanelBatch:
+    @pytest.mark.parametrize("moments", [False, True])
+    def test_panel_bits_do_not_depend_on_the_batch(self, moments):
+        """A panel gives the same bits alone, first in a batch, or shifted inside one.
+
+        So a sweep may put any of its panels into one batch: the straddling panel,
+        zero-width ones, or chunks of a large batch.
+        """
+        rng = np.random.default_rng(19)
+        lo = rng.uniform(0.01, 1.5, 300)
+        hi = lo + rng.uniform(0.0, 1.0, 300) * (HALF_PI - lo)
+        beta, alpha = 30.0, 2.6
+
+        def rows(lo, hi):
+            with np.errstate(divide="ignore"):  # log 0 of an error estimate that is exactly 0
+                logs, accepted = _gk_panel_batch(lo, hi, beta, alpha, 1e-12, moments)
+            return np.array(logs + [accepted])
+
+        alone = np.column_stack([rows(lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)])
+        first = np.column_stack([rows(lo[i:], hi[i:])[:, 0] for i in range(lo.size)])
+        whole = rows(lo, hi)
+        shifted = rows(np.append(lo[-3:], lo), np.append(hi[-3:], hi))[:, 3:]
+        for batched in (first, whole, shifted):
+            assert np.array_equal(batched, alone)
+
+
 class TestSweepRegions:
     """A sweep splits its segments at the series cutoff; each split must be seamless.
 
@@ -350,6 +377,16 @@ class TestBranchMass:
             warnings.simplefilter("error")
             got = kernel_log_mass(100.0, 50.0, 2.0, 5e-324, np.inf)
         assert got == kernel_log_mass(100.0, 50.0, 2.0, 0.0, np.inf)
+
+    @pytest.mark.parametrize("m0, temperature, alpha", [
+        (-1.0, 50.0, 2.0), (0.0, 50.0, 2.0), (math.inf, 50.0, 2.0), (math.nan, 50.0, 2.0),
+        (100.0, 0.0, 2.0), (100.0, -1.0, 2.0), (100.0, math.inf, 2.0), (100.0, math.nan, 2.0),
+        (100.0, 50.0, 0.0), (100.0, 50.0, -1.0), (100.0, 50.0, math.inf), (100.0, 50.0, math.nan),
+    ])
+    def test_bad_kernel_parameters_rejected(self, m0, temperature, alpha):
+        for b in (5000.0, 0.0):
+            with pytest.raises(idist.DomainError):
+                kernel_log_mass(m0, temperature, alpha, 0.0, b)
 
     def test_additivity_at_breakpoint(self):
         for year in (2005, 2009, 2010):

@@ -27,7 +27,8 @@ cutoff, and one batch of Gauss-Kronrod panels, of every part above it; a
 segment that straddles the cutoff adds its two parts.  The series primitive
 is taken once per knot and once at the cutoff.  A panel's sums are plain
 row reductions, not BLAS products, so its bits do not depend on its place
-in a batch.  A batch that passes in its first round returns as it is.
+in a batch (numpy does not document this for ``einsum``; ``TestPanelBatch``
+checks it, verified on numpy 2.4.6 only).  A first-round pass returns as is.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
 -log sin v times the integrand: two more weighted sums per panel and, in
@@ -205,33 +206,32 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     return logs, accepted
 
 
-def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
+def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False, first_alone=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
     Segments (at least one) must lie inside [series cutoff, pi/2]; one of
     zero width passes at once with mass -inf.  A failing panel is halved;
     the width test of ``_gk_panel_batch`` passes any panel within about 51
-    halvings, and past ``_MAX_BATCH_PANELS`` panels all are taken.  Returns
-    the per-segment arrays of ``_gk_panel_batch``'s list: (log_value,
-    log_error[, moments]).
+    halvings, and past ``_MAX_BATCH_PANELS`` panels all of a budget's are
+    taken.  The segments share one budget; with ``first_alone`` the first
+    has one of its own.  Returns the per-segment arrays of
+    ``_gk_panel_batch``'s list: (log_value, log_error[, moments]).
     """
     cur_lo, cur_hi, cur_id = lo, hi, np.arange(lo.size)
     got = []
-    spent = 0
+    shared = own = 0  # panels spent from the shared budget and from the first segment's own
     while cur_lo.size:
-        spent += cur_lo.size
         logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta, alpha, rel_tol, moments)
-        if spent > _MAX_BATCH_PANELS:
-            ok = np.ones_like(ok)
-        if spent == lo.size and ok.all():
+        if not got and ok.all():
             return logs  # every panel passed in the first round
+        first = int(np.count_nonzero(cur_id == 0)) if first_alone else 0
+        own, shared = own + first, shared + cur_id.size - first
+        if max(shared, own) > _MAX_BATCH_PANELS:
+            ok |= np.where((cur_id == 0) & first_alone, own, shared) > _MAX_BATCH_PANELS
         got.append([cur_id[ok]] + [a[ok] for a in logs])
-        bad = ~ok
-        blo, bhi, bid = cur_lo[bad], cur_hi[bad], cur_id[bad]
+        blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
         mid = 0.5 * (blo + bhi)
-        cur_lo = np.concatenate([blo, mid])
-        cur_hi = np.concatenate([mid, bhi])
-        cur_id = np.concatenate([bid, bid])
+        cur_lo, cur_hi, cur_id = np.append(blo, mid), np.append(mid, bhi), np.append(bid, bid)
 
     ids, *logs = map(np.concatenate, zip(*got))
     order = np.argsort(ids, kind="stable")
@@ -277,8 +277,9 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
             logs[:, :n_low] = np.array(heads)[:, :nseg]
         first = max(n_low - 1, 0)
         if first < nseg:
+            # A straddling segment has a panel budget of its own: it may need many rounds more.
             gk = _gk_log_segments(np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha,
-                                  rel_tol, moments)
+                                  rel_tol, moments, first_alone=bool(knots[first] < cut))
             logs[:, first:] = np.logaddexp(logs[:, first:], gk)
         cum_val, cum_err, *cum_moments = np.logaddexp.accumulate(logs, axis=1)
         finite = cum_val > -np.inf

@@ -24,6 +24,16 @@ BROKEN_CCDF_POINTS = [
      "m1": 4.947849635282888, "alpha": 3.360974245769672, "alpha1": 5.831643253558447},
 ]
 
+# Points whose high-branch sampling sweep (about 900 segments at m0/T1 >= 2.8e5)
+# spends the whole panel budget while its first segment, from the series cutoff,
+# still needs 6-8 more rounds (model-sweep seed 8 point 87, seed 9 point 138).
+BUDGET_SHARING_POINTS = [
+    {"T": 30768.848812443524, "T1": 0.02157863090478727, "m0": 8246.777840625895,
+     "m1": 594.5877818732224, "alpha": 0.5879590582359273, "alpha1": 10.644913921986024},
+    {"T": 60542.50355211886, "T1": 1.1911761997315373, "m0": 335178.77628665615,
+     "m1": 4483.430837563299, "alpha": 7.123860773040563, "alpha1": 3.3525432145687626},
+]
+
 
 def quantile_noise(model):
     """The log CCDF noise within which ``quantile`` may end on a stalled step."""
@@ -476,6 +486,14 @@ class TestSample:
         assert np.max(np.maximum.accumulate(log_p) - log_p) > 1.0
         with pytest.raises(idist.QuadratureError):
             idist.sample(model, 1000, seed=1)
+
+    @pytest.mark.parametrize("point", BUDGET_SHARING_POINTS)
+    def test_budget_spent_by_other_segments_still_samples(self, point):
+        model = idist.normalize(idist.params_from_dict(point))
+        q = idist.quantile(model, 0.5)
+        assert abs(idist.logccdf(model, q) - math.log(0.5)) <= quantile_noise(model)
+        draws = idist.sample(model, 1000, seed=1)
+        assert np.all(np.isfinite(draws) & (draws >= 0.0))
 
     def test_underflowed_low_anchor_raises_quadrature_error(self):
         # m0/T = 2e5 loses the low-branch mass to underflow, so the branch

@@ -140,7 +140,7 @@ class TestLoadIncomes:
             load_billionaires(path)
 
     def test_memory_is_bounded_by_the_chunk(self, tmp_path):
-        # Parsing all 200k rows at once peaked at 20.9 MB; the result itself (values, weights and
+        # The row-by-row reader peaked at 20.9 MB on this file; the result itself (values, weights and
         # the Dataset's sorted copies) is 8 MB.
         rng = np.random.default_rng(0)
         n = 200_000

@@ -125,7 +125,7 @@ def _load_json_object(path) -> dict:
 def _load_config_overrides(config_path, flag_values: dict) -> dict:
     """Apply --config JSON on top of flag values (config wins).
 
-    Values pass through their flag's type; one it refuses is a ConfigError.
+    Each value converts as the same text would on the command line; one refused is a ConfigError.
     """
     if not config_path:
         return flag_values
@@ -140,7 +140,8 @@ def _load_config_overrides(config_path, flag_values: dict) -> dict:
         option = options[norm]
         try:
             if value is not None:
-                value = option.type.convert(value, option, ctx)
+                text = json.dumps(value) if isinstance(value, (bool, int, float)) else value
+                value = option.type.convert(text, option, ctx)
             elif option.required or option.default is not None:
                 raise ValueError("null where the flag needs a value")
         except (click.BadParameter, TypeError, ValueError) as exc:
@@ -216,11 +217,10 @@ def _dataset_options(fn):
 def cmd_fit(config_path, **flags):
     """Fit distribution parameters to an income CSV."""
     opts = _load_config_overrides(config_path, flags)
-    ds, diagnostics = _load_dataset(opts)
     opts["bootstrap_resamples"] = opts.pop("bootstrap")
     cfg = FitConfig(**{field.name: opts[field.name] for field in fields(FitConfig)})
-    curve = empirical_ccdf(ds)
-    result = fit(curve, cfg)
+    ds, diagnostics = _load_dataset(opts)
+    result = fit(empirical_ccdf(ds), cfg)
     if cfg.bootstrap_resamples > 0:
         errors = bootstrap_errors(ds, cfg, result.params)
     else:

@@ -72,6 +72,9 @@ class FitConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if 0 < self.bootstrap_resamples < 20:
+            raise ConfigError(
+                f"bootstrap_resamples must be 0 or >= 20, got {self.bootstrap_resamples!r}")
         if not (0.0 < self.opt_tol < 1.0):
             raise ConfigError(f"opt_tol must lie in (0, 1), got {self.opt_tol!r}")
         if not (0.0 < self.quad_tol <= 1e-6):
@@ -274,31 +277,26 @@ def initial_guess(ccdf: EmpiricalCcdf) -> Params:
     )
 
 
-def _pack_names(tie: bool):
-    return tuple(n for n in _ORDER if not (tie and n == "t_high"))
+def _space(ccdf: EmpiricalCcdf, config: FitConfig):
+    """A fit's parameter space: the free names in Params field order, the (6 x k) fold from
+    packed log-parameters to the log of each field (tied, T1's row points at m1's column),
+    and the packed log box.  Tied and untied fits differ only here."""
+    source = ["m1" if config.tie_t1_m1 and n == "t_high" else n for n in _ORDER]
+    names = tuple(n for n in _ORDER if n in source)
+    fold = np.array([[float(s == free) for free in names] for s in source])
+    bounds = _derive_bounds(ccdf)
+    return names, fold, np.log([bounds[n] for n in names])
 
 
-def _unpack(x: np.ndarray, names, tie: bool) -> Params:
-    kw = dict(zip(names, np.exp(x)))
-    if tie:
-        kw["t_high"] = kw["m1"]
-    return Params(**kw)
-
-
-def _evaluator(problem: FitProblem, config: FitConfig):
+def _evaluator(problem: FitProblem, fold: np.ndarray):
     """x -> (residuals, Jacobian) at packed log-parameters x from one sweep; a point the
     model refuses or that gives non-finite output gets the penalty vector and a zero Jacobian."""
-    names = _pack_names(config.tie_t1_m1)
-    # Maps Params-order columns onto the packed ones; a tied T1 moves with m1.
-    fold = np.eye(len(_ORDER))[:, [_ORDER.index(n) for n in names]]
-    if config.tie_t1_m1:
-        fold[_ORDER.index("t_high"), names.index("m1")] = 1.0
     penalty = (np.full(problem.grid.size, math.sqrt(_PENALTY / problem.grid.size)),
-               np.zeros((problem.grid.size, len(names))))
+               np.zeros((problem.grid.size, fold.shape[1])))
 
     def evaluate(x):
         try:
-            r, jac = problem.residuals(_unpack(x, names, config.tie_t1_m1))
+            r, jac = problem.residuals(Params(*np.exp(fold @ x)))
         except (InvalidParamsError, QuadratureError, OverflowError):
             return penalty
         jac = jac @ fold
@@ -307,10 +305,11 @@ def _evaluator(problem: FitProblem, config: FitConfig):
     return evaluate
 
 
-def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
-    """One bounded Levenberg-Marquardt run (Moré 1978) from x0 clipped into the box.
+def _minimize_from(evaluate, x0, log_bounds, opt_tol: float):
+    """One bounded Levenberg-Marquardt run (Moré 1978) on x -> (residuals, Jacobian) from
+    x0 clipped into the box.
 
-    Each trial point is one :func:`_evaluator` sweep, so an accepted point already
+    Each trial point is one ``evaluate`` call, so an accepted point already
     holds the next step's Jacobian.  The box enters through Coleman & Li's affine
     scaling (SIAM J. Optim. 6, 1996), as in scipy's ``trf``.  A step that would
     leave the box stops at 0.995 of the way to the first bound it meets, or if the
@@ -318,7 +317,6 @@ def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
     as :func:`fit` says.  Returns (log-space end point, objective there (twice the
     cost), converged, misfit calls, Jacobian there).
     """
-    evaluate = _evaluator(problem, config)
     lb, ub = log_bounds.T
 
     def reach(step_h):  # 1, or 0.995 of the fraction of a hat step that meets the first bound
@@ -350,7 +348,7 @@ def _minimize_from(problem: FitProblem, x0, log_bounds, config: FitConfig):
         damping = 1e-3 * float(sv[0]) ** 2 if damping is None else damping
         while not converged and calls < _MAX_STEPS:
             full = -vt.T @ ((vt @ g_h) / (sv * sv + damping))  # the damped Gauss-Newton step
-            small_step = np.linalg.norm(d * full) < config.opt_tol
+            small_step = np.linalg.norm(d * full) < opt_tol
             cut = reach(full)
             step_h = cut * full
             if cut < 1.0:  # the box cut the step: the best one along -g may gain more
@@ -384,19 +382,19 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     that is not penalised.  A non-converged result is still returned.
     """
     guess = initial_guess(ccdf)
-    names = _pack_names(config.tie_t1_m1)
-    bounds = _derive_bounds(ccdf)
-    log_bounds = np.log([bounds[n] for n in names])
+    names, fold, log_bounds = _space(ccdf, config)
     problem = FitProblem(ccdf, config.grid_points, config.quad_tol)
+    evaluate = _evaluator(problem, fold)
     x0 = np.log([getattr(guess, n) for n in names])  # initial_guess clips into the box
 
     runs = []
     for k in range(int(config.restarts)):
         noise = np.random.default_rng((config.seed, 1, k)).standard_normal(x0.size)
-        runs.append(_minimize_from(problem, x0 + 0.3 * noise if k else x0, log_bounds, config))
+        runs.append(_minimize_from(evaluate, x0 + 0.3 * noise if k else x0, log_bounds,
+                                   config.opt_tol))
     x, value, converged, calls, jac = min(runs, key=lambda run: run[1])
 
-    params = _unpack(x, names, config.tie_t1_m1)
+    params = Params(*np.exp(fold @ x))
     gaps = np.minimum(x - log_bounds[:, 0], log_bounds[:, 1] - x)
     saturated = [name for name, gap in zip(names, gaps) if gap < 1e-3]
     # The residual Jacobian's spectrum at the fit: which log-parameter combinations the data fix.
@@ -431,25 +429,19 @@ def bootstrap_errors(ds: Dataset, config: FitConfig, center: Params) -> dict:
         If more than half of the refits fail to converge.
     """
     if config.bootstrap_resamples < 20:
-        raise ConfigError(
-            f"bootstrap needs >= 20 resamples, got {config.bootstrap_resamples}"
-        )
+        raise ConfigError(f"bootstrap needs >= 20 resamples, got {config.bootstrap_resamples}")
     n = len(ds)
     probs = ds.weights / ds.weights.sum()
-    names = _pack_names(config.tie_t1_m1)
-    bounds = _derive_bounds(empirical_ccdf(ds))
-    log_bounds = np.log([bounds[name] for name in names])
+    names, fold, log_bounds = _space(empirical_ccdf(ds), config)
     x0 = np.log([getattr(center, name) for name in names])
-    draws = []
-    failed = 0
+    draws, failed = [], 0
     for k in range(int(config.bootstrap_resamples)):
         idx = np.random.default_rng((config.seed, 2, k)).choice(n, size=n, replace=True, p=probs)
-        resampled = Dataset(values=ds.values[idx], label=f"resample-{k}")
-        problem = FitProblem(empirical_ccdf(resampled), config.grid_points, config.quad_tol)
-        x, _value, ok = _minimize_from(problem, x0, log_bounds, config)[:3]
-        if not ok:
-            failed += 1
-        draws.append(list(model_mod.params_to_dict(_unpack(x, names, config.tie_t1_m1)).values()))
+        resampled = empirical_ccdf(Dataset(values=ds.values[idx]))
+        evaluate = _evaluator(FitProblem(resampled, config.grid_points, config.quad_tol), fold)
+        x, _value, ok = _minimize_from(evaluate, x0, log_bounds, config.opt_tol)[:3]
+        failed += not ok
+        draws.append(np.exp(fold @ x))
     if 2 * failed > config.bootstrap_resamples:
         raise UnreliableErrorsError(
             f"{failed}/{config.bootstrap_resamples} bootstrap refits failed to converge"

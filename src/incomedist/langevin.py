@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import csv_rows, open_output
 from .errors import ConfigError, DomainError, NumericalBlowupError
-from .model import FpCoefficients, NormalizedModel, ccdf
+from .model import FpCoefficients, NormalizedModel, _finite_real, ccdf
 
 __all__ = [
     "SimConfig",
@@ -76,13 +76,13 @@ class SimConfig:
         c = self.coeffs
         if not isinstance(c, FpCoefficients):
             raise ConfigError(f"coeffs must be FpCoefficients, got {type(c).__name__}")
-        if not (isinstance(self.m1, (int, float)) and math.isfinite(self.m1) and self.m1 > 0):
+        if not (_finite_real(self.m1) and self.m1 > 0):
             raise ConfigError(f"m1 must be a positive number, got {self.m1!r}")
         for name, least in (("n_agents", 1), ("n_steps", 0), ("record_stride", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
+        if not (_finite_real(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
         rate = max(abs(c.a_low), abs(c.a_high), c.b)
         if self.dt * rate >= _STABILITY_LIMIT:

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -47,6 +48,19 @@ __all__ = ["Params", "FpCoefficients", "NormalizedModel", "fp_coefficients_for",
            "params_to_dict", "params_from_dict"]
 
 _LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
+
+
+def _finite_real(value) -> bool:
+    """True for a finite real number of any type: Python, numpy or fractions."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _store_floats(obj) -> None:
+    """Store each field of a frozen dataclass as a float, refusing any but finite reals."""
+    for f in fields(obj):
+        if not _finite_real(value := getattr(obj, f.name)):
+            raise InvalidParamsError(f"{f.name} must be a finite number, got {value!r}")
+        object.__setattr__(obj, f.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -77,11 +91,7 @@ class Params:
     alpha1: float
 
     def __post_init__(self):
-        for name in ("t_low", "t_high", "m0", "m1", "alpha", "alpha1"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        _store_floats(self)
         if self.alpha1 <= 0.0:
             raise NonNormalizableError(
                 f"alpha1={self.alpha1!r} <= 0: the high-branch tail mass diverges"
@@ -107,11 +117,7 @@ class FpCoefficients:
     b: float
 
     def __post_init__(self):
-        for name in ("a0_low", "a_low", "a0_high", "a_high", "b0", "b"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        _store_floats(self)
         if self.b <= 0.0 or self.b0 <= 0.0:
             raise InvalidParamsError(f"diffusion must be positive: b0={self.b0!r}, b={self.b!r}")
 

@@ -89,7 +89,9 @@ class TestFitCommand:
 
     def test_config_file_wins_over_flags(self, runner, quick_income_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7, "restarts": 2, "grid_points": 120}))
+        # A float reaches the fit bit for bit, as its repr does on the command line.
+        cfg.write_text(json.dumps({"seed": 7, "restarts": 2, "grid_points": 120,
+                                   "opt_tol": 0.1 + 0.2, "tie_t1_m1": True}))
         via_config = runner.invoke(
             main,
             ["fit", "--incomes", quick_income_csv, "--seed", "0",
@@ -97,11 +99,12 @@ class TestFitCommand:
         )
         via_flags = runner.invoke(
             main,
-            ["fit", "--incomes", quick_income_csv, "--seed", "7",
-             "--restarts", "2", "--grid-points", "120"],
+            ["fit", "--incomes", quick_income_csv, "--seed", "7", "--tie-t1-m1",
+             "--restarts", "2", "--grid-points", "120", "--opt-tol", repr(0.1 + 0.2)],
         )
         assert via_config.exit_code == 0
         assert via_config.output == via_flags.output
+        assert json.loads(via_config.output)["config"]["opt_tol"] == 0.1 + 0.2
 
     def test_unknown_config_key_is_input_error(self, runner, quick_income_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -112,7 +115,8 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "definitely_not_a_flag" in result.output
 
-    @pytest.mark.parametrize("value", ["abc", None, [2]])
+    # 1.9 and true are no integers on the command line either, so not restarts 1.
+    @pytest.mark.parametrize("value", ["abc", None, [2], 1.9, True])
     def test_mistyped_config_value_is_input_error(self, runner, quick_income_csv, tmp_path, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"restarts": value}))
@@ -121,6 +125,16 @@ class TestFitCommand:
         )
         assert result.exit_code == 2, result.output
         assert "'restarts'" in result.output
+
+    def test_bad_bootstrap_count_refused_before_fitting(self, runner, quick_income_csv,
+                                                        monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(cli_mod, "fit", no_fit)
+        result = runner.invoke(main, ["fit", "--incomes", quick_income_csv, "--bootstrap", "5"])
+        assert result.exit_code == 2, result.output
+        assert "bootstrap_resamples" in result.output
 
     def test_nonconverged_fit_exits_3_but_still_reports(
         self, runner, quick_income_csv, monkeypatch

@@ -52,6 +52,7 @@ class TestFitConfig:
             {"grid_points": 12.5},
             {"restarts": 0},
             {"bootstrap_resamples": -1},
+            {"bootstrap_resamples": 19},
             {"opt_tol": 0.0},
             {"opt_tol": 1.5},
             {"quad_tol": 1e-3},
@@ -212,13 +213,13 @@ class TestFit:
         # A loop that clips its steps onto the box stays on alpha's lower bound from here;
         # the scaled steps leave it and reach the fixture's interior minimum.
         cfg = FitConfig(tie_t1_m1=True, seed=7, restarts=5)
-        names = fit_mod._pack_names(True)
-        log_bounds = np.log([fit_mod._derive_bounds(ccdf_2010_100k)[n] for n in names])
+        names, fold, log_bounds = fit_mod._space(ccdf_2010_100k, cfg)
         k = names.index("alpha")
         x0 = np.log([getattr(initial_guess(ccdf_2010_100k), n) for n in names])
         x0[k] = log_bounds[k, 0] + 1e-6
-        problem = FitProblem(ccdf_2010_100k, cfg.grid_points, cfg.quad_tol)
-        x, value, converged = fit_mod._minimize_from(problem, x0, log_bounds, cfg)[:3]
+        evaluate = fit_mod._evaluator(FitProblem(ccdf_2010_100k, cfg.grid_points, cfg.quad_tol),
+                                      fold)
+        x, value, converged = fit_mod._minimize_from(evaluate, x0, log_bounds, cfg.opt_tol)[:3]
         assert converged
         assert math.exp(x[k]) == pytest.approx(fit_2010.params.alpha, rel=1e-3)
         assert value == pytest.approx(fit_2010.objective, rel=1e-9, abs=0.0)
@@ -408,8 +409,8 @@ class TestJacobian:
         seen = []
         real = fit_mod._evaluator
 
-        def spy(problem, cfg):
-            evaluate = real(problem, cfg)
+        def spy(problem, fold):
+            evaluate = real(problem, fold)
             seen.append(evaluate)
             return lambda x: (seen.append(np.copy(x)), evaluate(x))[1]
 
@@ -446,9 +447,10 @@ class TestJacobian:
         assert jac.shape == (80, 5) and not np.any(jac)
 
 
-def _bump_refit(problem, x0, log_bounds, config):
-    """A refit that moves only T (the first log-parameter), by the resample's mean CCDF."""
-    wiggle = float(np.mean(10.0 ** problem.log10_emp))
+def _bump_refit(evaluate, x0, log_bounds, opt_tol):
+    """A refit that moves only T (the first log-parameter), by the resample's mean residual
+    at the center."""
+    wiggle = float(np.mean(evaluate(x0)[0]))
     return x0 + np.eye(x0.size)[0] * np.log1p(wiggle), 0.0, True, 1
 
 
@@ -473,21 +475,27 @@ class TestBootstrapErrors:
         for key in PARAM_KEYS - {"T"}:
             assert errs[key] <= 8.0 * np.finfo(float).eps * center[key]
 
+    def test_tied_refits_give_t1_the_error_of_m1(self, tiny_ds, cfg):
+        errs = bootstrap_errors(tiny_ds, cfg, year_params(2010))
+        assert errs["T1"] == errs["m1"]
+        assert set(errs) == PARAM_KEYS
+        assert all(math.isfinite(e) and e >= 0.0 for e in errs.values())
+
     def test_too_few_resamples_rejected(self, tiny_ds, cfg):
         with pytest.raises(ConfigError):
-            bootstrap_errors(tiny_ds, replace(cfg, bootstrap_resamples=19),
+            bootstrap_errors(tiny_ds, replace(cfg, bootstrap_resamples=0),
                              year_params(2010))
 
     def test_mostly_failed_refits_raise(self, tiny_ds, cfg, monkeypatch):
         monkeypatch.setattr(fit_mod, "_minimize_from",
-                            lambda problem, x0, log_bounds, config: (x0, 0.0, False, 1))
+                            lambda evaluate, x0, log_bounds, opt_tol: (x0, 0.0, False, 1))
         with pytest.raises(UnreliableErrorsError, match="failed to converge"):
             bootstrap_errors(tiny_ds, cfg, year_params(2010))
 
     def test_half_failed_refits_tolerated(self, tiny_ds, cfg, monkeypatch):
         calls = itertools.count()
 
-        def flaky(problem, x0, log_bounds, config):
+        def flaky(evaluate, x0, log_bounds, opt_tol):
             return x0, 0.0, next(calls) % 2 == 0, 1
 
         monkeypatch.setattr(fit_mod, "_minimize_from", flaky)

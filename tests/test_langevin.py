@@ -103,6 +103,10 @@ class TestSimConfig:
             with pytest.raises(idist.ConfigError):
                 SimConfig(**kwargs)
 
+    def test_numpy_scalars_accepted(self):
+        cfg = unit_2010_config(m1=np.int64(450000), dt=np.float32(0.004))
+        assert cfg.m1 == 450000 and cfg.dt == np.float32(0.004)
+
     def test_rejects_unstable_timestep(self):
         # alpha = 3.153 with b = 1 puts the fastest rate at b0-independent
         # a_low = 2.153, so dt = 0.05 crosses the 0.1 stability product.

@@ -53,6 +53,19 @@ class TestParams:
         with pytest.raises(idist.InvalidParamsError):
             idist.Params(t_low=math.nan, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=1.0)
 
+    def test_numpy_scalars_accepted(self):
+        p = idist.Params(t_low=np.int64(38000), t_high=np.float32(450000.0), m0=np.int64(150000),
+                         m1=np.float32(450000.0), alpha=np.float32(3.5), alpha1=np.int64(2))
+        assert p == idist.Params(t_low=38000.0, t_high=450000.0, m0=150000.0, m1=450000.0,
+                                 alpha=3.5, alpha1=2.0)
+        assert all(type(v) is float for v in idist.params_to_dict(p).values())
+        c = idist.FpCoefficients(a0_low=np.int64(1), a_low=np.float32(0.5), a0_high=np.int64(2),
+                                 a_high=np.float32(0.25), b0=np.int64(3), b=np.float32(1.0))
+        assert (c.a0_low, c.a_low, c.b) == (1.0, 0.5, 1.0)
+        with pytest.raises(idist.InvalidParamsError, match="finite number"):
+            idist.FpCoefficients(a0_low=np.float32("nan"), a_low=1.0, a0_high=1.0, a_high=1.0,
+                                 b0=1.0, b=1.0)
+
     def test_divergent_tail_rejected(self):
         for alpha1 in (0.0, -0.5):
             with pytest.raises(idist.NonNormalizableError):

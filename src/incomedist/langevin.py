@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import csv_rows, open_output
 from .errors import ConfigError, DomainError, NumericalBlowupError
-from .model import FpCoefficients, NormalizedModel, _finite_real, ccdf
+from .model import FpCoefficients, NormalizedModel, _finite_real, _float_array, ccdf
 
 __all__ = [
     "SimConfig",
@@ -192,7 +192,7 @@ def simulate_ensemble(config: SimConfig) -> list[EnsembleSnapshot]:
 
 def ks_distance(sample: Sequence[float], model: NormalizedModel) -> float:
     """Sup-norm distance between a sample's empirical CDF and the model CDF."""
-    arr = np.sort(np.asarray(sample, dtype=float).ravel())
+    arr = np.sort(_float_array(sample, "a KS sample").ravel())
     n = arr.size
     if n == 0:
         raise DomainError("KS distance needs a non-empty sample")

@@ -51,8 +51,19 @@ _LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max
 
 
 def _finite_real(value) -> bool:
-    """True for a finite real number of any type: Python, numpy or fractions."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """True for a finite real number within float range: Python, numpy or fractions."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int or fraction beyond float range
+        return False
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; :class:`DomainError` if numpy cannot convert them."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be numbers: {exc}") from None
 
 
 def _store_floats(obj) -> None:
@@ -124,7 +135,7 @@ class FpCoefficients:
 
 def fp_coefficients_for(params: Params, b: float = 1.0) -> FpCoefficients:
     """Drift/diffusion coefficients realizing ``params`` for a chosen b."""
-    if b <= 0.0 or not math.isfinite(b):
+    if not (_finite_real(b) and b > 0.0):
         raise InvalidParamsError(f"b must be positive and finite, got {b!r}")
     b0 = params.m0 * params.m0 * b
     return FpCoefficients(
@@ -309,7 +320,7 @@ def _log_ccdf_from(model: NormalizedModel, low, high):
 
 
 def _validate_incomes(m):
-    arr = np.asarray(m, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0, which maps to v = pi/2
+    arr = _float_array(m, "income values") + 0.0  # -0.0 + 0.0 is +0.0, which maps to v = pi/2
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
         raise DomainError("income values must be finite and >= 0")
     return arr
@@ -453,7 +464,7 @@ def params_from_dict(doc: Mapping) -> Params:
         raise DataFormatError(f"parameter document lacks keys: {', '.join(missing)}")
     try:
         kwargs = {attr: float(doc[key]) for key, attr in _PARAM_KEYS.items()}
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"non-numeric parameter value: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"parameter value is not a float: {exc}") from None
     return Params(**kwargs)
 

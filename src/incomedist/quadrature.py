@@ -25,9 +25,11 @@ exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 A sweep makes one series evaluation, of every segment's part below the
 cutoff, and one batch of Gauss-Kronrod panels, of every part above it; a
 segment that straddles the cutoff adds its two parts.  The series primitive
-is taken once per knot and once at the cutoff.  A panel's sums are plain
-row reductions, not BLAS products, so its bits do not depend on its place
-in a batch (numpy does not document this for ``einsum``; ``TestPanelBatch``
+is taken once per knot and once at the cutoff.  As in QUADPACK, a panel may
+pass against its segment's whole mass, so panels that carry none stop early
+and one panel budget serves the batch.  A panel's sums are plain row
+reductions, not BLAS products, so its bits do not depend on its place in a
+batch (numpy does not document this for ``einsum``; ``TestPanelBatch``
 checks it, verified on numpy 2.4.6 only).  A first-round pass returns as is.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
@@ -206,38 +208,38 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     return logs, accepted
 
 
-def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False, first_alone=False):
+def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one) must lie inside [series cutoff, pi/2]; one of
-    zero width passes at once with mass -inf.  A failing panel is halved;
-    the width test of ``_gk_panel_batch`` passes any panel within about 51
-    halvings, and past ``_MAX_BATCH_PANELS`` panels all of a budget's are
-    taken.  The segments share one budget; with ``first_alone`` the first
-    has one of its own.  Returns the per-segment arrays of
-    ``_gk_panel_batch``'s list: (log_value, log_error[, moments]).
+    Segments (at least one) lie inside [series cutoff, pi/2]; one of zero width passes at
+    once with mass -inf.  A panel passes its own test, or when its error is within its width's
+    share of half ``rel_tol`` times its segment's mass so far (the accepted panels and this
+    round's), so a segment's errors sum to about ``rel_tol`` of its mass at most.  A failing
+    panel is halved; the width test passes any panel within about 51 halvings, and past
+    ``_MAX_BATCH_PANELS`` panels in all every panel is taken.  Returns the running sums, per
+    segment, of the accepted panels' (log_value, log_error[, moments]) from ``_gk_panel_batch``.
     """
-    cur_lo, cur_hi, cur_id = lo, hi, np.arange(lo.size)
-    got = []
-    shared = own = 0  # panels spent from the shared budget and from the first segment's own
+    cur_lo, cur_hi, cur_id, spent = lo, hi, np.arange(lo.size), 0
     while cur_lo.size:
         logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta, alpha, rel_tol, moments)
-        if not got and ok.all():
-            return logs  # every panel passed in the first round
-        first = int(np.count_nonzero(cur_id == 0)) if first_alone else 0
-        own, shared = own + first, shared + cur_id.size - first
-        if max(shared, own) > _MAX_BATCH_PANELS:
-            ok |= np.where((cur_id == 0) & first_alone, own, shared) > _MAX_BATCH_PANELS
-        got.append([cur_id[ok]] + [a[ok] for a in logs])
+        if not spent:  # a first-round panel is its segment: its own test is the share test
+            if ok.all():
+                return logs
+            log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
+            sums = np.full((len(logs), lo.size), -np.inf)
+        elif not ok.all():
+            mass = sums[0].copy()
+            np.logaddexp.at(mass, cur_id, logs[0])
+            ok |= logs[1] - np.log(cur_hi - cur_lo) <= (log_share + mass)[cur_id]
+        spent += cur_id.size
+        if spent > _MAX_BATCH_PANELS:
+            ok[:] = True
+        for total, a in zip(sums, logs):
+            np.logaddexp.at(total, cur_id[ok], a[ok])
         blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
         mid = 0.5 * (blo + bhi)
         cur_lo, cur_hi, cur_id = np.append(blo, mid), np.append(mid, bhi), np.append(bid, bid)
-
-    ids, *logs = map(np.concatenate, zip(*got))
-    order = np.argsort(ids, kind="stable")
-    starts = np.searchsorted(ids[order], np.arange(lo.size))
-    # Every segment is accepted at least once, so reduceat meets no empty group.
-    return [np.logaddexp.reduceat(a[order], starts) for a in logs]
+    return sums
 
 
 def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments=False):
@@ -262,8 +264,8 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     n_low = int(knots.searchsorted(cut, side="right"))
     # Per segment, the log increment, log error and (with moments) log moment increments.
     logs = np.full((4 if moments else 2, nseg), -np.inf)
-    # divide: log(0) at v = 0 and of panels that sum to 0.  invalid: an overflowed beta (inf) times
-    # hi meets log(0) = -inf; the NaN masses make normalize raise a QuadratureError.
+    # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
+    # share test, and as an overflowed beta (inf) times hi meets log(0): NaN, so normalize raises.
     with np.errstate(divide="ignore", invalid="ignore"):
         if n_low:
             # One primitive per knot and one at the cutoff; neighbours share theirs.
@@ -277,10 +279,8 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
             logs[:, :n_low] = np.array(heads)[:, :nseg]
         first = max(n_low - 1, 0)
         if first < nseg:
-            # A straddling segment has a panel budget of its own: it may need many rounds more.
-            gk = _gk_log_segments(np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha,
-                                  rel_tol, moments, first_alone=bool(knots[first] < cut))
-            logs[:, first:] = np.logaddexp(logs[:, first:], gk)
+            logs[:, first:] = np.logaddexp(logs[:, first:], _gk_log_segments(
+                np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha, rel_tol, moments))
         cum_val, cum_err, *cum_moments = np.logaddexp.accumulate(logs, axis=1)
         finite = cum_val > -np.inf
         achieved = np.max(cum_err[finite] - cum_val[finite], initial=-np.inf)

@@ -246,6 +246,17 @@ class TestNonObjectJson:
         assert "JSON object" in result.output
 
 
+class TestParamBeyondFloatRange:
+    def test_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "huge.json"
+        doc = idist.params_to_dict(year_params(2010))
+        path.write_text(json.dumps(doc).replace(repr(doc["T"]), "1" + "0" * 330))
+        result = runner.invoke(main, ["sample", "--n", "5", "--params", str(path)])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert "not a float" in result.output
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("flag", ["--incomes", "--billionaires", "--params", "--fit-json",
                                       "--config"])

@@ -335,6 +335,10 @@ class TestKsDistance:
         with pytest.raises(idist.DomainError):
             ks_distance([], models[2010])
 
+    def test_unconvertible_sample_rejected(self, models):
+        with pytest.raises(idist.DomainError, match="must be numbers"):
+            ks_distance(["a"], models[2010])
+
 
 def snaps(*incomes):
     """Snapshots at times 0, 1, ...; with two, the first is the half-time one."""

@@ -24,14 +24,58 @@ BROKEN_CCDF_POINTS = [
      "m1": 4.947849635282888, "alpha": 3.360974245769672, "alpha1": 5.831643253558447},
 ]
 
-# Points whose high-branch sampling sweep (about 900 segments at m0/T1 >= 2.8e5)
-# spends the whole panel budget while its first segment, from the series cutoff,
-# still needs 6-8 more rounds (model-sweep seed 8 point 87, seed 9 point 138).
+# Points whose high-branch sampling sweep has about 900 segments at m0/T1 >= 2.8e5,
+# the first from the series cutoff (model-sweep seed 8 point 87, seed 9 point 138).
+# Refining every panel to its own tolerance, the sweep spent the whole panel budget
+# while that segment still needed 6-8 rounds; with panels passing against their
+# segment's mass it takes about 16,000 panels.
 BUDGET_SHARING_POINTS = [
     {"T": 30768.848812443524, "T1": 0.02157863090478727, "m0": 8246.777840625895,
      "m1": 594.5877818732224, "alpha": 0.5879590582359273, "alpha1": 10.644913921986024},
     {"T": 60542.50355211886, "T1": 1.1911761997315373, "m0": 335178.77628665615,
      "m1": 4483.430837563299, "alpha": 7.123860773040563, "alpha1": 3.3525432145687626},
+]
+
+# Points whose sweeps spent the 200,000-panel budget on panels that carry no mass,
+# each refined to its own tolerance, and so were rejected (model-sweep seeds 1-10).
+# Their test also checks an income grid inside model-sweep's (about 0.2 to 8e7).
+PANEL_SHARE_POINTS = [
+    # seed 1 point 62
+    {"T": 0.4776813101749794, "T1": 0.06932325204162422, "m0": 51785.441042543796,
+     "m1": 14.635363363239557, "alpha": 3.816364110078688, "alpha1": 10.117468408760642},
+    # seed 1 point 83
+    {"T": 0.6566893193672275, "T1": 316.59246669790355, "m0": 213315114.4010529,
+     "m1": 20474.259952354863, "alpha": 11.786014286338863, "alpha1": 6.484611381985215},
+    # seed 3 point 26
+    {"T": 0.023432172541430193, "T1": 0.031602240198449795, "m0": 12031.58711844169,
+     "m1": 123.3280086215137, "alpha": 6.737620571694475, "alpha1": 8.249786648801406},
+    # seed 3 point 122
+    {"T": 1375.1313516686932, "T1": 188.46006971510445, "m0": 130779331.19869678,
+     "m1": 103046993.26149882, "alpha": 11.29527970498581, "alpha1": 9.387605790716668},
+    # seed 3 point 147
+    {"T": 104.32876820996997, "T1": 7.045223562473199, "m0": 2696802.477252692,
+     "m1": 7633.076995271658, "alpha": 3.119870456223438, "alpha1": 5.564130541164728},
+    # seed 3 point 181
+    {"T": 17.582596437804792, "T1": 0.00968612874288515, "m0": 6828.108708757358,
+     "m1": 463.6889301140544, "alpha": 3.934451321890553, "alpha1": 0.41604886570596533},
+    # seed 5 point 9
+    {"T": 74.97866597004565, "T1": 0.4393257591460896, "m0": 251697.5516696922,
+     "m1": 74.2543669571775, "alpha": 10.729605286417947, "alpha1": 1.4358546632388807},
+    # seed 5 point 20
+    {"T": 1017.3115106368051, "T1": 0.10197730384257019, "m0": 106252.59250121196,
+     "m1": 84100.35811415, "alpha": 0.5443434167017177, "alpha1": 7.724505371179985},
+    # seed 6 point 22
+    {"T": 426104.681652444, "T1": 0.940802740827876, "m0": 617242.3689954324,
+     "m1": 553074.7850896881, "alpha": 3.295591204134593, "alpha1": 3.8933758726143166},
+    # seed 10 point 87
+    {"T": 3174857.177845023, "T1": 6.788391597208916, "m0": 4900492.477042099,
+     "m1": 26624.557894930444, "alpha": 0.5173941177438872, "alpha1": 0.6087721159218272},
+    # seed 10 point 158
+    {"T": 86.17904730824125, "T1": 0.07251700205904534, "m0": 47430.12492680744,
+     "m1": 186.40072933339096, "alpha": 9.109913467997734, "alpha1": 8.472016214443624},
+    # seed 10 point 185
+    {"T": 1746357353.8505557, "T1": 0.20292012402179593, "m0": 81480.35112447367,
+     "m1": 74.10345353261943, "alpha": 8.675252951898415, "alpha1": 0.4681267782649501},
 ]
 
 
@@ -52,6 +96,12 @@ class TestParams:
     def test_nonfinite_rejected(self):
         with pytest.raises(idist.InvalidParamsError):
             idist.Params(t_low=math.nan, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=1.0)
+
+    def test_int_beyond_float_range_rejected(self):
+        with pytest.raises(idist.InvalidParamsError, match="finite number"):
+            idist.Params(t_low=10**400, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=1.0)
+        with pytest.raises(idist.InvalidParamsError, match="b must be"):
+            idist.fp_coefficients_for(year_params(2010), b=10**400)
 
     def test_numpy_scalars_accepted(self):
         p = idist.Params(t_low=np.int64(38000), t_high=np.float32(450000.0), m0=np.int64(150000),
@@ -275,6 +325,10 @@ class TestPdf:
             idist.pdf(models[2010], -1.0)
         with pytest.raises(idist.DomainError):
             idist.ccdf(models[2010], np.array([1.0, math.nan]))
+
+    def test_unconvertible_income_rejected(self, models):
+        with pytest.raises(idist.DomainError, match="must be numbers"):
+            idist.logccdf(models[2010], "abc")
 
     def test_negative_zero_reads_as_zero(self):
         model = idist.normalize(idist.Params(t_low=6200.0, t_high=48000.0, m0=20000.0,
@@ -500,9 +554,10 @@ class TestSample:
         with pytest.raises(idist.QuadratureError):
             idist.sample(model, 1000, seed=1)
 
-    @pytest.mark.parametrize("point", BUDGET_SHARING_POINTS)
+    @pytest.mark.parametrize("point", BUDGET_SHARING_POINTS + PANEL_SHARE_POINTS)
     def test_budget_spent_by_other_segments_still_samples(self, point):
         model = idist.normalize(idist.params_from_dict(point))
+        assert np.all(idist.logccdf(model, np.geomspace(1.0, 1e7, 200)) <= 1e-9)
         q = idist.quantile(model, 0.5)
         assert abs(idist.logccdf(model, q) - math.log(0.5)) <= quantile_noise(model)
         draws = idist.sample(model, 1000, seed=1)
@@ -561,6 +616,12 @@ class TestSerialization:
         doc = idist.params_to_dict(year_params(2007))
         doc["alpha"] = "three"
         with pytest.raises(idist.DataFormatError):
+            idist.params_from_dict(doc)
+
+    def test_int_beyond_float_range_rejected(self):
+        doc = idist.params_to_dict(year_params(2007))
+        doc["T"] = 10**330
+        with pytest.raises(idist.DataFormatError, match="not a float"):
             idist.params_from_dict(doc)
 
     @pytest.mark.parametrize("doc", [5, None, "T", [1.0, 2.0]])

@@ -223,42 +223,19 @@ class TestPanelBatch:
 
 
 class TestPanelBudget:
-    """Past the panel budget a sweep's panels are taken as they are, but the
-    segment that straddles the series cutoff has a budget of its own."""
+    """Past the panel budget a sweep's panels are taken as they are.  A panel
+    also passes within its width's share of its segment's mass, so the
+    segments far from the kernel's peak no longer spend the budget that the
+    segment straddling the series cutoff needs."""
 
     BETA, ALPHA = 1e4, 2.0
 
-    def _segments(self, lo, hi, first_alone=False):
+    def _segments(self, lo, hi):
         with np.errstate(divide="ignore"):
-            return _gk_log_segments(np.asarray(lo), np.asarray(hi), self.BETA, self.ALPHA, 1e-12,
-                                    first_alone=first_alone)
+            return _gk_log_segments(np.asarray(lo), np.asarray(hi), self.BETA, self.ALPHA, 1e-12)
 
-    @pytest.mark.parametrize("first_alone", [True, False])
-    def test_first_segment_alone_is_not_cut_short_by_the_others(self, monkeypatch, first_alone):
-        # The first segment needs 11 rounds but only 2,047 panels; the 200
-        # others need 6,200 in 5 rounds and pass the budget of 5,000 on
-        # their own.  With a budget of its own the first still converges,
-        # to the bits it gets alone; sharing theirs, it is taken unconverged.
-        cut = _series_cutoff(self.BETA, self.ALPHA)
-        knots = np.linspace(0.3, 1.5, 201)
-        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 5_000)
-        alone = self._segments([cut], [0.3])
-        together = self._segments(np.append(cut, knots[:-1]), np.append(0.3, knots[1:]),
-                                  first_alone)
-        assert alone[1][0] - alone[0][0] < math.log(1e-12)
-        assert ([a[0] for a in together] == [a[0] for a in alone]) == first_alone
-        assert (together[1][0] - together[0][0] < math.log(1e-12)) == first_alone
-
-    def test_sweep_gives_the_straddling_segment_its_own_budget(self, monkeypatch):
-        cut = _series_cutoff(self.BETA, self.ALPHA)
-        points = np.linspace(0.3, 1.5, 201)
-        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 5_000)
-        _, achieved = kernel_log_cumulative(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)
-        assert achieved <= 1e-12
-
-    def test_budget_bounds_the_rounds(self, monkeypatch):
-        knots = np.linspace(0.3, 1.5, 201)
-        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 1_000)
+    @staticmethod
+    def _count_panels(monkeypatch):
         sizes = []
 
         def counted(lo, hi, *args):
@@ -266,6 +243,34 @@ class TestPanelBudget:
             return _gk_panel_batch(lo, hi, *args)
 
         monkeypatch.setattr(quadrature, "_gk_panel_batch", counted)
+        return sizes
+
+    def test_straddling_segment_keeps_its_alone_bits_beside_the_others(self, monkeypatch):
+        # The segment from the series cutoff converges alone in 29 panels over
+        # 11 rounds; the 200 others need 2,600 panels in 5 rounds.  Under a
+        # budget of 3,000 for the batch all converge together, and the first
+        # segment gets the bits it gets alone.
+        cut = _series_cutoff(self.BETA, self.ALPHA)
+        knots = np.linspace(0.3, 1.5, 201)
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 3_000)
+        sizes = self._count_panels(monkeypatch)
+        alone = self._segments([cut], [0.3])
+        assert sum(sizes) <= 29
+        together = self._segments(np.append(cut, knots[:-1]), np.append(0.3, knots[1:]))
+        assert [a[0] for a in together] == [a[0] for a in alone]
+        assert np.all(together[1] - together[0] < math.log(1e-12))
+
+    def test_sweep_from_below_the_cutoff_converges_under_a_lowered_budget(self, monkeypatch):
+        cut = _series_cutoff(self.BETA, self.ALPHA)
+        points = np.linspace(0.3, 1.5, 201)
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 3_000)
+        _, achieved = kernel_log_cumulative(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)
+        assert achieved <= 1e-12
+
+    def test_budget_bounds_the_rounds(self, monkeypatch):
+        knots = np.linspace(0.3, 1.5, 201)
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 1_000)
+        sizes = self._count_panels(monkeypatch)
         self._segments(knots[:-1], knots[1:])
         assert max(sizes) <= 2 * 1_000 and sum(sizes) <= 3 * 1_000
 

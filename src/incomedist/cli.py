@@ -36,17 +36,9 @@ from .data import (
     merge_datasets,
     open_output,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DomainError,
-    EmptyDatasetError,
-    InsufficientDataError,
-    InvalidParamsError,
-    NumericalBlowupError,
-    QuadratureError,
-    UnreliableErrorsError,
-)
+from .errors import (ConfigError, DataFormatError, DomainError, EmptyDatasetError, InsufficientDataError,
+                     InvalidParamsError, NumericalBlowupError, QuadratureError, UnreliableErrorsError,
+                     _integer, _real)
 from .fit import FitConfig, _positive_points, bootstrap_errors, fit, fit_result_document
 from .model import Params, ccdf, normalize, params_from_dict, params_to_dict, sample
 
@@ -83,17 +75,15 @@ class ReportRow:
     crisis: bool
 
 
-def crisis_indicator(params: Params, threshold: float = 2.0) -> tuple[bool, float]:
-    """Score a parameter set for a high-income-class collapse.
+def crisis_indicator(params: Params, threshold: float = 2.0) -> bool:
+    """Flag a parameter set for a high-income-class collapse.
 
-    The score is the tail exponent alpha1; in normal years it sits well
-    below 1, while a collapsed top class pushes it far above.  The flag
-    fires on score strictly greater than ``threshold`` (default 2, the
-    midpoint decade of the empirically empty band).
+    The tail exponent alpha1 sits well below 1 in normal years, while a
+    collapsed top class pushes it far above.  The flag fires on alpha1
+    strictly greater than ``threshold`` (default 2, the midpoint decade of
+    the empirically empty band).
     """
-    if not np.isfinite(threshold):
-        raise DomainError(f"crisis threshold must be a finite number, got {threshold}")
-    return bool(params.alpha1 > threshold), float(params.alpha1)
+    return params.alpha1 > _real(threshold, "crisis threshold", DomainError)
 
 
 def aggregate_params(rows: list[ReportRow], exclude_labels=frozenset()) -> dict:
@@ -246,8 +236,7 @@ def cmd_fit(config_path, **flags):
 def cmd_plotdata(config_path, params_path, **flags):
     """Emit empirical and model CCDF curves as plot-ready CSV."""
     opts = _load_config_overrides(config_path, flags)
-    if opts["curve_points"] < 2:
-        raise ConfigError(f"curve_points must be >= 2, got {opts['curve_points']!r}")
+    _integer(opts["curve_points"], "curve_points", ConfigError, 2)
     params, _ = _load_params_file(params_path)
     mod = normalize(params)
     ds, _ = _load_dataset(opts)
@@ -323,8 +312,8 @@ def cmd_report(fit_paths, excludes, crisis_threshold, out):
         if not (isinstance(data, dict) and isinstance(errors, dict)):
             raise DataFormatError(f"{path}: 'data' and 'errors' must be JSON objects")
         label = str(doc.get("label") or data.get("label") or _stem(path))
-        flag, _score = crisis_indicator(params, crisis_threshold)
-        rows.append(ReportRow(label=label, params=params, errors=errors, crisis=flag))
+        rows.append(ReportRow(label=label, params=params, errors=errors,
+                              crisis=crisis_indicator(params, crisis_threshold)))
     rows.sort(key=lambda r: r.label)
     table = []
     for row in rows:

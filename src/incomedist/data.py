@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import operator
 import os
 from contextlib import nullcontext
@@ -27,12 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DomainError,
-    EmptyDatasetError,
-)
+from .errors import ConfigError, DataFormatError, DomainError, EmptyDatasetError, _nonnegative_array, _real
 
 __all__ = [
     "Dataset",
@@ -56,21 +50,15 @@ class Dataset:
     label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
+        values = _nonnegative_array(self.values, "incomes", DomainError).ravel()
         if values.size == 0:
             raise EmptyDatasetError("dataset has no records")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise DomainError("incomes must be finite and >= 0")
         if self.weights is None:
             weights = np.ones(values.size)
         else:
-            weights = np.asarray(self.weights, dtype=float).ravel()
+            weights = _nonnegative_array(self.weights, "weights", DomainError).ravel()
             if weights.shape != values.shape:
-                raise DomainError(
-                    f"{weights.size} weights for {values.size} values"
-                )
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-                raise DomainError("weights must be finite and >= 0")
+                raise DomainError(f"{weights.size} weights for {values.size} values")
             if not weights.sum() > 0.0:
                 raise DomainError("total weight must be positive")
         order = np.argsort(values, kind="stable")
@@ -93,12 +81,10 @@ class EmpiricalCcdf:
     p: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float).ravel()
-        p = np.asarray(self.p, dtype=float).ravel()
+        m = _nonnegative_array(self.m, "CCDF incomes", DomainError).ravel()
+        p = _nonnegative_array(self.p, "CCDF probabilities", DomainError).ravel()
         if m.size == 0 or m.shape != p.shape:
             raise DomainError("CCDF needs matching non-empty coordinate arrays")
-        if not (np.all(np.isfinite(m)) and np.all(m >= 0.0)):
-            raise DomainError("CCDF incomes must be finite and >= 0")
         if np.any(p <= 0.0) or np.any(p >= 1.0):
             raise DomainError("CCDF probabilities must lie strictly in (0, 1)")
         if np.any(np.diff(m) <= 0.0) or np.any(np.diff(p) >= 0.0):
@@ -249,26 +235,24 @@ def billionaire_effective_income(
 ) -> np.ndarray:
     """Impute annual incomes as wealth * exchange rate * return on wealth.
 
-    Both rates must be positive; wealth values whose imputed income fails
-    to come out positive are dropped.
+    Both rates must be positive (else :class:`ConfigError`) and the wealth
+    values finite and >= 0 (else :class:`DomainError`); wealth values whose
+    imputed income fails to come out positive are dropped.
     """
-    if not (usd_eur_rate > 0.0 and math.isfinite(usd_eur_rate)):
-        raise ConfigError(f"usd_eur_rate must be positive, got {usd_eur_rate!r}")
-    if not (return_rate > 0.0 and math.isfinite(return_rate)):
-        raise ConfigError(f"return_rate must be positive, got {return_rate!r}")
-    incomes = np.asarray(wealth_usd, dtype=float).ravel() * usd_eur_rate * return_rate
+    usd_eur_rate = _real(usd_eur_rate, "usd_eur_rate", ConfigError, 0.0)
+    return_rate = _real(return_rate, "return_rate", ConfigError, 0.0)
+    incomes = _nonnegative_array(wealth_usd, "wealth", DomainError).ravel() * usd_eur_rate * return_rate
     return incomes[incomes > 0.0]
 
 
 def merge_datasets(survey: Dataset, top_incomes: Sequence[float], top_weight: float) -> Dataset:
     """Extend a survey with top incomes, each carrying ``top_weight``."""
-    if not (top_weight > 0.0 and math.isfinite(top_weight)):
-        raise ConfigError(f"top_weight must be positive, got {top_weight!r}")
-    top = np.asarray(top_incomes, dtype=float).ravel()
+    top_weight = _real(top_weight, "top_weight", ConfigError, 0.0)
+    top = _nonnegative_array(top_incomes, "top incomes", DomainError).ravel()
     if top.size == 0:
         return survey
     values = np.concatenate([survey.values, top])
-    weights = np.concatenate([survey.weights, np.full(top.size, float(top_weight))])
+    weights = np.concatenate([survey.weights, np.full(top.size, top_weight)])
     label = f"{survey.label} (+{top.size} top incomes)" if survey.label else f"+{top.size} top incomes"
     return Dataset(values=values, weights=weights, label=label)
 

@@ -5,9 +5,18 @@ Everything raised deliberately by this package derives from
 boundary.  The subclasses separate bad inputs from numerical failures:
 the command line maps input problems to exit code 2 and convergence
 problems to exit code 3.
+
+The package's one set of input checks lives here too: :func:`_real`,
+:func:`_integer` and :func:`_nonnegative_array` each raise the class their
+caller names, and none takes a ``bool`` for a number.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class IncomeDistError(Exception):
@@ -72,3 +81,49 @@ class NumericalBlowupError(IncomeDistError):
     def __init__(self, message: str, step: int = -1):
         super().__init__(message)
         self.step = step
+
+
+_FLOAT = np.dtype(float)
+
+
+def _real(value, what: str, error, lo: float = -math.inf, hi: float = math.inf,
+          closed: str = "neither") -> float:
+    """``value`` as a float if it is a finite real number (Python, numpy or fractions; not a
+    bool) between ``lo`` and ``hi``, each end excluded unless ``closed`` is "left", "right" or
+    "both"; otherwise ``error`` naming ``what``."""
+    try:  # float first: numbers.Real is an abstract class, slower to test
+        x = float(value) if isinstance(value, (float, numbers.Real)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or fraction beyond float range
+        x = math.nan
+    if lo < x < hi:
+        return x
+    left, right = closed in ("left", "both"), closed in ("right", "both")
+    if math.isfinite(x) and (left and x == lo or right and x == hi):
+        return x
+    raise error(f"{what} must be a finite number in {'([' [left]}{lo!r}, {hi!r}{')]' [right]}, "
+                f"got {value!r}")
+
+
+def _integer(value, what: str, error, least: int) -> int:
+    """``value`` as an int if it is a Python or numpy integer (not a bool) >= ``least``;
+    otherwise ``error`` naming ``what``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise error(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def _nonnegative_array(values, what: str, error) -> np.ndarray:
+    """``values`` as a float array whose entries are finite and >= 0; otherwise ``error``
+    naming ``what``.  A bool or an array of bools is refused, but not a bool among numbers
+    (numpy reads ``[1.0, True]`` as two floats).  A float64 array is not copied."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype is not _FLOAT:
+            if arr.dtype.kind not in "iufOUS":  # no bools, complex numbers or dates
+                raise TypeError(f"got {arr.dtype} values")
+            arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be numbers: {exc}") from None
+    if arr.size and not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+        raise error(f"{what} must be finite and >= 0")
+    return arr

@@ -33,14 +33,8 @@ import numpy as np
 
 from . import model as model_mod
 from .data import Dataset, EmpiricalCcdf, empirical_ccdf
-from .errors import (
-    ConfigError,
-    DomainError,
-    InsufficientDataError,
-    InvalidParamsError,
-    QuadratureError,
-    UnreliableErrorsError,
-)
+from .errors import (ConfigError, DomainError, InsufficientDataError, InvalidParamsError, QuadratureError,
+                     UnreliableErrorsError, _integer, _real)
 from .model import Params, logccdf, normalize  # noqa: F401 (bench/tracing.py)
 
 __all__ = ["FitConfig", "FitResult", "FitProblem", "initial_guess", "objective", "fit",
@@ -69,16 +63,12 @@ class FitConfig:
     def __post_init__(self):
         for name, least in (("grid_points", 10), ("restarts", 1), ("bootstrap_resamples", 0),
                             ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            _integer(getattr(self, name), name, ConfigError, least)
         if 0 < self.bootstrap_resamples < 20:
             raise ConfigError(
                 f"bootstrap_resamples must be 0 or >= 20, got {self.bootstrap_resamples!r}")
-        if not (0.0 < self.opt_tol < 1.0):
-            raise ConfigError(f"opt_tol must lie in (0, 1), got {self.opt_tol!r}")
-        if not (0.0 < self.quad_tol <= 1e-6):
-            raise ConfigError(f"quad_tol must lie in (0, 1e-6], got {self.quad_tol!r}")
+        _real(self.opt_tol, "opt_tol", ConfigError, 0.0, 1.0)
+        _real(self.quad_tol, "quad_tol", ConfigError, 0.0, 1e-6, closed="right")
 
 
 @dataclass(frozen=True)
@@ -101,8 +91,7 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.objective >= 0.0:
-            raise DomainError(f"objective must be >= 0, got {self.objective!r}")
+        _real(self.objective, "objective", DomainError, 0.0, closed="left")
 
 
 def _positive_points(ccdf: EmpiricalCcdf):
@@ -144,12 +133,11 @@ class FitProblem:
     Each evaluation is one sweep that gives the residuals and their exact Jacobian."""
 
     def __init__(self, ccdf: EmpiricalCcdf, grid_points: int, quad_tol: float = 1e-10):
-        if grid_points < 2:
-            raise DomainError(f"grid_points must be >= 2, got {grid_points!r}")
+        grid_points = _integer(grid_points, "grid_points", DomainError, 2)
+        self.quad_tol = _real(quad_tol, "quad_tol", DomainError, 0.0, 1e-6, closed="right")
         m, p = _positive_points(ccdf)
-        self.grid = np.geomspace(m[0], _grid_ceiling(m, p), int(grid_points))
+        self.grid = np.geomspace(m[0], _grid_ceiling(m, p), grid_points)
         self.log10_emp = np.interp(np.log(self.grid), np.log(m), np.log(p)) / _LN10
-        self.quad_tol = quad_tol
 
     def residuals(self, params: Params):
         """(gaps, Jacobian) from one sweep: the log10 CCDF gaps on the grid over sqrt(n), whose
@@ -297,7 +285,7 @@ def _evaluator(problem: FitProblem, fold: np.ndarray):
     def evaluate(x):
         try:
             r, jac = problem.residuals(Params(*np.exp(fold @ x)))
-        except (InvalidParamsError, QuadratureError, OverflowError):
+        except (InvalidParamsError, QuadratureError):
             return penalty
         jac = jac @ fold
         return (r, jac) if np.all(np.isfinite(r)) and np.all(np.isfinite(jac)) else penalty

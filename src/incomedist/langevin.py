@@ -38,8 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import csv_rows, open_output
-from .errors import ConfigError, DomainError, NumericalBlowupError
-from .model import FpCoefficients, NormalizedModel, _finite_real, _float_array, ccdf
+from .errors import ConfigError, DomainError, NumericalBlowupError, _integer, _nonnegative_array, _real
+from .model import FpCoefficients, NormalizedModel, ccdf
 
 __all__ = [
     "SimConfig",
@@ -76,14 +76,10 @@ class SimConfig:
         c = self.coeffs
         if not isinstance(c, FpCoefficients):
             raise ConfigError(f"coeffs must be FpCoefficients, got {type(c).__name__}")
-        if not (_finite_real(self.m1) and self.m1 > 0):
-            raise ConfigError(f"m1 must be a positive number, got {self.m1!r}")
+        _real(self.m1, "m1", ConfigError, 0.0)
         for name, least in (("n_agents", 1), ("n_steps", 0), ("record_stride", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (_finite_real(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
+            _integer(getattr(self, name), name, ConfigError, least)
+        _real(self.dt, "dt", ConfigError, 0.0)
         rate = max(abs(c.a_low), abs(c.a_high), c.b)
         if self.dt * rate >= _STABILITY_LIMIT:
             raise ConfigError(
@@ -91,13 +87,9 @@ class SimConfig:
                 f"stability bound {_STABILITY_LIMIT}"
             )
         if self.initial_incomes is not None:
-            arr = np.asarray(self.initial_incomes, dtype=float)
+            arr = _nonnegative_array(self.initial_incomes, "initial_incomes", ConfigError)
             if arr.shape != (self.n_agents,):
-                raise ConfigError(
-                    f"initial_incomes must have shape ({self.n_agents},), got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-                raise ConfigError("initial_incomes must be finite and >= 0")
+                raise ConfigError(f"initial_incomes must have shape ({self.n_agents},), got {arr.shape}")
             object.__setattr__(self, "initial_incomes", arr)
 
 
@@ -192,7 +184,7 @@ def simulate_ensemble(config: SimConfig) -> list[EnsembleSnapshot]:
 
 def ks_distance(sample: Sequence[float], model: NormalizedModel) -> float:
     """Sup-norm distance between a sample's empirical CDF and the model CDF."""
-    arr = np.sort(_float_array(sample, "a KS sample").ravel())
+    arr = np.sort(_nonnegative_array(sample, "a KS sample", DomainError).ravel())
     n = arr.size
     if n == 0:
         raise DomainError("KS distance needs a non-empty sample")
@@ -219,16 +211,18 @@ def relaxation_reached(snapshots: Sequence[EnsembleSnapshot]) -> bool:
     time: a two-sample KS statistic below Smirnov's 5% critical value
     1.36 sqrt((n1 + n2) / (n1 n2)) for the two snapshot sizes declares the
     ensemble stationary, so two samples of one law pass 95% of the time at
-    any ensemble size.  Fewer than two snapshots, or an empty or non-finite
-    one, raises ``DomainError``.
+    any ensemble size.  Fewer than two snapshots, a time that is not a finite
+    number >= 0, or an empty snapshot or one whose incomes are not finite
+    numbers >= 0 raises ``DomainError``.
     """
     if len(snapshots) < 2:
         raise DomainError("relaxation check needs at least two snapshots")
-    final = snapshots[-1]
-    half = min(snapshots[:-1], key=lambda s: abs(s.time - final.time / 2.0))
-    a, b = np.ravel(half.incomes), np.ravel(final.incomes)
-    if a.size == 0 or b.size == 0 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("relaxation check needs non-empty snapshots of finite incomes")
+    times = [_real(s.time, "snapshot time", DomainError, 0.0, closed="left") for s in snapshots]
+    half = snapshots[min(range(len(times) - 1), key=lambda k: abs(times[k] - times[-1] / 2.0))]
+    a, b = (_nonnegative_array(s.incomes, "snapshot incomes", DomainError).ravel()
+            for s in (half, snapshots[-1]))
+    if a.size == 0 or b.size == 0:
+        raise DomainError("relaxation check needs non-empty snapshots")
     return _ks_two_sample(a, b) < 1.36 * math.sqrt((a.size + b.size) / (a.size * b.size))
 
 

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonNormalizableError, QuadratureError
+from .errors import DomainError, NonNormalizableError, QuadratureError, _real
 
 __all__ = ["branch_log_masses", "kernel_log_cumulative", "kernel_log_mass"]
 
@@ -199,7 +199,7 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     shrunk = resasc * np.minimum(1.0, (200.0 * err / np.where(scale, resasc, 1.0)) ** 1.5)
     err = np.where(scale & (err > 0.0), shrunk, err)
     tiny = width <= _TINY_WIDTH * np.maximum(hi, 1.0)
-    accepted = (err <= 0.5 * rel_tol * val) | (val == 0.0) | tiny
+    accepted = (err <= 0.5 * rel_tol * val) | tiny
     log_scale = beta * hi
     logs = [log_scale + np.log(val), log_scale + np.log(err)]
     if moments:
@@ -257,8 +257,11 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     knots = np.concatenate([[start_v], np.asarray(points_v, dtype=float)])
     nseg = knots.size - 1
     cut = _series_cutoff(beta, alpha)
-    # Even with no series segment: past beta ~ 3e38 it raises OverflowError, not a zero panel mass.
-    d = _series_coefficients(beta, alpha)
+    # Even with no series segment: past beta ~ 3e38 or |alpha - 1| ~ 1e77 a power overflows.
+    try:
+        d = _series_coefficients(beta, alpha)
+    except OverflowError:
+        raise QuadratureError(f"series coefficients overflow at beta = {beta!r}, alpha = {alpha!r}") from None
     # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the series up
     # to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut) if k >= n_low - 1.
     n_low = int(knots.searchsorted(cut, side="right"))
@@ -334,13 +337,13 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
     is not met, :class:`NonNormalizableError` for a divergent improper integral (alpha <= 0
     with b = inf) and :class:`DomainError` for any other bound or parameter out of range.
     """
-    if not (0.0 <= a <= b):
+    a, b = (x if isinstance(x, float) and x == math.inf else _real(x, name, DomainError, 0.0, closed="left")
+            for x, name in ((a, "a"), (b, "b")))
+    if not a <= b:
         raise DomainError(f"invalid kernel bounds [{a!r}, {b!r}]")
-    if not (rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
-    if alpha <= 0.0 and np.isinf(b):
+    rel_tol = _real(rel_tol, "rel_tol", DomainError, 0.0)
+    if b == math.inf and _real(alpha, "alpha", DomainError) <= 0.0:
         raise NonNormalizableError(f"kernel tail exponent alpha={alpha!r} gives a divergent integral")
-    if not all(0.0 < x < math.inf for x in (m0, temperature, alpha)):
-        raise DomainError(f"kernel m0, temperature and alpha must be positive and finite, "
-                          f"got {m0!r}, {temperature!r}, {alpha!r}")
-    return float(branch_log_masses(m0, temperature, alpha, b, np.array([float(a)]), rel_tol)[0])
+    m0, temperature, alpha = (_real(x, name, DomainError, 0.0) for x, name in
+                              ((m0, "m0"), (temperature, "temperature"), (alpha, "alpha")))
+    return float(branch_log_masses(m0, temperature, alpha, b, np.array([a]), rel_tol)[0])

@@ -129,7 +129,7 @@ def test_criterion_3_exponential_bulk_within_one_percent(models):
 def test_criterion_4_printed_aggregates():
     rows = [
         ReportRow(label=str(year), params=year_params(year), errors={},
-                  crisis=crisis_indicator(year_params(year))[0])
+                  crisis=crisis_indicator(year_params(year)))
         for year in sorted(YEAR_ROWS)
     ]
     mean_all = aggregate_params(rows)
@@ -143,7 +143,7 @@ def test_criterion_4_printed_aggregates():
 
 def test_criterion_5_crisis_flag_only_2009():
     flagged = [year for year in sorted(YEAR_ROWS)
-               if crisis_indicator(year_params(year))[0]]
+               if crisis_indicator(year_params(year))]
     ok = flagged == [2009]
     line = verdict(5, ok, f"alpha1-threshold indicator flags {flagged} "
                    "(must be exactly [2009])")

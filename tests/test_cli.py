@@ -28,17 +28,14 @@ def write_params_json(path, year, label=None):
 
 class TestCrisisIndicator:
     def test_heavy_tail_year_flags(self):
-        flag, score = crisis_indicator(year_params(2009))
-        assert flag and score == 2.608
+        assert crisis_indicator(year_params(2009)) is True
 
     def test_light_tail_year_does_not(self):
-        flag, _ = crisis_indicator(year_params(2010))
-        assert not flag
+        assert crisis_indicator(year_params(2010)) is False
 
     def test_threshold_is_strict(self):
         p = idist.Params(t_low=1.0, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=2.0)
-        flag, _ = crisis_indicator(p, threshold=2.0)
-        assert not flag
+        assert crisis_indicator(p, threshold=2.0) is False
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_is_domain_error(self, threshold):

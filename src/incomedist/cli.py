@@ -36,30 +36,16 @@ from .data import (
     merge_datasets,
     open_output,
 )
-from .errors import (ConfigError, DataFormatError, DomainError, EmptyDatasetError, InsufficientDataError,
-                     InvalidParamsError, NumericalBlowupError, QuadratureError, UnreliableErrorsError,
-                     _integer, _real)
+from .errors import (ConfigError, DataFormatError, DomainError, IncomeDistError, NumericalBlowupError,
+                     QuadratureError, UnreliableErrorsError, _integer, _real)
 from .fit import FitConfig, _positive_points, bootstrap_errors, fit, fit_result_document
 from .model import Params, ccdf, normalize, params_from_dict, params_to_dict, sample
 
 __all__ = ["main", "ReportRow", "crisis_indicator", "aggregate_params"]
 
-_INPUT_ERRORS = (
-    DataFormatError,
-    EmptyDatasetError,
-    InsufficientDataError,
-    InvalidParamsError,
-    ConfigError,
-    DomainError,
-    OSError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-)
-_CONVERGENCE_ERRORS = (
-    UnreliableErrorsError,
-    QuadratureError,
-    NumericalBlowupError,
-)
+# Exit 3 for these; exit 2 for any other package error and for unreadable input.
+_CONVERGENCE_ERRORS = (UnreliableErrorsError, QuadratureError, NumericalBlowupError)
+_KNOWN_ERRORS = (IncomeDistError, OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 _SCALE_KEYS = ("T", "T1", "m0", "m1")
 _SAMPLE_CHUNK = 65536  # draws formatted per write: sample's memory stays flat in --n
@@ -165,7 +151,7 @@ def _exits(command):
     def run(*args, **kwargs):
         try:
             code = command(*args, **kwargs)
-        except _CONVERGENCE_ERRORS + _INPUT_ERRORS as exc:
+        except _KNOWN_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, _CONVERGENCE_ERRORS) else 2)
         sys.exit(code or 0)

@@ -410,11 +410,13 @@ def sample(model: NormalizedModel, n: int, seed) -> np.ndarray:
     between knots is 9.5e-6 on the 2010 row and 8.0e-4 at alpha1 = 0.05,
     where it equals the sampling noise at n of about 1.6e6 (ROADMAP item 11).
     Raises :class:`QuadratureError` if the table's log CCDF rises with m by
-    more than the noise :func:`quantile` allows.
+    more than the noise :func:`quantile` allows, and :class:`DomainError` for
+    a seed that is not a non-negative integer or a sequence of them (None too:
+    its draws would not repeat).
     """
     n = _integer(n, "sample size n", DomainError, 1)
     try:
-        if isinstance(seed, bool):  # numpy would take it as the integer 0 or 1
+        if seed is None or isinstance(seed, bool):  # numpy would draw fresh entropy, or take 0 or 1
             raise TypeError
         u = np.random.default_rng(seed).random(n)
     except (TypeError, ValueError):

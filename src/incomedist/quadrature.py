@@ -24,13 +24,15 @@ exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 
 A sweep makes one series evaluation, of every segment's part below the
 cutoff, and one batch of Gauss-Kronrod panels, of every part above it; a
-segment that straddles the cutoff adds its two parts.  The series primitive
-is taken once per knot and once at the cutoff.  As in QUADPACK, a panel may
-pass against its segment's whole mass, so panels that carry none stop early
-and one panel budget serves the batch.  A panel's sums are plain row
-reductions, not BLAS products, so its bits do not depend on its place in a
-batch (numpy does not document this for ``einsum``; ``TestPanelBatch``
-checks it, verified on numpy 2.4.6 only).  A first-round pass returns as is.
+segment that straddles the cutoff adds its two parts.  The series primitives
+are taken once per knot up to the cutoff and once at it.  As in QUADPACK, a
+panel may pass against its segment's whole mass, so panels that carry none
+stop early and one panel budget serves the batch.  The head's sums over its
+power table and a panel's sums over its nodes are plain row reductions, not
+BLAS products, so a knot's or a panel's bits do not depend on its place in a
+batch (numpy does not document this for ``einsum`` or ``sum``;
+``TestSeriesHeadBatch`` and ``TestPanelBatch`` check it, verified on numpy
+2.4.6 only).  A first-round pass returns as is.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
 -log sin v times the integrand: two more weighted sums per panel and, in
@@ -134,29 +136,24 @@ def _series_coefficients(beta: float, alpha: float, by_alpha: bool = False) -> n
     return np.convolve(e, c)[:_SERIES_ORDER]
 
 
-def _log_series_primitive(x, alpha: float, d: np.ndarray):
-    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv.
+def _log_series_primitives(x, beta: float, alpha: float, d: np.ndarray, moments=False):
+    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv, as a one-element list;
+    with ``moments`` the same integral of (pi/2 - v) and of -log sin v times the integrand follow.
 
-    Valid for 0 <= x <= the series cutoff; ``d`` carries beta.  Returns -inf at x = 0.
-    """
-    js = np.arange(_SERIES_ORDER)
-    poly = (d / (alpha + js)) * x[:, None] ** js[None, :]
-    return alpha * np.log(x) + np.log(poly.sum(axis=1))
-
-
-def _log_series_moments(x, beta: float, alpha: float, d: np.ndarray):
-    """log of integral_0^x g(v) exp(beta*v) sin(v)^(alpha-1) dv for g = pi/2 - v and g = -log sin v.
-
-    Both integrands are positive; same range and -inf at x = 0 as _log_series_primitive.
+    Valid for 0 <= x <= the series cutoff; ``d`` carries beta.  All are -inf at x = 0 and
+    positive above it.  Each is x^alpha times row sums over one table of x^j.
     """
     js = np.arange(_SERIES_ORDER)
     a = alpha + js
     xj = x[:, None] ** js[None, :]
     log_x = np.log(x)
-    log_u = alpha * log_x + np.log(xj @ (_HALF_PI * d / a) - x * (xj @ (d / (a + 1.0))))
-    poly = xj @ (d / (a * a) - _series_coefficients(beta, alpha, by_alpha=True) / a)
-    log_g = np.where(x > 0.0, alpha * log_x + np.log(poly - log_x * (xj @ (d / a))), -np.inf)
-    return log_u, log_g
+    s = ((d / a) * xj).sum(axis=1)
+    if not moments:
+        return [alpha * log_x + np.log(s)]
+    u = ((_HALF_PI * d / a) * xj).sum(axis=1) - x * ((d / (a + 1.0)) * xj).sum(axis=1)
+    g = ((d / (a * a) - _series_coefficients(beta, alpha, by_alpha=True) / a) * xj).sum(axis=1)
+    g = np.where(x > 0.0, alpha * log_x + np.log(g - log_x * s), -np.inf)
+    return [alpha * log_x + np.log(s), alpha * log_x + np.log(u), g]
 
 
 def _log_series_increment(log_lo, log_hi):
@@ -271,15 +268,11 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     # share test, and as an overflowed beta (inf) times hi meets log(0): NaN, so normalize raises.
     with np.errstate(divide="ignore", invalid="ignore"):
         if n_low:
-            # One primitive per knot and one at the cutoff; neighbours share theirs.
-            ends = np.append(knots[:n_low], cut)
-            log_s = _log_series_primitive(ends, alpha, d)
-            head = _log_series_increment(log_s[:-1], log_s[1:])
-            heads = [head, head + _LOG_SERIES_REL_ERR]
-            if moments:
-                heads += [_log_series_increment(log_m[:-1], log_m[1:])
-                          for log_m in _log_series_moments(ends, beta, alpha, d)]
-            logs[:, :n_low] = np.array(heads)[:, :nseg]
+            # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
+            ends = np.minimum(knots[:n_low + 1], cut)
+            head, *head_moments = [_log_series_increment(log_s[:-1], log_s[1:])
+                                   for log_s in _log_series_primitives(ends, beta, alpha, d, moments)]
+            logs[:, :n_low] = [head, head + _LOG_SERIES_REL_ERR, *head_moments]
         first = max(n_low - 1, 0)
         if first < nseg:
             logs[:, first:] = np.logaddexp(logs[:, first:], _gk_log_segments(

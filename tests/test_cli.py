@@ -26,6 +26,11 @@ def write_params_json(path, year, label=None):
     return str(path)
 
 
+def _error_classes(cls):
+    """Every subclass of ``cls``, however deep."""
+    return [c for sub in cls.__subclasses__() for c in (sub, *_error_classes(sub))]
+
+
 class TestCrisisIndicator:
     def test_heavy_tail_year_flags(self):
         assert crisis_indicator(year_params(2009)) is True
@@ -150,6 +155,40 @@ class TestFitCommand:
         assert result.exit_code == 3
         doc = json.loads(result.output)
         assert doc["converged"] is False
+
+    @pytest.mark.parametrize("error", _error_classes(idist.IncomeDistError),
+                             ids=lambda error: error.__name__)
+    def test_package_error_exit_code(self, runner, quick_income_csv, monkeypatch, error):
+        def failing_fit(curve, cfg):
+            raise error("stub")
+
+        monkeypatch.setattr(cli_mod, "fit", failing_fit)
+        result = runner.invoke(main, ["fit", "--incomes", quick_income_csv])
+        convergence = (idist.UnreliableErrorsError, idist.QuadratureError, idist.NumericalBlowupError)
+        assert result.exit_code == (3 if issubclass(error, convergence) else 2), result.output
+        assert "error: stub" in result.output
+
+    def test_billionaires_join_the_tail(self, runner, quick_income_csv, tmp_path):
+        wealth = tmp_path / "billionaires.csv"
+        wealth.write_text("wealth_usd\n2e9\nmany\n5e9\n3.5e10\n")
+        result = runner.invoke(main, [
+            "fit", "--incomes", quick_income_csv, "--billionaires", str(wealth),
+            "--usd-eur", "0.8", "--return-rate", "0.04", "--top-weight", "2",
+            "--restarts", "1", "--grid-points", "40"])
+        assert result.exit_code in (0, 3), result.output
+        data = json.loads(result.output)["data"]
+        assert data["records"] == 3_000 + 3
+        assert data["rejected_rows"] == 1  # the "many" wealth row
+        assert data["label"] == "+3 top incomes"
+
+    def test_bootstrap_errors_are_reported(self, runner, quick_income_csv):
+        result = runner.invoke(main, [
+            "fit", "--incomes", quick_income_csv, "--bootstrap", "20", "--seed", "7",
+            "--restarts", "1", "--grid-points", "40"])
+        assert result.exit_code in (0, 3), result.output
+        errors = json.loads(result.output)["errors"]
+        assert all(math.isfinite(e) and e >= 0.0 for e in errors.values()), errors
+        assert any(e > 0.0 for e in errors.values()), errors
 
     def test_out_flag_writes_file(self, runner, quick_income_csv, tmp_path):
         out = tmp_path / "fit.json"

@@ -12,6 +12,8 @@ name (``_name``) must be referenced somewhere in the package, so a deletion
 cannot leave its helpers or constants behind either.  Importing the package or
 the CLI must load no scipy at all, and neither may running any command,
 ``fit`` included, so every command's cold start stays at numpy and click.
+Every source file parses with the grammar of the oldest Python that
+``requires-python`` admits, so newer syntax fails here and not only on that Python.
 """
 
 import ast
@@ -172,6 +174,25 @@ def test_guard_sees_an_unreferenced_private(tmp_path):
     user.write_text("import owner\nfrom owner import _shared\nowner._helper()\n",
                     encoding="utf-8")
     assert _unreferenced_privates([owner, user]) == ["owner.py:2: _LEFT", "owner.py:13: _Gone"]
+
+
+def _oldest_python() -> tuple[int, int]:
+    """The (major, minor) floor of ``requires-python`` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.parent.rglob("*.py")),
+                         ids=lambda p: p.relative_to(SRC.parent).as_posix())
+def test_source_parses_on_the_oldest_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=_oldest_python())
+
+
+def test_guard_sees_newer_grammar():
+    assert _oldest_python() < (3, 11)  # else pick an example newer than the floor
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=_oldest_python())
 
 
 def _scipy_modules_after(statement: str, cwd=None) -> list[str]:

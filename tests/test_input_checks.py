@@ -4,7 +4,8 @@
 per numeric argument, the IncomeDistError subclass that argument's check raises.
 ``test_junk_is_refused`` feeds each such argument a string, None, True, NaN, +-inf, a
 negative number and a plain object (an array argument also each of them as a
-one-element list) and expects that class, never a bare exception or an answer.
+one-element list and after a valid number, as in ``[1.0, True]``, in a list and in an
+object array) and expects that class, never a bare exception or an answer.
 ``test_every_numeric_entry_point_is_listed`` keeps the table whole: a public callable
 that takes a number or an array appears in ``ENTRIES``, or in ``UNCHECKED`` with the
 reason its inputs need no check of their own.
@@ -105,7 +106,8 @@ ENTRIES = {
         _args("m0", "temperature", "alpha", "a", "b", "rel_tol", error=DomainError)),
 }
 
-# Arguments that take arrays: each junk value is also fed as a one-element list.
+# Arguments that take arrays: each junk value is also fed as a one-element list and after 1.0
+# in a list and in an object array.
 ARRAYS = {("model.pdf", "m"), ("model.logpdf", "m"), ("model.ccdf", "m"), ("model.logccdf", "m"),
           ("data.Dataset", "values"), ("data.Dataset", "weights"), ("data.EmpiricalCcdf", "m"),
           ("data.EmpiricalCcdf", "p"), ("data.billionaire_effective_income", "wealth_usd"),
@@ -118,7 +120,6 @@ ACCEPTED = {
     ("model.FpCoefficients", "a_low"): {"negative"},
     ("model.FpCoefficients", "a0_high"): {"negative"},
     ("model.FpCoefficients", "a_high"): {"negative"},
-    ("model.sample", "seed"): {"None"},  # numpy draws fresh entropy
     ("data.Dataset", "weights"): {"None"},  # every weight 1
     ("langevin.SimConfig", "initial_incomes"): {"None"},  # every agent at B0/A0
     ("cli.crisis_indicator", "threshold"): {"negative"},
@@ -150,7 +151,8 @@ def test_junk_is_refused(entry, arg):
     for name, junk in JUNK.items():
         if name in ACCEPTED.get((entry, arg), ()):
             continue
-        for value in ([junk], junk) if (entry, arg) in ARRAYS else (junk,):
+        mixed = ([junk], [1.0, junk], np.array([1.0, junk], dtype=object))
+        for value in (*mixed, junk) if (entry, arg) in ARRAYS else (junk,):
             try:
                 call(**{arg: value})
             except args[arg]:

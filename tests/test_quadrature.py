@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import incomedist as idist
 from incomedist import quadrature
-from incomedist.quadrature import (_gk_log_segments, _gk_panel_batch, _series_cutoff,
-                                   kernel_log_cumulative, kernel_log_mass)
+from incomedist.quadrature import (_gk_log_segments, _gk_panel_batch, _log_series_primitives,
+                                   _series_coefficients, _series_cutoff, kernel_log_cumulative,
+                                   kernel_log_mass)
 
 from conftest import year_params
 
@@ -220,6 +221,20 @@ class TestPanelBatch:
         shifted = rows(np.append(lo[-3:], lo), np.append(hi[-3:], hi))[:, 3:]
         for batched in (first, whole, shifted):
             assert np.array_equal(batched, alone)
+
+
+class TestSeriesHeadBatch:
+    @pytest.mark.parametrize("beta, alpha", [(0.5, 2.6), (30.0, 0.3), (1e3, 5.0), (2.0, 12.0)])
+    def test_head_bits_do_not_depend_on_the_batch(self, beta, alpha):
+        """A knot's series primitives (the mass and both moments) give the same bits
+        alone as inside a 300-knot call, as a panel does in its batch."""
+        x = np.random.default_rng(23).uniform(0.0, _series_cutoff(beta, alpha), 300)
+        d = _series_coefficients(beta, alpha)
+        whole = np.array(_log_series_primitives(x, beta, alpha, d, moments=True))
+        alone = np.column_stack([_log_series_primitives(x[i:i + 1], beta, alpha, d, moments=True)
+                                 for i in range(x.size)])
+        assert np.isfinite(whole).all()
+        assert np.array_equal(whole, alone)
 
 
 class TestPanelBudget:

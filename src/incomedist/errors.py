@@ -40,17 +40,7 @@ class ConfigError(IncomeDistError):
 
 
 class QuadratureError(IncomeDistError):
-    """Numerical integration failed to reach the requested tolerance.
-
-    Attributes
-    ----------
-    achieved_tol : float
-        Relative error estimate actually reached before giving up.
-    """
-
-    def __init__(self, message: str, achieved_tol: float = float("nan")):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
+    """Numerical integration failed to reach the requested tolerance."""
 
 
 class DataFormatError(IncomeDistError):
@@ -112,27 +102,29 @@ def _integer(value, what: str, error, least: int) -> int:
     raise error(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _holds_bool(values) -> bool:
-    """Whether a sequence, or a list or tuple nested in it, holds a bool."""
-    return any(isinstance(x, (bool, np.bool_)) or isinstance(x, (list, tuple)) and _holds_bool(x)
-               for x in values)
+def _holds_non_number(values) -> bool:
+    """Whether a sequence, or a list or tuple nested in it, holds a bool, a str or bytes."""
+    return any(isinstance(x, (bool, np.bool_, str, bytes))
+               or isinstance(x, (list, tuple)) and _holds_non_number(x) for x in values)
 
 
 def _nonnegative_array(values, what: str, error) -> np.ndarray:
     """``values`` as a float array whose entries are finite and >= 0; otherwise ``error``
-    naming ``what``.  A bool, an array of bools or a bool among numbers is refused.  numpy
-    reads ``[1.0, True]`` as two floats, so input that is neither a number array nor a
-    scalar is scanned for bools, one check per entry.  A float64 array is not copied."""
+    naming ``what``.  A bool or a string, of digits too, alone, as an array or among numbers
+    is refused.  numpy reads ``[1.0, True]`` as two floats and an object array's ``"2"`` as
+    2.0, so input that is neither a number array nor a scalar is scanned for bools and
+    strings, one check per entry.  A float64 array is not copied."""
     try:
         arr = np.asarray(values)
         if arr.dtype is not _FLOAT:
-            if arr.dtype.kind not in "iufOUS":  # no bools, complex numbers or dates
+            if arr.dtype.kind not in "iufO":  # no bools, strings, complex numbers or dates
                 raise TypeError(f"got {arr.dtype} values")
             if arr.dtype.kind == "O":
                 values = arr.ravel().tolist()
             arr = arr.astype(float)
-        if not isinstance(values, (np.ndarray, float, np.generic, numbers.Number)) and _holds_bool(values):
-            raise TypeError("got a bool among the values")
+        if (not isinstance(values, (np.ndarray, float, np.generic, numbers.Number))
+                and _holds_non_number(values)):
+            raise TypeError("got a bool or a string among the values")
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be numbers: {exc}") from None
     if arr.size and not (np.isfinite(arr).all() and (arr >= 0.0).all()):

@@ -248,7 +248,7 @@ def _normalize_on(p: Params, quad_tol: float, m: np.ndarray, grad: bool = False)
         log_c_low = -np.logaddexp(low[0], log_ratio + high[0])
         log_c_high = log_c_low + log_ratio
     if not (math.isfinite(log_c_low) and math.isfinite(log_c_high)):
-        raise QuadratureError(f"branch constants are not finite for {p!r}", achieved_tol=math.nan)
+        raise QuadratureError(f"branch constants are not finite for {p!r}")
     log_ccdf_at_m1 = float(log_c_high + high[0])
     model = NormalizedModel(params=p, log_c_low=float(log_c_low), log_c_high=float(log_c_high),
                             log_ccdf_at_m1=log_ccdf_at_m1, quad_tol=quad_tol)
@@ -266,8 +266,11 @@ def _normalize_on(p: Params, quad_tol: float, m: np.ndarray, grad: bool = False)
                         (b_high - b_low) * q + a_gap * r * q, -0.5 * p.alpha * log1p_r2,
                         0.5 * p.alpha1 * log1p_r2])
     # log c_low = -log(low mass + R * high mass), weighted by each branch's share of the total.
-    g_c_low = -(math.exp(low[0] + log_c_low) * g_low[0]
-                + math.exp(log_ratio + high[0] + log_c_low) * (g_ratio + g_high[0]))
+    # invalid: with T1 << m0 a branch's share can underflow to 0 where its m0 derivative has
+    # overflowed to inf; the NaN that 0 * inf leaves in the Jacobian makes the fit penalise the point.
+    with np.errstate(invalid="ignore"):
+        g_c_low = -(math.exp(low[0] + log_c_low) * g_low[0]
+                    + math.exp(log_ratio + high[0] + log_c_low) * (g_ratio + g_high[0]))
     g_c_high = g_c_low + g_ratio
     g_at_m1 = g_c_high + g_high[0]
     # Below m1 the log CCDF is logaddexp(log CCDF(m1), log c_low + low): weight each by its share.

@@ -36,12 +36,12 @@ batch (numpy does not document this for ``einsum`` or ``sum``;
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
 -log sin v times the integrand: two more weighted sums per panel and, in
-the head, two more series primitives, one of them from the alpha-derivative
-of the coefficients.  Both weights are positive, so they accumulate in log
-space like the masses, with no log of a signed quantity; over the mass they
-give the kernel-weighted means behind the derivatives of a branch log mass
-by log T (beta times the mean of u = pi/2 - v) and by alpha (the mean of
-log sin v).
+the head, two more series primitives, one of them from the coefficients'
+alpha-derivative, the series of log(sin v / v) times theirs.  Both weights
+are positive, so they accumulate in log space like the masses, with no log
+of a signed quantity; over the mass they give the kernel-weighted means
+behind the derivatives of a branch log mass by log T (beta times the mean
+of u = pi/2 - v) and by alpha (the mean of log sin v).
 
 No other module knows the substitution: :func:`branch_log_masses` maps
 incomes to v, checks the sweep's tolerance and returns log masses in
@@ -100,6 +100,9 @@ _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
 _LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _MAX_BATCH_PANELS = 200_000
+# ell = -log(sin v / v) = v^2/6 + v^4/180 + v^6/2835 + v^8/37800 + O(v^10).  The series head's
+# coefficients d are those of exp(beta*v - (alpha-1)*ell), so their alpha-derivative is -(ell * d).
+_NEG_LOG_SINC = np.array([0.0, 0.0, 1.0 / 6.0, 0.0, 1.0 / 180.0, 0.0, 1.0 / 2835.0, 0.0, 1.0 / 37800.0])
 
 
 # ---------------------------------------------------------------------------
@@ -116,44 +119,36 @@ def _series_cutoff(beta: float, alpha: float) -> float:
     return cut
 
 
-def _series_coefficients(beta: float, alpha: float, by_alpha: bool = False) -> np.ndarray:
-    """Taylor coefficients d_j of exp(beta*v) (sin v / v)^(alpha-1), or their alpha-derivatives."""
+def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
+    """Taylor coefficients d_j of exp(beta*v) (sin v / v)^(alpha-1)."""
     w = alpha - 1.0
-    c = np.zeros(_SERIES_ORDER)
-    if by_alpha:
-        c[2] = -1.0 / 6.0
-        c[4] = w / 36.0 - 1.0 / 180.0
-        c[6] = -w * w / 432.0 + w / 540.0 - 1.0 / 2835.0
-        c[8] = (w**3) / 7776.0 - w * w / 4320.0 + 101.0 * w / 680400.0 - 1.0 / 37800.0
-    else:
-        c[0] = 1.0
-        c[2] = -w / 6.0
-        c[4] = w * w / 72.0 - w / 180.0
-        c[6] = -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0
-        c[8] = ((w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0)
-                - w / 37800.0)
+    c = np.zeros(_SERIES_ORDER)  # (sin v / v)^w is even in v
+    c[::2] = [1.0, -w / 6.0, w * w / 72.0 - w / 180.0, -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0,
+              (w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0) - w / 37800.0]
     e = np.array([beta**k / math.factorial(k) for k in range(_SERIES_ORDER)])
     return np.convolve(e, c)[:_SERIES_ORDER]
 
 
-def _log_series_primitives(x, beta: float, alpha: float, d: np.ndarray, moments=False):
-    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv, as a one-element list;
-    with ``moments`` the same integral of (pi/2 - v) and of -log sin v times the integrand follow.
+def _log_series_primitives(x, alpha: float, d: np.ndarray, moments=False):
+    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv, as a (1, x.size) array;
+    with ``moments`` rows of the same integral of (pi/2 - v) and of -log sin v times the
+    integrand follow.
 
     Valid for 0 <= x <= the series cutoff; ``d`` carries beta.  All are -inf at x = 0 and
     positive above it.  Each is x^alpha times row sums over one table of x^j.
     """
     js = np.arange(_SERIES_ORDER)
     a = alpha + js
+    rows = [d / a]
+    if moments:  # two (pi/2 - v) rows and a -log sin v row, by the alpha-derivative of d
+        d_alpha = -np.convolve(_NEG_LOG_SINC, d)[:_SERIES_ORDER]
+        rows += [_HALF_PI * d / a, d / (a + 1.0), d / (a * a) - d_alpha / a]
     xj = x[:, None] ** js[None, :]
+    s = (np.array(rows)[:, None, :] * xj).sum(axis=2)
     log_x = np.log(x)
-    s = ((d / a) * xj).sum(axis=1)
-    if not moments:
-        return [alpha * log_x + np.log(s)]
-    u = ((_HALF_PI * d / a) * xj).sum(axis=1) - x * ((d / (a + 1.0)) * xj).sum(axis=1)
-    g = ((d / (a * a) - _series_coefficients(beta, alpha, by_alpha=True) / a) * xj).sum(axis=1)
-    g = np.where(x > 0.0, alpha * log_x + np.log(g - log_x * s), -np.inf)
-    return [alpha * log_x + np.log(s), alpha * log_x + np.log(u), g]
+    if moments:  # at x = 0 the -log sin v row would be -inf + inf: log 0 makes it -inf
+        s = np.array([s[0], s[1] - x * s[2], np.where(x > 0.0, s[3] - log_x * s[0], 0.0)])
+    return alpha * log_x + np.log(s)
 
 
 def _log_series_increment(log_lo, log_hi):
@@ -165,10 +160,10 @@ def _log_series_increment(log_lo, log_hi):
 def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     """Evaluate one Gauss-Kronrod panel per segment, scaled by exp(-beta*hi).
 
-    Returns ([log_value, log_error], accepted) where log_value and
-    log_error already include the +beta*hi exponent, so contributions
-    from different panels combine directly via logaddexp.  With
-    ``moments`` the list goes on with the logs of the panel integrals of
+    Returns (logs, accepted): ``logs`` is a (rows, panels) array whose rows,
+    log_value and log_error, already include the +beta*hi exponent, so
+    contributions from different panels combine directly via logaddexp.
+    With ``moments`` two rows follow: the logs of the panel integrals of
     (pi/2 - v) and -log sin v times the integrand, scaled alike.
     """
     width = hi - lo
@@ -197,12 +192,10 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     err = np.where(scale & (err > 0.0), shrunk, err)
     tiny = width <= _TINY_WIDTH * np.maximum(hi, 1.0)
     accepted = (err <= 0.5 * rel_tol * val) | tiny
-    log_scale = beta * hi
-    logs = [log_scale + np.log(val), log_scale + np.log(err)]
+    rows = [val, err]
     if moments:
-        logs += [log_scale + np.log(np.einsum("pn,n->p", f * g, _GK_W) * h)
-                 for g in (u, neg_log_sin)]
-    return logs, accepted
+        rows += [np.einsum("pn,n->p", f * g, _GK_W) * h for g in (u, neg_log_sin)]
+    return beta * hi + np.log(np.array(rows)), accepted
 
 
 def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
@@ -223,7 +216,7 @@ def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
             if ok.all():
                 return logs
             log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
-            sums = np.full((len(logs), lo.size), -np.inf)
+            sums = np.full((logs.shape[0], lo.size), -np.inf)
         elif not ok.all():
             mass = sums[0].copy()
             np.logaddexp.at(mass, cur_id, logs[0])
@@ -231,8 +224,7 @@ def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
         spent += cur_id.size
         if spent > _MAX_BATCH_PANELS:
             ok[:] = True
-        for total, a in zip(sums, logs):
-            np.logaddexp.at(total, cur_id[ok], a[ok])
+        np.logaddexp.at(sums, (slice(None), cur_id[ok]), logs[:, ok])
         blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
         mid = 0.5 * (blo + bhi)
         cur_lo, cur_hi, cur_id = np.append(blo, mid), np.append(mid, bhi), np.append(bid, bid)
@@ -269,10 +261,9 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     with np.errstate(divide="ignore", invalid="ignore"):
         if n_low:
             # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
-            ends = np.minimum(knots[:n_low + 1], cut)
-            head, *head_moments = [_log_series_increment(log_s[:-1], log_s[1:])
-                                   for log_s in _log_series_primitives(ends, beta, alpha, d, moments)]
-            logs[:, :n_low] = [head, head + _LOG_SERIES_REL_ERR, *head_moments]
+            log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), alpha, d, moments)
+            head = _log_series_increment(log_s[:, :-1], log_s[:, 1:])
+            logs[:, :n_low] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
         first = max(n_low - 1, 0)
         if first < nseg:
             logs[:, first:] = np.logaddexp(logs[:, first:], _gk_log_segments(
@@ -309,7 +300,7 @@ def branch_log_masses(m0, temperature, alpha, top, m, rel_tol, moments=False):
                                                    moments=moments)
     if achieved > rel_tol:
         raise QuadratureError(f"kernel mass up to {top!r} reached relative error "
-                              f"{achieved:.3e} (requested {rel_tol:.3e})", achieved_tol=achieved)
+                              f"{achieved:.3e} (requested {rel_tol:.3e})")
     masses = math.log(m0) - beta * _HALF_PI + cum[::-1]
     if not moments:
         return masses

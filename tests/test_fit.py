@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -95,6 +96,12 @@ class TestObjective:
         # Only the round trip through stored linear-space p remains.
         assert value <= 1e-30
 
+    def test_grid_of_a_short_curve_reaches_its_largest_income(self):
+        # Fewer than 20 records put every plotting position below 20 times the last one,
+        # so no point passes the tail-floor test and the grid runs to the largest income.
+        ccdf = empirical_ccdf(Dataset(values=np.geomspace(300.0, 3e5, 10)))
+        assert FitProblem(ccdf, 30).grid[-1] == ccdf.m[-1]
+
     def test_wrong_tail_exponent_scores_much_worse(self, ccdf_2010_100k):
         truth = objective(year_params(2010), ccdf_2010_100k, 200)
         bent = replace(year_params(2010), alpha1=year_params(2010).alpha1 + 1.0)
@@ -146,6 +153,40 @@ class TestInitialGuess:
         ds = Dataset(values=rng.exponential(30000.0, 20000))
         guess = initial_guess(empirical_ccdf(ds))
         assert 30000.0 / 2.5 < guess.t_low < 30000.0 * 2.5
+
+    @staticmethod
+    def assert_inside_the_bounds(guess, ccdf):
+        for name, (lo, hi) in fit_mod._derive_bounds(ccdf).items():
+            assert lo < getattr(guess, name) < hi, name
+
+    def test_ties_at_the_bottom_leave_the_whole_curve_to_the_knee(self):
+        # 10,000 records tied at the smallest income put every other CCDF point below
+        # 10/(n + 1) of its 31 points: no point is solid enough to hold the knee.
+        ds = Dataset(values=np.concatenate([np.full(10_000, 100.0), np.geomspace(200.0, 1e6, 30)]))
+        ccdf = empirical_ccdf(ds)
+        self.assert_inside_the_bounds(initial_guess(ccdf), ccdf)
+
+    def test_knee_at_the_top_of_a_sparse_curve(self):
+        # A smooth curve, 25 points over 12 decades, steepest in its top decade: no slope
+        # jump above 0.4 places m1, the 90% fallback lies below the knee, so m1 = 3 m0,
+        # and too few points lie near [m0, m1] to fit alpha, which comes from the slopes.
+        m = np.geomspace(1.0, 1e12, 25)
+        x = np.log10(m)
+        ccdf = EmpiricalCcdf(m=m, p=0.999 * 10.0 ** (-0.01 * x - 0.8 * np.maximum(0.0, x - 11.0)))
+        guess = initial_guess(ccdf)
+        assert guess.m1 == 3.0 * guess.m0
+        self.assert_inside_the_bounds(guess, ccdf)
+
+    def test_overflowing_temperature_fit_falls_back_to_the_income_at_1_over_e(self):
+        # Past about 1e154 the straight-line fit of the lowest decade squares the incomes,
+        # overflows and gives a NaN slope; t_low then falls back to the income whose
+        # plotting position lies nearest 1/e.
+        ccdf = EmpiricalCcdf(m=np.geomspace(1e300, 1e306, 30), p=np.linspace(0.95, 0.01, 30))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            guess = initial_guess(ccdf)
+        assert guess.t_low == ccdf.m[np.argmin(np.abs(ccdf.p - math.exp(-1.0)))]
+        self.assert_inside_the_bounds(guess, ccdf)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
@@ -402,6 +443,18 @@ class TestJacobian:
         reference = central_differences(lambda p: _normalize_on(p, 1e-12, grid)[1], params)
         # A column 1e4 times shorter than the longest holds mostly the differences' rounding.
         assert column_gaps(exact, reference, floor=1e-4).max() <= 1e-4
+
+    @pytest.mark.parametrize("t_low, t_high, m0, m1, alpha, alpha1", [
+        (3.85e6, 0.0326, 3.51e5, 4.39e5, 6.55, 4.20), (2.99e4, 0.422, 6.25e9, 5.49e9, 7.94, 1.55)])
+    def test_overflowed_gradient_is_nan_without_a_warning(self, t_low, t_high, m0, m1, alpha,
+                                                          alpha1):
+        """With T1 << m0, inside the fitter's box but out of a tied fit's reach, a branch's share
+        of the mass underflows to 0 where its m0 derivative overflows: the curve stays finite,
+        the Jacobian is NaN, which the fit's evaluator penalises, and no RuntimeWarning escapes."""
+        params = idist.Params(t_low=t_low, t_high=t_high, m0=m0, m1=m1, alpha=alpha, alpha1=alpha1)
+        _model, curve, jac = _normalize_on(params, 1e-10, np.geomspace(0.37, 5.3e7, 200), grad=True)
+        assert np.isfinite(curve).all()
+        assert np.isnan(jac).any()
 
     @staticmethod
     def fitter_evaluation(models, monkeypatch, config):

@@ -9,7 +9,9 @@ a deletion cannot leave a stale export behind, and must be read by package
 code or named by a benchmark script or the README, so no public name is kept
 for its own tests alone.  Every private module-level
 name (``_name``) must be referenced somewhere in the package, so a deletion
-cannot leave its helpers or constants behind either.  Importing the package or
+cannot leave its helpers or constants behind either, and every parameter of a
+``def`` or ``lambda`` (``self`` aside) must be read in its body, so no caller
+passes a value that nothing uses.  Importing the package or
 the CLI must load no scipy at all, and neither may running any command,
 ``fit`` included, so every command's cold start stays at numpy and click.
 Every source file parses with the grammar of the oldest Python that
@@ -174,6 +176,41 @@ def test_guard_sees_an_unreferenced_private(tmp_path):
     user.write_text("import owner\nfrom owner import _shared\nowner._helper()\n",
                     encoding="utf-8")
     assert _unreferenced_privates([owner, user]) == ["owner.py:2: _LEFT", "owner.py:13: _Gone"]
+
+
+def _unread_parameters(paths) -> list[str]:
+    """``file:line: name`` of each parameter of a ``def`` or ``lambda`` in ``paths``, ``self``
+    aside, that its body never reads (a nested function's reads count for it)."""
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None and p.arg != "self"]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.name, node.lineno, name) for name in params if name not in read]
+    return [f"{file}:{lineno}: {name}" for file, lineno, name in sorted(unread)]
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_sees_an_unread_parameter(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Box:\n    def size(self, scale, *rest, unit=1, **extra):\n"
+        "        return scale * unit + len(rest) + len(extra)\n\n\n"
+        "def outer(x, beta):\n    def inner():\n        return x\n    return inner\n\n\n"
+        "f = lambda a, b: a\ng = lambda c: (lambda: c)\n\n\ndef gone(k):\n    del k\n",
+        encoding="utf-8",
+    )
+    assert _unread_parameters([probe]) == ["probe.py:6: beta", "probe.py:12: b", "probe.py:16: k"]
 
 
 def _oldest_python() -> tuple[int, int]:

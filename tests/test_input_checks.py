@@ -2,10 +2,10 @@
 
 ``ENTRIES`` lists each checked entry point with a call that fills in valid values and,
 per numeric argument, the IncomeDistError subclass that argument's check raises.
-``test_junk_is_refused`` feeds each such argument a string, None, True, NaN, +-inf, a
-negative number and a plain object (an array argument also each of them as a
-one-element list and after a valid number, as in ``[1.0, True]``, in a list and in an
-object array) and expects that class, never a bare exception or an answer.
+``test_junk_is_refused`` feeds each such argument a string, digits as str and bytes, None,
+True, NaN, +-inf, a negative number and a plain object (an array argument also each of
+them as a one-element list and after a valid number, as in ``[1.0, True]``, in a list
+and in an object array) and expects that class, never a bare exception or an answer.
 ``test_every_numeric_entry_point_is_listed`` keeps the table whole: a public callable
 that takes a number or an array appears in ``ENTRIES``, or in ``UNCHECKED`` with the
 reason its inputs need no check of their own.
@@ -26,8 +26,8 @@ from incomedist.errors import ConfigError, DomainError, InvalidParamsError
 
 MODULES = ("cli", "data", "errors", "fit", "langevin", "model", "quadrature")
 
-JUNK = {"str": "x", "None": None, "True": True, "nan": math.nan, "inf": math.inf,
-        "-inf": -math.inf, "negative": -1.0, "object": object()}
+JUNK = {"str": "x", "digits": "12", "digit bytes": b"12", "None": None, "True": True,
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -1.0, "object": object()}
 
 P2010 = year_params(2010)
 ROW = {name: getattr(P2010, name) for name in ("t_low", "t_high", "m0", "m1", "alpha", "alpha1")}

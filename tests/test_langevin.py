@@ -296,6 +296,37 @@ class TestShards:
         assert got.value.step == first
         assert draws == {0: first, 1: later}
 
+    def test_interrupted_shard_0_stops_shard_1(self, monkeypatch):
+        # Shard 0 raises at its 5th draw, once shard 1 has made its 5th, and shard 1
+        # waits for that raise: it may finish the step it is on, and stops at the next.
+        class Interrupt(BaseException):
+            pass
+
+        draws, at = {0: 0, 1: 0}, 5
+        shard_1_there, raised = threading.Event(), threading.Event()
+        real_rng = np.random.default_rng
+
+        class InterruptingRng:
+            def __init__(self, child):
+                self.rng = real_rng(child)
+                self.shard = child.spawn_key[-1]
+
+            def standard_normal(self, *args, **kwargs):
+                draws[self.shard] += 1
+                if draws[self.shard] == at and self.shard == 0:
+                    assert shard_1_there.wait(timeout=60)
+                    raised.set()
+                    raise Interrupt
+                if draws[self.shard] == at:
+                    shard_1_there.set()
+                    assert raised.wait(timeout=60)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", InterruptingRng)
+        with pytest.raises(Interrupt):
+            simulate_ensemble(unit_2010_config(n_agents=1000, n_steps=10_000))
+        assert at <= draws[1] <= at + 1
+
     def test_worker_thread_is_joined(self):
         before = threading.active_count()
         simulate_ensemble(unit_2010_config(n_agents=1000, n_steps=200))

@@ -230,11 +230,33 @@ class TestSeriesHeadBatch:
         alone as inside a 300-knot call, as a panel does in its batch."""
         x = np.random.default_rng(23).uniform(0.0, _series_cutoff(beta, alpha), 300)
         d = _series_coefficients(beta, alpha)
-        whole = np.array(_log_series_primitives(x, beta, alpha, d, moments=True))
-        alone = np.column_stack([_log_series_primitives(x[i:i + 1], beta, alpha, d, moments=True)
+        whole = np.array(_log_series_primitives(x, alpha, d, moments=True))
+        alone = np.column_stack([_log_series_primitives(x[i:i + 1], alpha, d, moments=True)
                                  for i in range(x.size)])
         assert np.isfinite(whole).all()
         assert np.array_equal(whole, alone)
+
+
+class TestSeriesHeadCoefficients:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 40.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.77, 1.0, 2.0, 7.0, 12.0])
+    def test_coefficients_and_alpha_derivative_match_mpmath(self, beta, alpha):
+        """The head's d_j are the Taylor coefficients of exp(beta*v) (sin v / v)^(alpha-1),
+        and -(ell * d) those of log(sin v / v) times it, its alpha-derivative: to 1e-15
+        relative in the head's sum, with entry j weighted by the cutoff's j-th power."""
+        with mpmath.workdps(40):
+            def f(v):
+                return mpmath.exp(beta * v) * mpmath.sinc(v) ** (alpha - 1)
+
+            want = [mpmath.taylor(f, 0, quadrature._SERIES_ORDER - 1),
+                    mpmath.taylor(lambda v: mpmath.log(mpmath.sinc(v)) * f(v), 0,
+                                  quadrature._SERIES_ORDER - 1)]
+        d = _series_coefficients(beta, alpha)
+        got = [d, -np.convolve(quadrature._NEG_LOG_SINC, d)[:quadrature._SERIES_ORDER]]
+        weight = _series_cutoff(beta, alpha) ** np.arange(quadrature._SERIES_ORDER)
+        for g, w in zip(got, want):
+            w = np.array([float(c) for c in w])
+            assert np.max(np.abs(g - w) * weight) <= 1e-15 * np.sum(np.abs(w) * weight)
 
 
 class TestPanelBudget:

@@ -123,8 +123,12 @@ def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
     """Taylor coefficients d_j of exp(beta*v) (sin v / v)^(alpha-1)."""
     w = alpha - 1.0
     c = np.zeros(_SERIES_ORDER)  # (sin v / v)^w is even in v
-    c[::2] = [1.0, -w / 6.0, w * w / 72.0 - w / 180.0, -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0,
-              (w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0) - w / 37800.0]
+    c[0] = 1.0
+    c[2] = -w / 6.0
+    c[4] = w * w / 72.0 - w / 180.0
+    c[6] = -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0
+    c[8] = ((w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0)
+            - w / 37800.0)
     e = np.array([beta**k / math.factorial(k) for k in range(_SERIES_ORDER)])
     return np.convolve(e, c)[:_SERIES_ORDER]
 
@@ -149,12 +153,6 @@ def _log_series_primitives(x, alpha: float, d: np.ndarray, moments=False):
     if moments:  # at x = 0 the -log sin v row would be -inf + inf: log 0 makes it -inf
         s = np.array([s[0], s[1] - x * s[2], np.where(x > 0.0, s[3] - log_x * s[0], 0.0)])
     return alpha * log_x + np.log(s)
-
-
-def _log_series_increment(log_lo, log_hi):
-    """log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive."""
-    delta = -np.expm1(log_lo - log_hi)
-    return np.where(delta > 0.0, log_hi + np.log(delta), -np.inf)
 
 
 def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
@@ -262,7 +260,9 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
         if n_low:
             # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
             log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), alpha, d, moments)
-            head = _log_series_increment(log_s[:, :-1], log_s[:, 1:])
+            # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
+            delta = -np.expm1(log_s[:, :-1] - log_s[:, 1:])
+            head = np.where(delta > 0.0, log_s[:, 1:] + np.log(delta), -np.inf)
             logs[:, :n_low] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
         first = max(n_low - 1, 0)
         if first < nseg:

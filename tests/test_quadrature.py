@@ -213,7 +213,7 @@ class TestPanelBatch:
         def rows(lo, hi):
             with np.errstate(divide="ignore"):  # log 0 of an error estimate that is exactly 0
                 logs, accepted = _gk_panel_batch(lo, hi, beta, alpha, 1e-12, moments)
-            return np.array(logs + [accepted])
+            return np.vstack([logs, accepted])
 
         alone = np.column_stack([rows(lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)])
         first = np.column_stack([rows(lo[i:], hi[i:])[:, 0] for i in range(lo.size)])

@@ -130,3 +130,11 @@ def _nonnegative_array(values, what: str, error) -> np.ndarray:
     if arr.size and not (np.isfinite(arr).all() and (arr >= 0.0).all()):
         raise error(f"{what} must be finite and >= 0")
     return arr
+
+
+def _raised(result):
+    """An entry of a batch that holds an error in place of a failed item's result, as the item
+    alone gives it: the result, or that error raised."""
+    if isinstance(result, IncomeDistError):
+        raise result
+    return result

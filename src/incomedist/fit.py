@@ -34,7 +34,7 @@ import numpy as np
 from . import model as model_mod
 from .data import Dataset, EmpiricalCcdf, empirical_ccdf
 from .errors import (ConfigError, DomainError, InsufficientDataError, InvalidParamsError, QuadratureError,
-                     UnreliableErrorsError, _integer, _real)
+                     UnreliableErrorsError, _integer, _raised, _real)
 from .model import Params, logccdf, normalize  # noqa: F401 (bench/tracing.py)
 
 __all__ = ["FitConfig", "FitResult", "FitProblem", "initial_guess", "objective", "fit",
@@ -143,7 +143,11 @@ class FitProblem:
         """(gaps, Jacobian) from one sweep: the log10 CCDF gaps on the grid over sqrt(n), whose
         sum of squares is the misfit, and their derivatives by the log of each parameter as
         columns in :class:`Params` field order."""
-        _model, curve, jac = model_mod._normalize_on(params, self.quad_tol, self.grid, grad=True)
+        swept = model_mod._normalize_on([(params, self.grid)], self.quad_tol, grad=True)[0]
+        return self._gaps(*_raised(swept)[1:])
+
+    def _gaps(self, curve, jac):
+        """:meth:`residuals` from the point's log CCDF on the grid and its derivatives."""
         scale = math.sqrt(self.grid.size)
         return (curve / _LN10 - self.log10_emp) / scale, jac / (_LN10 * scale)
 
@@ -276,29 +280,63 @@ def _space(ccdf: EmpiricalCcdf, config: FitConfig):
     return names, fold, np.log([bounds[n] for n in names])
 
 
-def _evaluator(problem: FitProblem, fold: np.ndarray):
-    """x -> (residuals, Jacobian) at packed log-parameters x from one sweep; a point the
-    model refuses or that gives non-finite output gets the penalty vector and a zero Jacobian."""
-    penalty = (np.full(problem.grid.size, math.sqrt(_PENALTY / problem.grid.size)),
-               np.zeros((problem.grid.size, fold.shape[1])))
+def _evaluator(fold: np.ndarray):
+    """(problems, xs) -> [(residuals, Jacobian)] at packed log-parameters xs[k] of problems[k],
+    all from one batched sweep; the problems share one ``quad_tol``.  A point the model
+    refuses or that gives non-finite output gets the penalty vector and a zero Jacobian; every
+    other point gets what it gets alone."""
 
-    def evaluate(x):
-        try:
-            r, jac = problem.residuals(Params(*np.exp(fold @ x)))
-        except (InvalidParamsError, QuadratureError):
-            return penalty
-        jac = jac @ fold
-        return (r, jac) if np.all(np.isfinite(r)) and np.all(np.isfinite(jac)) else penalty
+    def evaluate(problems, xs):
+        out, points = [], []
+        for problem, x in zip(problems, xs):
+            n = problem.grid.size
+            out.append((np.full(n, math.sqrt(_PENALTY / n)), np.zeros((n, fold.shape[1]))))
+            try:
+                points.append((len(out) - 1, Params(*np.exp(fold @ x))))
+            except InvalidParamsError:
+                continue
+        swept = model_mod._normalize_on([(p, problems[k].grid) for k, p in points],
+                                        problems[0].quad_tol, grad=True) if points else []
+        for (k, _p), result in zip(points, swept):
+            if isinstance(result, QuadratureError):
+                continue
+            r, jac = problems[k]._gaps(*result[1:])
+            jac = jac @ fold
+            if np.all(np.isfinite(r)) and np.all(np.isfinite(jac)):
+                out[k] = r, jac
+        return out
 
     return evaluate
 
 
-def _minimize_from(evaluate, x0, log_bounds, opt_tol: float):
-    """One bounded Levenberg-Marquardt run (Moré 1978) on x -> (residuals, Jacobian) from
-    x0 clipped into the box.
+def _lockstep(problems, fold: np.ndarray, starts, log_bounds, opt_tol: float):
+    """One :func:`_minimize_from` run from each start, run k on ``problems[k]``, in lockstep.
 
-    Each trial point is one ``evaluate`` call, so an accepted point already
-    holds the next step's Jacobian.  The box enters through Coleman & Li's affine
+    Each round advances every live run by one trial point, and one batched sweep evaluates
+    the round's points, so a run takes the steps it takes alone.  Returns each run's result,
+    in order.
+    """
+    evaluate = _evaluator(fold)
+    runs = [_minimize_from(x0, log_bounds, opt_tol) for x0 in starts]
+    results = [None] * len(runs)
+    replies = dict.fromkeys(range(len(runs)))  # the first reply, None, starts a run
+    while replies:
+        points = {}
+        for k, reply in replies.items():
+            try:
+                points[k] = runs[k].send(reply)
+            except StopIteration as stop:
+                results[k] = stop.value
+        replies = dict(zip(points, evaluate([problems[k] for k in points], list(points.values()))))
+    return results
+
+
+def _minimize_from(x0, log_bounds, opt_tol: float):
+    """One bounded Levenberg-Marquardt run (Moré 1978) from x0 clipped into the box, as a
+    generator: it yields each trial point and is sent back its (residuals, Jacobian).
+
+    So an accepted point already holds the next step's Jacobian, and a driver such as
+    :func:`_lockstep` may evaluate many runs' points together.  The box enters through Coleman & Li's affine
     scaling (SIAM J. Optim. 6, 1996), as in scipy's ``trf``.  A step that would
     leave the box stops at 0.995 of the way to the first bound it meets, or if the
     best step along the scaled gradient then gains more, that one is taken.  Stops
@@ -316,7 +354,7 @@ def _minimize_from(evaluate, x0, log_bounds, opt_tol: float):
         return -float(g_h @ step_h + 0.5 * np.sum((aug @ step_h) ** 2))
 
     x = np.clip(x0, lb + 1e-9, ub - 1e-9)
-    r, jac = evaluate(x)
+    r, jac = yield x
     calls, cost, col_norm = 1, 0.5 * float(r @ r), np.zeros(x.size)
     damping, grow, converged = None, 2.0, False
     while not converged and calls < _MAX_STEPS:
@@ -343,7 +381,7 @@ def _minimize_from(evaluate, x0, log_bounds, opt_tol: float):
                 cauchy = -g_h * (g_h @ g_h) / (np.sum((aug @ g_h) ** 2) + damping * (g_h @ g_h))
                 cauchy = reach(cauchy) * cauchy
                 step_h = cauchy if gain(cauchy) > gain(step_h) else step_h
-            r_new, jac_new = evaluate(x + d * step_h)
+            r_new, jac_new = yield x + d * step_h
             calls, cost_new = calls + 1, 0.5 * float(r_new @ r_new)
             converged = small_step
             if cost_new < cost:
@@ -372,14 +410,10 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     guess = initial_guess(ccdf)
     names, fold, log_bounds = _space(ccdf, config)
     problem = FitProblem(ccdf, config.grid_points, config.quad_tol)
-    evaluate = _evaluator(problem, fold)
     x0 = np.log([getattr(guess, n) for n in names])  # initial_guess clips into the box
-
-    runs = []
-    for k in range(int(config.restarts)):
-        noise = np.random.default_rng((config.seed, 1, k)).standard_normal(x0.size)
-        runs.append(_minimize_from(evaluate, x0 + 0.3 * noise if k else x0, log_bounds,
-                                   config.opt_tol))
+    starts = [x0 + 0.3 * np.random.default_rng((config.seed, 1, k)).standard_normal(x0.size)
+              if k else x0 for k in range(int(config.restarts))]
+    runs = _lockstep([problem] * len(starts), fold, starts, log_bounds, config.opt_tol)
     x, value, converged, calls, jac = min(runs, key=lambda run: run[1])
 
     params = Params(*np.exp(fold @ x))
@@ -418,24 +452,36 @@ def bootstrap_errors(ds: Dataset, config: FitConfig, center: Params) -> dict:
     """
     if config.bootstrap_resamples < 20:
         raise ConfigError(f"bootstrap needs >= 20 resamples, got {config.bootstrap_resamples}")
-    n = len(ds)
-    probs = ds.weights / ds.weights.sum()
     names, fold, log_bounds = _space(empirical_ccdf(ds), config)
     x0 = np.log([getattr(center, name) for name in names])
-    draws, failed = [], 0
-    for k in range(int(config.bootstrap_resamples)):
-        idx = np.random.default_rng((config.seed, 2, k)).choice(n, size=n, replace=True, p=probs)
-        resampled = empirical_ccdf(Dataset(values=ds.values[idx]))
-        evaluate = _evaluator(FitProblem(resampled, config.grid_points, config.quad_tol), fold)
-        x, _value, ok = _minimize_from(evaluate, x0, log_bounds, config.opt_tol)[:3]
-        failed += not ok
-        draws.append(np.exp(fold @ x))
+    problems = [FitProblem(empirical_ccdf(Dataset(values=ds.values[idx])), config.grid_points,
+                           config.quad_tol) for idx in _resamples(ds, config)]
+    runs = _lockstep(problems, fold, [x0] * len(problems), log_bounds, config.opt_tol)
+    failed = sum(not run[2] for run in runs)
+    draws = [np.exp(fold @ run[0]) for run in runs]
     if 2 * failed > config.bootstrap_resamples:
         raise UnreliableErrorsError(
             f"{failed}/{config.bootstrap_resamples} bootstrap refits failed to converge"
         )
     spread = np.std(np.asarray(draws), axis=0, ddof=1)
     return dict(zip(model_mod.params_to_dict(center), spread.tolist()))
+
+
+def _resamples(ds: Dataset, config: FitConfig):
+    """Each bootstrap task's record indices, drawn with replacement with probability
+    proportional to weight, in ascending order.
+
+    Task k's draw is the multiset ``Generator.choice(n, n, p=weights / sum)`` takes from the
+    stream seeded by (config.seed, 2, k): the same uniforms searched in the same cumulative
+    probabilities, but sorted first, so the indices ascend and the resample of the sorted
+    values arrives sorted.
+    """
+    n = len(ds)
+    cdf = np.cumsum(ds.weights / ds.weights.sum())
+    cdf /= cdf[-1]
+    for k in range(int(config.bootstrap_resamples)):
+        yield cdf.searchsorted(np.sort(np.random.default_rng((config.seed, 2, k)).random(n)),
+                               side="right")
 
 
 def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> dict:

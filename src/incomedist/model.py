@@ -40,7 +40,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import (DataFormatError, DomainError, InvalidParamsError, NonNormalizableError,
-                     QuadratureError, _integer, _nonnegative_array, _real)
+                     QuadratureError, _integer, _nonnegative_array, _raised, _real)
 
 __all__ = ["Params", "FpCoefficients", "NormalizedModel", "fp_coefficients_for", "normalize",
            "pdf", "logpdf", "ccdf", "logccdf", "quantile", "sample",
@@ -211,35 +211,56 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
         constants are not finite floats.
     """
     quad_tol = _real(quad_tol, "quad_tol", DomainError, 0.0, 1e-6, closed="right")
-    return _normalize_on(params, quad_tol, np.empty(0))[0]
+    return _raised(_normalize_on([(params, np.empty(0))], quad_tol)[0])[0]
 
 
-def _sweep(p: Params, quad_tol: float, m: np.ndarray, grad: bool = False):
-    """Branch kernel log masses, as kernel_log_mass gives them, at ascending incomes ``m``.
+def _sweep(points, quad_tol: float, grad: bool = False):
+    """Branch kernel log masses, as kernel_log_mass gives them, for a batch of points.
 
-    One :func:`quadrature.branch_log_masses` sweep per branch over the incomes
-    given and no others: the high kernel from each m >= m1 up to infinity, then
-    the low kernel from each m < m1 up to m1.  Returns (low, high), each in the
-    order of ``m``; with ``grad`` each is the (masses, derivatives) pair of
-    :func:`quadrature.branch_log_masses`.
+    ``points`` holds (params, ascending incomes) pairs.  One
+    :func:`quadrature.branch_log_masses` call sweeps, for every point, its incomes given
+    and no others: the high kernel from each m >= m1 up to infinity, and the low kernel
+    from each m < m1 up to m1.  Returns one entry per point: (low, high), each in the order
+    of its incomes and with ``grad`` the (masses, derivatives) pair of
+    :func:`quadrature.branch_log_masses`, or the :class:`QuadratureError` the point raises
+    alone.
     """
-    i = int(np.searchsorted(m, p.m1))
-    high = quadrature.branch_log_masses(p.m0, p.t_high, p.alpha1, math.inf, m[i:], quad_tol, grad)
-    return quadrature.branch_log_masses(p.m0, p.t_low, p.alpha, p.m1, m[:i], quad_tol, grad), high
+    sweeps, incomes = [], []
+    for p, m in points:
+        i = int(np.searchsorted(m, p.m1))
+        sweeps += [(p.m0, p.t_high, p.alpha1, math.inf, m.size - i), (p.m0, p.t_low, p.alpha, p.m1, i)]
+        incomes += [m[i:], m[:i]]
+    m0, temperature, alpha, top, sizes = zip(*sweeps)
+    masses = quadrature.branch_log_masses(m0, temperature, alpha, top, np.concatenate(incomes),
+                                          sizes, quad_tol, grad)
+    return [next((x for x in (high, low) if isinstance(x, QuadratureError)), (low, high))
+            for high, low in zip(masses[::2], masses[1::2])]
 
 
-def _normalize_on(p: Params, quad_tol: float, m: np.ndarray, grad: bool = False):
-    """:func:`normalize` and the log CCDF at ascending incomes ``m``.
+def _normalize_on(points, quad_tol: float, grad: bool = False):
+    """:func:`normalize` and the log CCDF at ascending incomes, for a batch of points.
 
-    Sweeps ``m`` with 0 and m1 added, so ``low[0]`` and ``high[0]`` are the whole
-    branch masses on [0, m1] and [m1, inf).  With no incomes each sweep is the one
-    kernel_log_mass makes, so the constants equal it.  With ``grad`` a third
-    element follows: the log CCDF's derivatives by the log of each parameter, an
-    (m.size, 6) array with columns in :class:`Params` field order.  Its callers check
-    ``quad_tol``.
+    ``points`` holds (params, incomes) pairs.  One :func:`_sweep` takes every point's
+    incomes with 0 and m1 added, so ``low[0]`` and ``high[0]`` are its whole branch masses
+    on [0, m1] and [m1, inf).  With no incomes each sweep is the one kernel_log_mass makes,
+    so the constants equal it.  Returns one entry per point: (model, curve) or, with
+    ``grad``, (model, curve, jac), where ``jac`` holds the log CCDF's derivatives by the log
+    of each parameter, an (m.size, 6) array with columns in :class:`Params` field order; or
+    the :class:`QuadratureError` the point raises alone.  Its callers check ``quad_tol``.
     """
-    i = int(np.searchsorted(m, p.m1))
-    low, high = _sweep(p, quad_tol, np.concatenate([[0.0], m[:i], [p.m1], m[i:]]), grad)
+    swept = _sweep([(p, np.insert(m, [0, int(np.searchsorted(m, p.m1))], [0.0, p.m1])) for p, m in points],
+                   quad_tol, grad)
+    out = []
+    for (p, _m), branches in zip(points, swept):
+        try:
+            out.append(_compose(p, quad_tol, *_raised(branches), grad))
+        except QuadratureError as exc:
+            out.append(exc)
+    return out
+
+
+def _compose(p: Params, quad_tol: float, low, high, grad: bool):
+    """One point of :func:`_normalize_on` from its branch masses (and derivatives)."""
     if grad:
         (low, d_low), (high, d_high) = low, high
     log_ratio = _log_kernel_ratio_at_m1(p)
@@ -335,7 +356,7 @@ def logccdf(model: NormalizedModel, m):
     """
     arr = _validate_incomes(m)
     uniq, inverse = (arr.reshape(1), 0) if arr.size == 1 else np.unique(arr.ravel(), return_inverse=True)
-    out = _log_ccdf_from(model, *_sweep(model.params, model.quad_tol, uniq))
+    out = _log_ccdf_from(model, *_raised(_sweep([(model.params, uniq)], model.quad_tol)[0]))
     result = out[inverse].reshape(arr.shape)
     return float(result) if np.isscalar(m) else result
 

@@ -50,11 +50,12 @@ income space, scaled back by m0 * exp(-beta*pi/2).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import DomainError, NonNormalizableError, QuadratureError, _real
+from .errors import DomainError, NonNormalizableError, QuadratureError, _raised, _real
 
 __all__ = ["branch_log_masses", "kernel_log_cumulative", "kernel_log_mass"]
 
@@ -100,6 +101,7 @@ _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
 _LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _MAX_BATCH_PANELS = 200_000
+_FACTORIALS = [float(math.factorial(k)) for k in range(_SERIES_ORDER)]
 # ell = -log(sin v / v) = v^2/6 + v^4/180 + v^6/2835 + v^8/37800 + O(v^10).  The series head's
 # coefficients d are those of exp(beta*v - (alpha-1)*ell), so their alpha-derivative is -(ell * d).
 _NEG_LOG_SINC = np.array([0.0, 0.0, 1.0 / 6.0, 0.0, 1.0 / 180.0, 0.0, 1.0 / 2835.0, 0.0, 1.0 / 37800.0])
@@ -119,6 +121,16 @@ def _series_cutoff(beta: float, alpha: float) -> float:
     return cut
 
 
+def _series_fits(beta: float, alpha: float) -> bool:
+    """Whether :func:`_series_coefficients` gives floats: past beta ~ 3e38 or |alpha - 1| ~ 1e77
+    its highest power of beta or of alpha - 1 overflows, and with it a sweep's series head."""
+    try:
+        beta ** (_SERIES_ORDER - 1), (alpha - 1.0) ** 4
+    except OverflowError:
+        return False
+    return True
+
+
 def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
     """Taylor coefficients d_j of exp(beta*v) (sin v / v)^(alpha-1)."""
     w = alpha - 1.0
@@ -129,28 +141,37 @@ def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
     c[6] = -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0
     c[8] = ((w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0)
             - w / 37800.0)
-    e = np.array([beta**k / math.factorial(k) for k in range(_SERIES_ORDER)])
+    e = np.array([beta**k / f for k, f in enumerate(_FACTORIALS)])
     return np.convolve(e, c)[:_SERIES_ORDER]
 
 
-def _log_series_primitives(x, alpha: float, d: np.ndarray, moments=False):
-    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv, as a (1, x.size) array;
-    with ``moments`` rows of the same integral of (pi/2 - v) and of -log sin v times the
-    integrand follow.
-
-    Valid for 0 <= x <= the series cutoff; ``d`` carries beta.  All are -inf at x = 0 and
-    positive above it.  Each is x^alpha times row sums over one table of x^j.
-    """
-    js = np.arange(_SERIES_ORDER)
-    a = alpha + js
+def _series_rows(d: np.ndarray, alpha: np.ndarray, moments=False) -> np.ndarray:
+    """The head's coefficient rows for :func:`_log_series_primitives` from coefficients ``d``,
+    one row of them per sweep, and each sweep's ``alpha``: a (rows, sweeps, 9) array of the
+    mass rows d_j / (alpha + j) and, with ``moments``, the rows of the (pi/2 - v) and
+    -log sin v primitives, the latter by the alpha-derivative of d."""
+    a = alpha[:, None] + np.arange(_SERIES_ORDER)
     rows = [d / a]
-    if moments:  # two (pi/2 - v) rows and a -log sin v row, by the alpha-derivative of d
-        d_alpha = -np.convolve(_NEG_LOG_SINC, d)[:_SERIES_ORDER]
+    if moments:  # two (pi/2 - v) rows and a -log sin v row
+        d_alpha = -np.array([np.convolve(_NEG_LOG_SINC, x)[:_SERIES_ORDER] for x in d])
         rows += [_HALF_PI * d / a, d / (a + 1.0), d / (a * a) - d_alpha / a]
-    xj = x[:, None] ** js[None, :]
-    s = (np.array(rows)[:, None, :] * xj).sum(axis=2)
+    return np.array(rows)
+
+
+def _log_series_primitives(x, alpha, rows):
+    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv, as a (1, x.size) array;
+    with the moment rows of :func:`_series_rows`, rows of the same integral of (pi/2 - v)
+    and of -log sin v times the integrand follow.
+
+    Valid for 0 <= x <= the series cutoff.  ``rows`` is a (rows, x.size or 1, 9) array of
+    coefficient rows and ``alpha`` one value per x or one for all, so one call serves knots
+    of many sweeps.  All are -inf at x = 0 and positive above it.  Each is x^alpha times
+    row sums over one table of x^j.
+    """
+    xj = x[:, None] ** np.arange(_SERIES_ORDER)
+    s = (rows * xj).sum(axis=2)
     log_x = np.log(x)
-    if moments:  # at x = 0 the -log sin v row would be -inf + inf: log 0 makes it -inf
+    if rows.shape[0] > 1:  # at x = 0 the -log sin v row would be -inf + inf: log 0 makes it -inf
         s = np.array([s[0], s[1] - x * s[2], np.where(x > 0.0, s[3] - log_x * s[0], 0.0)])
     return alpha * log_x + np.log(s)
 
@@ -158,7 +179,7 @@ def _log_series_primitives(x, alpha: float, d: np.ndarray, moments=False):
 def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     """Evaluate one Gauss-Kronrod panel per segment, scaled by exp(-beta*hi).
 
-    Returns (logs, accepted): ``logs`` is a (rows, panels) array whose rows,
+    ``beta`` and ``alpha`` hold one value per panel.  Returns (logs, accepted): ``logs`` is a (rows, panels) array whose rows,
     log_value and log_error, already include the +beta*hi exponent, so
     contributions from different panels combine directly via logaddexp.
     With ``moments`` two rows follow: the logs of the panel integrals of
@@ -170,13 +191,13 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     v = h[:, None] * _GK_NODES
     v += (0.5 * (hi + lo))[:, None]
     f = v - hi[:, None]
-    f *= beta
+    f *= beta[:, None]
     if moments:
         u = _HALF_PI - v
     v = np.log(np.sin(v, out=v), out=v)
     if moments:
         neg_log_sin = -v
-    v *= alpha - 1.0
+    v *= (alpha - 1.0)[:, None]
     f += v
     f = np.exp(f, out=f)
     resk = np.einsum("pn,n->p", f, _GK_W)
@@ -196,122 +217,180 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     return beta * hi + np.log(np.array(rows)), accepted
 
 
-def _gk_log_segments(lo, hi, beta, alpha, rel_tol, moments=False):
+def _gk_log_segments(lo, hi, beta, alpha, sweep, rel_tol, moments=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one) lie inside [series cutoff, pi/2]; one of zero width passes at
-    once with mass -inf.  A panel passes its own test, or when its error is within its width's
-    share of half ``rel_tol`` times its segment's mass so far (the accepted panels and this
-    round's), so a segment's errors sum to about ``rel_tol`` of its mass at most.  A failing
-    panel is halved; the width test passes any panel within about 51 halvings, and past
-    ``_MAX_BATCH_PANELS`` panels in all every panel is taken.  Returns the running sums, per
+    Segments (at least one) lie inside [series cutoff, pi/2]; ``beta``, ``alpha`` and
+    ``sweep``, the index of the segment's sweep, hold one value per segment.  One of zero
+    width passes at once with mass -inf.  A panel passes its own test, or when its error is
+    within its width's share of half ``rel_tol`` times its segment's mass so far (the accepted
+    panels and this round's), so a segment's errors sum to about ``rel_tol`` of its mass at
+    most.  A failing panel is halved; the width test passes any panel within about 51
+    halvings, and once a sweep has spent ``_MAX_BATCH_PANELS`` panels in all, every panel of it
+    is taken.  So no segment's panels depend on another sweep's.  Returns the running sums, per
     segment, of the accepted panels' (log_value, log_error[, moments]) from ``_gk_panel_batch``.
     """
-    cur_lo, cur_hi, cur_id, spent = lo, hi, np.arange(lo.size), 0
+    cur_lo, cur_hi, cur_id, sums = lo, hi, np.arange(lo.size), None
     while cur_lo.size:
-        logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta, alpha, rel_tol, moments)
-        if not spent:  # a first-round panel is its segment: its own test is the share test
+        logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta[cur_id], alpha[cur_id], rel_tol, moments)
+        if sums is None:  # a first-round panel is its segment: its own test is the share test
             if ok.all():
                 return logs
             log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
             sums = np.full((logs.shape[0], lo.size), -np.inf)
+            spent = np.zeros(sweep[-1] + 1, dtype=int)
         elif not ok.all():
             mass = sums[0].copy()
             np.logaddexp.at(mass, cur_id, logs[0])
             ok |= logs[1] - np.log(cur_hi - cur_lo) <= (log_share + mass)[cur_id]
-        spent += cur_id.size
-        if spent > _MAX_BATCH_PANELS:
-            ok[:] = True
+        owner = sweep[cur_id]
+        spent += np.bincount(owner, minlength=spent.size)
+        ok |= (spent > _MAX_BATCH_PANELS)[owner]
         np.logaddexp.at(sums, (slice(None), cur_id[ok]), logs[:, ok])
         blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
         mid = 0.5 * (blo + bhi)
-        cur_lo, cur_hi, cur_id = np.append(blo, mid), np.append(mid, bhi), np.append(bid, bid)
+        cur_lo, cur_hi, cur_id = (np.concatenate(pair) for pair in ((blo, mid), (mid, bhi), (bid, bid)))
     return sums
 
 
-def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments=False):
-    """Cumulative log kernel masses in v from ``start_v`` to each point.
+def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments=False,
+                          sizes=None):
+    """Cumulative log kernel masses in v, for a batch of sweeps.
 
-    Computes log( integral_{start_v}^{p_k} exp(beta*v) sin(v)^(alpha-1) dv )
-    for an increasing array of points.  Zero-width segments contribute
-    -inf and are harmless.  Returns (log_cumulative, achieved_rel_error).
-    With ``moments`` a third element follows: the kernel-weighted means of
-    pi/2 - v and of -log sin v over each point's interval, as a (2, n)
-    array (NaN where the mass is zero).  They ride on the panels the masses
-    accepted, with no error estimate of their own (within 1e-8 relative in
-    the tests).  The first two elements are unchanged.
+    Sweep s computes log( integral_{start_s}^{p_k} exp(beta_s*v) sin(v)^(alpha_s-1) dv )
+    for each of its points, the next ``sizes[s]`` entries of ``points_v``, which increase.
+    ``start_v``, ``beta`` and ``alpha`` hold one value per sweep; scalars and no ``sizes``
+    make one sweep of every point.  Zero-width segments contribute -inf and are harmless.
+    A sweep gets the bits it gets alone: its series head, its panels and its panel budget
+    are its own.  Returns (log_cumulative, achieved, achieved_per_sweep): the cumulative
+    masses in the order of ``points_v``, the worst relative error the batch achieved and
+    each sweep's.  A sweep whose series coefficients overflow (beta past ~3e38 or
+    |alpha - 1| past ~1e77) is not integrated: its masses are NaN, it achieves inf, and the
+    worst is over the others.  With ``moments`` a fourth element follows: the
+    kernel-weighted means of pi/2 - v and of -log sin v over each point's interval, as a
+    (2, n) array (NaN where the mass is zero).  They ride on the panels the masses
+    accepted, with no error estimate of their own (within 1e-8 relative in the tests).  The
+    masses and errors are the same without them.
     """
-    knots = np.concatenate([[start_v], np.asarray(points_v, dtype=float)])
-    nseg = knots.size - 1
-    cut = _series_cutoff(beta, alpha)
-    # Even with no series segment: past beta ~ 3e38 or |alpha - 1| ~ 1e77 a power overflows.
-    try:
-        d = _series_coefficients(beta, alpha)
-    except OverflowError:
-        raise QuadratureError(f"series coefficients overflow at beta = {beta!r}, alpha = {alpha!r}") from None
-    # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the series up
-    # to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut) if k >= n_low - 1.
-    n_low = int(knots.searchsorted(cut, side="right"))
-    # Per segment, the log increment, log error and (with moments) log moment increments.
-    logs = np.full((4 if moments else 2, nseg), -np.inf)
+    points = np.asarray(points_v, dtype=float)
+    starts, betas, alphas = (np.asarray(x, dtype=float).reshape(-1) for x in (start_v, beta, alpha))
+    sizes = [points.size] if sizes is None else list(sizes)
+    fits = [_series_fits(b, a) for b, a in zip(betas.tolist(), alphas.tolist())]
+    ran = [f and n > 0 for f, n in zip(fits, sizes)]
     # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
-    # share test, and as an overflowed beta (inf) times hi meets log(0): NaN, so normalize raises.
+    # share test and in a zero mass's error gap, and as an overflowed beta (inf) times hi meets
+    # log(0): NaN, so normalize raises.
     with np.errstate(divide="ignore", invalid="ignore"):
-        if n_low:
-            # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
-            log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), alpha, d, moments)
-            # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
-            delta = -np.expm1(log_s[:, :-1] - log_s[:, 1:])
-            head = np.where(delta > 0.0, log_s[:, 1:] + np.log(delta), -np.inf)
-            logs[:, :n_low] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
-        first = max(n_low - 1, 0)
-        if first < nseg:
-            logs[:, first:] = np.logaddexp(logs[:, first:], _gk_log_segments(
-                np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha, rel_tol, moments))
-        cum_val, cum_err, *cum_moments = np.logaddexp.accumulate(logs, axis=1)
-        finite = cum_val > -np.inf
-        achieved = np.max(cum_err[finite] - cum_val[finite], initial=-np.inf)
-        if moments:
-            return cum_val, float(np.exp(achieved)), np.exp(np.array(cum_moments) - cum_val)
-    return cum_val, float(np.exp(achieved))
+        if all(ran):
+            cum, achieved, means = _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments)
+            worst = float(achieved.max())
+        else:  # integrate the others; a sweep with no points achieves 0
+            ran, kept = np.array(ran), np.repeat(ran, sizes)
+            cum, means = np.full(points.size, np.nan), np.full((2, points.size), np.nan)
+            achieved, worst = np.where(fits, 0.0, np.inf), 0.0
+            if ran.any():
+                cum[kept], achieved[ran], part_means = _cumulate(
+                    starts[ran], points[kept], [n for n, r in zip(sizes, ran) if r], betas[ran],
+                    alphas[ran], rel_tol, moments)
+                worst = float(achieved[ran].max())
+                if moments:
+                    means[:, kept] = part_means
+    return (cum, worst, achieved, means) if moments else (cum, worst, achieved)
 
 
-def branch_log_masses(m0, temperature, alpha, top, m, rel_tol, moments=False):
-    """Log kernel masses in income space from each income of ``m`` up to ``top``.
+def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
+    """:func:`kernel_log_cumulative` of sweeps that have points and whose series coefficients fit.
+    Returns (log_cumulative, achieved_per_sweep, means or None)."""
+    ends = list(itertools.accumulate(sizes))
+    firsts = [end - size for end, size in zip(ends, sizes)]
+    sweep = np.arange(len(sizes)).repeat(sizes)
+    # Segment k of a sweep runs from its point k - 1 (its start for k = 0) to its point k.
+    lo = np.concatenate([x for a, b, start in zip(firsts, ends, starts[:, None])
+                         for x in (start, points[a:b - 1])])
+    cut = np.array([_series_cutoff(b, a) for b, a in zip(betas.tolist(), alphas.tolist())])[sweep]
+    # Per segment, the log increment, log error and (with moments) log moment increments: the
+    # series head takes the part below the cutoff and panels the part above it.
+    logs = np.full((4 if moments else 2, points.size), -np.inf)
+    head = (lo <= cut).nonzero()[0]
+    if head.size:
+        owner = sweep[head]
+        d = np.zeros((len(sizes), _SERIES_ORDER))
+        for s in dict.fromkeys(owner.tolist()):
+            d[s] = _series_coefficients(float(betas[s]), float(alphas[s]))
+        # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
+        at = np.concatenate([owner, owner])
+        log_s = _log_series_primitives(np.concatenate([lo[head], np.minimum(points[head], cut[head])]),
+                                       alphas[at], _series_rows(d, alphas, moments)[:, at])
+        lower, upper = log_s[:, :head.size], log_s[:, head.size:]
+        delta = -np.expm1(lower - upper)
+        increments = np.where(delta > 0.0, upper + np.log(delta), -np.inf)
+        logs[:, head] = [increments[0], increments[0] + _LOG_SERIES_REL_ERR, *increments[1:]]
+    panel = (points > cut).nonzero()[0]
+    if panel.size:  # a segment that straddles the cutoff adds its two parts
+        owner = sweep[panel]
+        parts = _gk_log_segments(np.maximum(lo[panel], cut[panel]), points[panel], betas[owner],
+                                 alphas[owner], owner, rel_tol, moments)
+        logs[:, panel] = np.logaddexp(logs[:, panel], parts) if head.size else parts
+    cum = np.empty_like(logs)
+    for a, b in zip(firsts, ends):
+        np.logaddexp.accumulate(logs[:, a:b], axis=1, out=cum[:, a:b])
+    gap = np.where(cum[0] > -np.inf, cum[1] - cum[0], -np.inf)
+    return cum[0], np.exp(np.maximum.reduceat(gap, firsts)), np.exp(cum[2:] - cum[0]) if moments else None
 
-    ``m`` ascends below ``top`` (inf or the breakpoint).  One kernel_log_cumulative
-    sweep in v = arctan(m0/m) from v(top) through every v(m), none for an empty ``m``;
-    the masses are log m0 - beta*pi/2 plus the sweep, in the order of ``m``.  Raises
-    :class:`QuadratureError` if the sweep misses ``rel_tol``.
 
-    With ``moments``, returns (masses, grad): ``grad`` is a (4, m.size) array of the
-    masses' derivatives by log T, by alpha, by log m (the lower end) and by log top,
-    each with the others and m0 held.  The masses scale with (T, m0, m, top) together,
-    so the derivative by log m0 is 1 minus the sum of the other three scale rows.  A
-    zero mass gets zero derivatives.
+def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=False):
+    """Log kernel masses in income space, for a batch of branch sweeps.
+
+    Sweep s takes the kernel of ``m0[s]``, ``temperature[s]`` and ``alpha[s]`` from each of
+    its incomes, the next ``sizes[s]`` entries of ``m``, which ascend below ``top[s]`` (inf or
+    the breakpoint), up to ``top[s]``.  One kernel_log_cumulative call in v = arctan(m0/m)
+    from v(top) through every v(m) serves the sweeps with incomes, none if no sweep has one;
+    the masses are log m0 - beta*pi/2 plus the sweep, in the order of ``m``.  Returns one
+    entry per sweep: its masses or, if it misses ``rel_tol``, the :class:`QuadratureError`
+    it raises alone.
+
+    With ``moments``, an entry is (masses, grad): ``grad`` is a (4, size) array of the
+    masses' derivatives by log T, by alpha, by log m (the lower end) and by log top, each
+    with the others and m0 held.  The masses scale with (T, m0, m, top) together, so the
+    derivative by log m0 is 1 minus the sum of the other three scale rows.  A zero mass gets
+    zero derivatives.
     """
-    if m.size == 0:
-        return (np.empty(0), np.empty((4, 0))) if moments else np.empty(0)
-    beta = m0 / temperature
+    out = [(np.empty(0), np.empty((4, 0))) if moments else np.empty(0)] * len(sizes)
+    # The sweeps run in v, which falls as m rises: reversing the whole batch reverses each
+    # sweep's incomes and the order of the sweeps.
+    live = [s for s in reversed(range(len(sizes))) if sizes[s]]
+    if not live:
+        return out
+    counts = [sizes[s] for s in live]
+    m0_live, beta, alpha_live, top_live = np.array(
+        [(m0[s], m0[s] / temperature[s], alpha[s], top[s]) for s in live], dtype=float).T
     with np.errstate(divide="ignore", over="ignore"):  # m = 0 maps to pi/2, inf to 0
-        v_top = float(np.arctan(m0 / np.asarray(top, dtype=float)))
-        v = np.maximum(np.arctan(m0 / np.asarray(m, dtype=float))[::-1], v_top)
-    cum, achieved, *means = kernel_log_cumulative(v_top, v, beta, alpha, rel_tol,
-                                                   moments=moments)
-    if achieved > rel_tol:
-        raise QuadratureError(f"kernel mass up to {top!r} reached relative error "
-                              f"{achieved:.3e} (requested {rel_tol:.3e})")
-    masses = math.log(m0) - beta * _HALF_PI + cum[::-1]
-    if not moments:
-        return masses
-    mean_u, mean_neg_log_sin = means[0]
+        v_top = np.arctan(m0_live / top_live)
+        v_tops = v_top.repeat(counts)
+        v = np.maximum(np.arctan(m0_live.repeat(counts) / np.asarray(m, dtype=float)[::-1]), v_tops)
+    cum, _worst, achieved, *means = kernel_log_cumulative(v_top, v, beta, alpha_live, rel_tol,
+                                                          moments=moments, sizes=counts)
+    if moments:
+        mean_u, mean_neg_log_sin = means[0]
+        beta, alpha_live = beta.repeat(counts), alpha_live.repeat(counts)
 
-    def leibniz(x):  # integrand times sin v cos v = -dv/dlog m at an end, over the mass
-        return np.exp(beta * x + alpha * np.log(np.sin(x)) + np.log(np.cos(x)) - cum)
+        def leibniz(x):  # integrand times sin v cos v = -dv/dlog m at an end, over the mass
+            return np.exp(beta * x + alpha_live * np.log(np.sin(x)) + np.log(np.cos(x)) - cum)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grad = np.array([beta * mean_u, -mean_neg_log_sin, -leibniz(v), leibniz(v_top)])
-    return masses, np.where(cum > -np.inf, grad, 0.0)[:, ::-1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grad = np.array([beta * mean_u, -mean_neg_log_sin, -leibniz(v), leibniz(v_tops)])
+        grad = np.where(cum > -np.inf, grad, 0.0)[:, ::-1]
+    cum, end = cum[::-1], v.size
+    for s, sweep_achieved in zip(live, achieved.tolist()):  # the last sweep first
+        part, end = slice(end - sizes[s], end), end - sizes[s]
+        beta_s = m0[s] / temperature[s]
+        if sweep_achieved > rel_tol:
+            out[s] = QuadratureError(f"kernel mass up to {top[s]!r} at beta = {beta_s!r} reached "
+                                     f"relative error {sweep_achieved:.3e} (requested {rel_tol:.3e})")
+        else:
+            masses = math.log(m0[s]) - beta_s * _HALF_PI + cum[part]
+            out[s] = (masses, grad[:, part]) if moments else masses
+    return out
 
 
 def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
@@ -330,4 +409,6 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
         raise NonNormalizableError(f"kernel tail exponent alpha={alpha!r} gives a divergent integral")
     m0, temperature, alpha = (_real(x, name, DomainError, 0.0) for x, name in
                               ((m0, "m0"), (temperature, "temperature"), (alpha, "alpha")))
-    return float(branch_log_masses(m0, temperature, alpha, b, np.array([a]), rel_tol)[0])
+    return float(_raised(branch_log_masses([m0], [temperature], [alpha], [b], np.array([a]), [1],
+                                        rel_tol)[0])[0])
+

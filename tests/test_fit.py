@@ -30,6 +30,7 @@ from incomedist.fit import (
     initial_guess,
     objective,
 )
+from incomedist.errors import _raised
 from incomedist.model import _normalize_on
 
 PARAM_KEYS = {"T", "T1", "m0", "m1", "alpha", "alpha1"}
@@ -259,9 +260,8 @@ class TestFit:
         k = names.index("alpha")
         x0 = np.log([getattr(initial_guess(ccdf_2010_100k), n) for n in names])
         x0[k] = log_bounds[k, 0] + 1e-6
-        evaluate = fit_mod._evaluator(FitProblem(ccdf_2010_100k, cfg.grid_points, cfg.quad_tol),
-                                      fold)
-        x, value, converged = fit_mod._minimize_from(evaluate, x0, log_bounds, cfg.opt_tol)[:3]
+        problem = FitProblem(ccdf_2010_100k, cfg.grid_points, cfg.quad_tol)
+        x, value, converged = fit_mod._lockstep([problem], fold, [x0], log_bounds, cfg.opt_tol)[0][:3]
         assert converged
         assert math.exp(x[k]) == pytest.approx(fit_2010.params.alpha, rel=1e-3)
         assert value == pytest.approx(fit_2010.objective, rel=1e-9, abs=0.0)
@@ -270,9 +270,14 @@ class TestFit:
         values = idist.sample(models[2010], 800, seed=13)
         curve = empirical_ccdf(Dataset(values=values))
         calls = itertools.count()
-        real = FitProblem.residuals
-        monkeypatch.setattr(FitProblem, "residuals",
-                            lambda self, params: (next(calls), real(self, params))[1])
+        real = fit_mod.model_mod._normalize_on
+
+        def counted(points, quad_tol, grad=False):
+            for _point in points:
+                next(calls)
+            return real(points, quad_tol, grad)
+
+        monkeypatch.setattr(fit_mod.model_mod, "_normalize_on", counted)
         cfg = FitConfig(grid_points=80, tie_t1_m1=True, restarts=3, seed=5, quad_tol=1e-8)
         res = fit(curve, cfg)
         assert res.diagnostics["misfit_calls"] == next(calls)
@@ -294,16 +299,8 @@ class TestFit:
         # this sample ends (alpha near 1.77): the fit must settle outside.
         values = idist.sample(models[2010], 800, seed=13)
         curve = empirical_ccdf(Dataset(values=values))
-        real = FitProblem.residuals
         refusals = itertools.count()
-
-        def refuse(self, params):
-            if params.alpha < 1.9:
-                next(refusals)
-                raise QuadratureError("refused")
-            return real(self, params)
-
-        monkeypatch.setattr(FitProblem, "residuals", refuse)
+        monkeypatch.setattr(fit_mod.model_mod, "_normalize_on", refusing_below(1.9, refusals))
         cfg = FitConfig(grid_points=80, tie_t1_m1=True, restarts=3, seed=5, quad_tol=1e-8)
         res = fit(curve, cfg)
         assert next(refusals) > 0
@@ -396,6 +393,28 @@ class TestFit:
 FIELDS = tuple(f.name for f in fields(idist.Params))
 
 
+def refusing_below(alpha, refusals=None):
+    """A stand-in for the batched ``_normalize_on`` that refuses each point with alpha below
+    ``alpha`` alone, as the quadrature would, counting the refusals on ``refusals``."""
+    real = _normalize_on
+
+    def normalize(points, quad_tol, grad=False):
+        out = real(points, quad_tol, grad)
+        for k, (params, _m) in enumerate(points):
+            if params.alpha < alpha:
+                out[k] = QuadratureError("refused")
+                if refusals is not None:
+                    next(refusals)
+        return out
+
+    return normalize
+
+
+def normalize_on(params, quad_tol, m, grad=False):
+    """One point of the batched ``_normalize_on``, raised as the point alone raises it."""
+    return _raised(_normalize_on([(params, m)], quad_tol, grad)[0])
+
+
 def central_differences(f, params, h=1e-5):
     """Columns of d f / d log(parameter) by central differences, in Params field order."""
     def at(name, sign):
@@ -418,7 +437,7 @@ class TestJacobian:
         problem = FitProblem(ccdf_2010_100k, 200, quad_tol=1e-12)
         params = replace(year_params(year), t_high=t_high_over_m1 * year_params(year).m1)
         gaps, exact = problem.residuals(params)
-        curve = _normalize_on(params, problem.quad_tol, problem.grid)[1]
+        curve = normalize_on(params, problem.quad_tol, problem.grid)[1]
         scale = math.sqrt(problem.grid.size)
         assert np.array_equal(gaps, (curve / math.log(10.0) - problem.log10_emp) / scale)
         assert exact.shape == (200, 6)
@@ -439,9 +458,9 @@ class TestJacobian:
         params = idist.Params(t_low=m0 / math.exp(log_beta), t_high=m0 / math.exp(log_beta1),
                               m0=m0, m1=m0 * math.exp(log_m1), alpha=alpha, alpha1=alpha1)
         grid = np.sort(m0 * np.exp(np.random.default_rng(seed).uniform(-7.0, 7.0, 40)))
-        _model, curve, exact = _normalize_on(params, 1e-12, grid, grad=True)
-        assert np.array_equal(curve, _normalize_on(params, 1e-12, grid)[1])
-        reference = central_differences(lambda p: _normalize_on(p, 1e-12, grid)[1], params)
+        _model, curve, exact = normalize_on(params, 1e-12, grid, grad=True)
+        assert np.array_equal(curve, normalize_on(params, 1e-12, grid)[1])
+        reference = central_differences(lambda p: normalize_on(p, 1e-12, grid)[1], params)
         # A column 1e4 times shorter than the longest holds mostly the differences' rounding.
         assert column_gaps(exact, reference, floor=1e-4).max() <= 1e-4
 
@@ -453,7 +472,7 @@ class TestJacobian:
         of the mass underflows to 0 where its m0 derivative overflows: the curve stays finite,
         the Jacobian is NaN, which the fit's evaluator penalises, and no RuntimeWarning escapes."""
         params = idist.Params(t_low=t_low, t_high=t_high, m0=m0, m1=m1, alpha=alpha, alpha1=alpha1)
-        _model, curve, jac = _normalize_on(params, 1e-10, np.geomspace(0.37, 5.3e7, 200), grad=True)
+        _model, curve, jac = normalize_on(params, 1e-10, np.geomspace(0.37, 5.3e7, 200), grad=True)
         assert np.isfinite(curve).all()
         assert np.isnan(jac).any()
 
@@ -463,15 +482,19 @@ class TestJacobian:
         seen = []
         real = fit_mod._evaluator
 
-        def spy(problem, fold):
-            evaluate = real(problem, fold)
-            seen.append(evaluate)
-            return lambda x: (seen.append(np.copy(x)), evaluate(x))[1]
+        def spy(fold):
+            evaluate = real(fold)
+
+            def batch(problems, xs):
+                if not seen:  # the first round: the one run's start
+                    seen.extend([np.copy(xs[0]), lambda x: evaluate(problems[:1], [x])[0]])
+                return evaluate(problems, xs)
+
+            return batch
 
         monkeypatch.setattr(fit_mod, "_evaluator", spy)
         fit(empirical_ccdf(Dataset(values=idist.sample(models[2010], 800, seed=13))), config)
-        evaluate, x0 = seen[:2]
-        return x0, evaluate
+        return tuple(seen)
 
     @pytest.mark.parametrize("tie", [True, False])
     def test_loop_steps_on_the_jacobian_of_its_residuals(self, models, monkeypatch, tie):
@@ -492,20 +515,25 @@ class TestJacobian:
         x = np.log([30000.0, 100000.0, 400000.0, 3.0, 1.0])
         assert np.all(evaluate(x)[1])
 
-        def refuse(self, params):
-            raise QuadratureError("refused")
-
-        monkeypatch.setattr(FitProblem, "residuals", refuse)
+        monkeypatch.setattr(fit_mod.model_mod, "_normalize_on", refusing_below(math.inf))
         residuals, jac = evaluate(x)
         assert residuals @ residuals == pytest.approx(fit_mod._PENALTY)
         assert jac.shape == (80, 5) and not np.any(jac)
 
 
-def _bump_refit(evaluate, x0, log_bounds, opt_tol):
+def _bump_refit(x0, log_bounds, opt_tol):
     """A refit that moves only T (the first log-parameter), by the resample's mean residual
     at the center."""
-    wiggle = float(np.mean(evaluate(x0)[0]))
-    return x0 + np.eye(x0.size)[0] * np.log1p(wiggle), 0.0, True, 1
+    residuals, _jac = yield x0
+    return x0 + np.eye(x0.size)[0] * np.log1p(float(np.mean(residuals))), 0.0, True, 1
+
+
+def _stalled_refit(converged):
+    """Refits that evaluate their start once and end there, converged as ``converged()`` says."""
+    def refit(x0, log_bounds, opt_tol):
+        yield x0
+        return x0, 0.0, converged(), 1
+    return refit
 
 
 class TestBootstrapErrors:
@@ -541,18 +569,13 @@ class TestBootstrapErrors:
                              year_params(2010))
 
     def test_mostly_failed_refits_raise(self, tiny_ds, cfg, monkeypatch):
-        monkeypatch.setattr(fit_mod, "_minimize_from",
-                            lambda evaluate, x0, log_bounds, opt_tol: (x0, 0.0, False, 1))
+        monkeypatch.setattr(fit_mod, "_minimize_from", _stalled_refit(lambda: False))
         with pytest.raises(UnreliableErrorsError, match="failed to converge"):
             bootstrap_errors(tiny_ds, cfg, year_params(2010))
 
     def test_half_failed_refits_tolerated(self, tiny_ds, cfg, monkeypatch):
         calls = itertools.count()
-
-        def flaky(evaluate, x0, log_bounds, opt_tol):
-            return x0, 0.0, next(calls) % 2 == 0, 1
-
-        monkeypatch.setattr(fit_mod, "_minimize_from", flaky)
+        monkeypatch.setattr(fit_mod, "_minimize_from", _stalled_refit(lambda: next(calls) % 2 == 0))
         errs = bootstrap_errors(tiny_ds, cfg, year_params(2010))
         assert set(errs) == PARAM_KEYS
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import incomedist as idist
 from incomedist import quadrature
 from incomedist.quadrature import (_gk_log_segments, _gk_panel_batch, _log_series_primitives,
-                                   _series_coefficients, _series_cutoff, kernel_log_cumulative,
-                                   kernel_log_mass)
+                                   _series_coefficients, _series_cutoff, _series_rows,
+                                   kernel_log_cumulative, kernel_log_mass)
 
 from conftest import year_params
 
@@ -55,7 +55,7 @@ class TestIntegrateAdaptive:
         # [0, pi/2], the v-space image of integral_{-20}^0 e^u du.
         beta = 40.0 / math.pi
         exact = 20.0 - math.log(beta) + math.log(-math.expm1(-20.0))
-        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], beta, 1.0, 1e-10)
+        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], beta, 1.0, 1e-10)[:2]
         assert achieved <= 1e-10
         assert abs(math.expm1(cum[0] - exact)) <= 1e-10
         # The same integral in income space: m0 * (1 - e^-20) / beta.
@@ -64,11 +64,11 @@ class TestIntegrateAdaptive:
         assert abs(math.expm1(got - (math.log(m0) + exact - 20.0))) <= 1e-10
 
     def test_empty_interval_is_zero(self):
-        cum, achieved = kernel_log_cumulative(0.3, [0.3], 2.0, 1.5, 1e-12)
+        cum, achieved = kernel_log_cumulative(0.3, [0.3], 2.0, 1.5, 1e-12)[:2]
         assert cum[0] == -np.inf
         assert achieved == 0.0
         # A repeated knot adds nothing to the running mass.
-        cum, _ = kernel_log_cumulative(0.0, [0.3, 0.3, 1.0], 2.0, 1.5, 1e-12)
+        cum, _ = kernel_log_cumulative(0.0, [0.3, 0.3, 1.0], 2.0, 1.5, 1e-12)[:2]
         assert cum[0] == cum[1] < cum[2]
         for a in (0.0, 5000.0, np.inf):
             assert kernel_log_mass(100.0, 50.0, 2.0, a, a) == -np.inf
@@ -91,7 +91,7 @@ class TestIntegrateAdaptive:
         with I the regularized incomplete Beta function.
         """
         alpha = 0.7
-        cum, achieved = kernel_log_cumulative(0.0, _KNOTS, 1e-15, alpha, 1e-9)
+        cum, achieved = kernel_log_cumulative(0.0, _KNOTS, 1e-15, alpha, 1e-9)[:2]
         exact = (
             0.5
             * scipy.special.beta(0.5 * alpha, 0.5)
@@ -125,7 +125,7 @@ class TestIntegrateAdaptive:
         coarse = midpoint(12_500_000)
         oracle_self_err = abs(oracle - coarse)
 
-        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], 1e-15, 0.77, 1e-10)
+        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], 1e-15, 0.77, 1e-10)[:2]
         value = math.exp(cum[0])
         assert achieved <= 1e-10
         assert abs(value - oracle) <= max(1e-8 * oracle, 2.0 * oracle_self_err)
@@ -145,7 +145,7 @@ class TestErrorHonesty:
         for beta in _BETAS:
             exact = np.array([_log_exp_integral(beta, x) for x in _KNOTS])
             for rel_tol in (1e-6, 1e-10, 1e-12):
-                cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, rel_tol)
+                cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, rel_tol)[:2]
                 true_err = np.abs(np.expm1(cum - exact))
                 allowed = 10.0 * achieved + 5e-16 + 4.0 * EPS * np.abs(exact)
                 if np.any(true_err > allowed):
@@ -155,7 +155,7 @@ class TestErrorHonesty:
     def test_converged_flag_matches_tolerance(self):
         for beta in _BETAS:
             exact = np.array([_log_exp_integral(beta, x) for x in _KNOTS])
-            cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, 1e-10)
+            cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, 1e-10)[:2]
             assert achieved <= 1e-10
             assert np.max(np.abs(np.expm1(cum - exact))) <= 1e-9
 
@@ -212,7 +212,8 @@ class TestPanelBatch:
 
         def rows(lo, hi):
             with np.errstate(divide="ignore"):  # log 0 of an error estimate that is exactly 0
-                logs, accepted = _gk_panel_batch(lo, hi, beta, alpha, 1e-12, moments)
+                logs, accepted = _gk_panel_batch(lo, hi, np.full(lo.size, beta),
+                                                 np.full(lo.size, alpha), 1e-12, moments)
             return np.vstack([logs, accepted])
 
         alone = np.column_stack([rows(lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)])
@@ -229,9 +230,9 @@ class TestSeriesHeadBatch:
         """A knot's series primitives (the mass and both moments) give the same bits
         alone as inside a 300-knot call, as a panel does in its batch."""
         x = np.random.default_rng(23).uniform(0.0, _series_cutoff(beta, alpha), 300)
-        d = _series_coefficients(beta, alpha)
-        whole = np.array(_log_series_primitives(x, alpha, d, moments=True))
-        alone = np.column_stack([_log_series_primitives(x[i:i + 1], alpha, d, moments=True)
+        rows = _series_rows(_series_coefficients(beta, alpha)[None], np.array([alpha]), moments=True)
+        whole = _log_series_primitives(x, np.full(x.size, alpha), rows[:, np.zeros(x.size, int)])
+        alone = np.column_stack([_log_series_primitives(x[i:i + 1], np.array([alpha]), rows)
                                  for i in range(x.size)])
         assert np.isfinite(whole).all()
         assert np.array_equal(whole, alone)
@@ -269,7 +270,9 @@ class TestPanelBudget:
 
     def _segments(self, lo, hi):
         with np.errstate(divide="ignore"):
-            return _gk_log_segments(np.asarray(lo), np.asarray(hi), self.BETA, self.ALPHA, 1e-12)
+            n = len(lo)
+            return _gk_log_segments(np.asarray(lo), np.asarray(hi), np.full(n, self.BETA),
+                                    np.full(n, self.ALPHA), np.zeros(n, int), 1e-12)
 
     @staticmethod
     def _count_panels(monkeypatch):
@@ -301,7 +304,7 @@ class TestPanelBudget:
         cut = _series_cutoff(self.BETA, self.ALPHA)
         points = np.linspace(0.3, 1.5, 201)
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 3_000)
-        _, achieved = kernel_log_cumulative(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)
+        _, achieved = kernel_log_cumulative(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)[:2]
         assert achieved <= 1e-12
 
     def test_budget_bounds_the_rounds(self, monkeypatch):
@@ -327,7 +330,7 @@ class TestSweepRegions:
         failures = []
         for beta in self.BETAS:
             for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
-                cum, achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)
+                cum, achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)[:2]
                 exact = np.array([_oracle_log_mass(beta, alpha, start, p) for p in points])
                 error = np.abs(np.expm1(cum - exact))
                 if achieved > 1e-12 or np.any(error > 1e-12 + EPS * np.abs(exact)):
@@ -347,9 +350,9 @@ class TestSweepRegions:
         failures = []
         for beta in (1e-3, 10.0, 1e4):
             for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
-                cum, achieved, means = kernel_log_cumulative(start, points, beta, alpha, 1e-12,
-                                                             moments=True)
-                plain, plain_achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)
+                cum, achieved, _, means = kernel_log_cumulative(start, points, beta, alpha, 1e-12,
+                                                                moments=True)
+                plain, plain_achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)[:2]
                 if not (np.array_equal(cum, plain) and achieved == plain_achieved):
                     failures.append((beta, name, "masses moved"))
                 for k, p in enumerate(points):
@@ -372,7 +375,7 @@ class TestSweepRegions:
         failures = []
         for beta in self.BETAS:
             for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
-                cum, _ = kernel_log_cumulative(start, points, beta, alpha, 1e-12)
+                cum, _ = kernel_log_cumulative(start, points, beta, alpha, 1e-12)[:2]
                 knots = np.concatenate([[start], points])
                 alone = np.array([kernel_log_cumulative(lo, [hi], beta, alpha, 1e-12)[0][0]
                                   for lo, hi in zip(knots[:-1], knots[1:])])

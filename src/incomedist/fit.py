@@ -211,7 +211,10 @@ def initial_guess(ccdf: EmpiricalCcdf) -> Params:
     if np.count_nonzero(low) < 3:
         low = np.zeros(m.size, dtype=bool)
         low[:5] = True
-    slope_ln = np.polyfit(m[low], np.log(p[low]), 1)[0]
+    # polyfit scales its columns by their norms, whose squares overflow or underflow when the
+    # incomes' norm is past about 1e154 or below 1e-150: such incomes take the fallback below.
+    norm = m[low][-1] * math.sqrt(np.count_nonzero(low))
+    slope_ln = np.polyfit(m[low], np.log(p[low]), 1)[0] if 1e-150 < norm < 1e154 else math.nan
     if slope_ln < -1e-300:
         t_low = -1.0 / slope_ln
     else:

@@ -12,6 +12,7 @@ import pathlib
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from conftest import year_params
@@ -68,6 +69,24 @@ def test_patched_calls_record_spans(pkg, tracing):
     names = {span.name for span in recorder.spans}
     assert {"model.normalize", "model.logccdf", "quadrature.kernel_log_cumulative"} <= names
     assert not hasattr(pkg.model.normalize, "__wrapped__")  # originals restored
+
+
+def test_segment_counts_read_a_batched_sweep(pkg, tracing):
+    # bench/tracing.py counts a kernel_log_cumulative call's segments as np.size(args[1]) and
+    # its achieved tolerance as float(result[1]): a batched call must hold every sweep's
+    # points in its second argument and put the batch's worst tolerance second.
+    recorder = tracing.Recorder()
+    grid = np.geomspace(1e3, 1e7, 50)
+    points = [(year_params(year), grid) for year in (2005, 2009, 2010)]
+    starts, v, betas, alphas = [0.0, 0.2], np.array([0.1, 0.5, 1.0, 0.3, 0.4]), [2.0, 30.0], [0.77, 3.0]
+    with tracing.Patched(pkg, recorder):
+        pkg.model._normalize_on(points, 1e-10, grad=True)
+        result = pkg.quadrature.kernel_log_cumulative(np.array(starts), v, np.array(betas),
+                                                      np.array(alphas), 1e-12, sizes=[3, 2])
+    first, second = [s for s in recorder.spans if s.name == "quadrature.kernel_log_cumulative"]
+    assert first.counts["segments"] == sum(m.size + 2 for _p, m in points)  # with 0 and m1
+    assert second.counts["segments"] == 5
+    assert second.counts["achieved"] == result[1] == max(result[2])
 
 
 @pytest.mark.parametrize("module, attr", WORKLOAD_NAMES)

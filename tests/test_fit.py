@@ -179,13 +179,24 @@ class TestInitialGuess:
         self.assert_inside_the_bounds(guess, ccdf)
 
     def test_overflowing_temperature_fit_falls_back_to_the_income_at_1_over_e(self):
-        # Past about 1e154 the straight-line fit of the lowest decade squares the incomes,
-        # overflows and gives a NaN slope; t_low then falls back to the income whose
-        # plotting position lies nearest 1/e.
+        # Past about 1e154 the straight-line fit of the lowest decade would square the incomes
+        # and overflow; t_low falls back to the income whose plotting position lies nearest
+        # 1/e, with no warning on the way.
         ccdf = EmpiricalCcdf(m=np.geomspace(1e300, 1e306, 30), p=np.linspace(0.95, 0.01, 30))
-        with np.errstate(over="ignore"), warnings.catch_warnings():
-            # numpy < 1.25 has RankWarning at the top level, not in np.exceptions.
-            warnings.simplefilter("ignore", getattr(np, "exceptions", np).RankWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            guess = initial_guess(ccdf)
+        assert guess.t_low == ccdf.m[np.argmin(np.abs(ccdf.p - math.exp(-1.0)))]
+        self.assert_inside_the_bounds(guess, ccdf)
+
+    @pytest.mark.parametrize("lo, hi", [(1e154, 1e160), (1e-170, 1e-160)])
+    def test_incomes_far_from_1_take_the_fallback_without_a_warning(self, lo, hi):
+        # Between these the squares of the lowest decade's incomes sum to a normal float
+        # and the straight-line fit runs; outside they overflow or underflow, polyfit would
+        # warn (a RuntimeWarning, then a RankWarning), and t_low comes from the 1/e point.
+        ccdf = empirical_ccdf(Dataset(values=np.geomspace(lo, hi, 500)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             guess = initial_guess(ccdf)
         assert guess.t_low == ccdf.m[np.argmin(np.abs(ccdf.p - math.exp(-1.0)))]
         self.assert_inside_the_bounds(guess, ccdf)
@@ -521,6 +532,57 @@ class TestJacobian:
         assert jac.shape == (80, 5) and not np.any(jac)
 
 
+class TestLockstep:
+    """A fit's restarts and a bootstrap's refits run in lockstep, each round's trial points
+    evaluated by one batched sweep; each run takes the steps it takes alone."""
+
+    @staticmethod
+    def runs(models):
+        """(problems, fold, starts, log_bounds, opt_tol): two restarts each on two curves."""
+        cfg = FitConfig(grid_points=80, tie_t1_m1=True, quad_tol=1e-8)
+        curves = [empirical_ccdf(Dataset(values=idist.sample(models[year], 800, seed=13)))
+                  for year in (2010, 2005)]
+        names, fold, log_bounds = fit_mod._space(curves[0], cfg)
+        x0 = np.log([getattr(initial_guess(curves[0]), n) for n in names])
+        starts = [x0, x0 + 0.3 * np.random.default_rng(4).standard_normal(x0.size)] * 2
+        problems = [FitProblem(c, cfg.grid_points, cfg.quad_tol) for c in curves for _ in (0, 1)]
+        return problems, fold, starts, log_bounds, cfg.opt_tol
+
+    @staticmethod
+    def assert_same(together, alone):
+        for (x, value, converged, calls, jac), want in zip(together, alone):
+            assert np.array_equal(x, want[0]) and np.array_equal(jac, want[4])
+            assert (value, converged, calls) == want[1:4]
+
+    def test_runs_end_where_they_end_alone(self, models):
+        problems, fold, starts, log_bounds, opt_tol = self.runs(models)
+        together = fit_mod._lockstep(problems, fold, starts, log_bounds, opt_tol)
+        alone = [fit_mod._lockstep([p], fold, [s], log_bounds, opt_tol)[0]
+                 for p, s in zip(problems, starts)]
+        assert len({run[3] for run in together}) > 1  # runs of different lengths
+        self.assert_same(together, alone)
+
+    def test_a_penalised_point_leaves_the_other_runs_alone(self, models, monkeypatch):
+        # The model refuses alpha < 2.5: points of some runs are penalised in rounds that
+        # also evaluate other runs' points, and every run still ends as it ends alone.
+        problems, fold, starts, log_bounds, opt_tol = self.runs(models)
+        refused_beside_others = []
+        refuse = refusing_below(2.5)
+
+        def normalize(points, quad_tol, grad=False):
+            out = refuse(points, quad_tol, grad)
+            if len(points) > 1:
+                refused_beside_others.extend(isinstance(x, QuadratureError) for x in out)
+            return out
+
+        monkeypatch.setattr(fit_mod.model_mod, "_normalize_on", normalize)
+        together = fit_mod._lockstep(problems, fold, starts, log_bounds, opt_tol)
+        assert any(refused_beside_others)
+        alone = [fit_mod._lockstep([p], fold, [s], log_bounds, opt_tol)[0]
+                 for p, s in zip(problems, starts)]
+        self.assert_same(together, alone)
+
+
 def _bump_refit(x0, log_bounds, opt_tol):
     """A refit that moves only T (the first log-parameter), by the resample's mean residual
     at the center."""
@@ -562,6 +624,25 @@ class TestBootstrapErrors:
         assert errs["T1"] == errs["m1"]
         assert set(errs) == PARAM_KEYS
         assert all(math.isfinite(e) and e >= 0.0 for e in errs.values())
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_resamples_are_the_draws_of_choice_sorted(self, weighted):
+        # Generator.choice(n, n, p=...) searches the cumulative probabilities for each of
+        # random(n); the resampler searches them for the sorted uniforms, so it draws the
+        # same index multiset in ascending order.  choice's arithmetic is numpy's own, so
+        # this runs on every numpy the package supports.
+        rng = np.random.default_rng(21)
+        ds = Dataset(values=rng.lognormal(10.0, 1.0, 3000),
+                     weights=rng.uniform(0.1, 3.0, 3000) if weighted else None)
+        probs = ds.weights / ds.weights.sum()
+        for seed in (0, 5, 11):
+            cfg = FitConfig(bootstrap_resamples=20, seed=seed)
+            for k, idx in enumerate(fit_mod._resamples(ds, cfg)):
+                drawn = np.random.default_rng((seed, 2, k)).choice(len(ds), size=len(ds),
+                                                                   replace=True, p=probs)
+                assert np.array_equal(idx, np.sort(drawn))
+                assert np.array_equal(Dataset(values=ds.values[idx]).values,
+                                      Dataset(values=ds.values[drawn]).values)
 
     def test_too_few_resamples_rejected(self, tiny_ds, cfg):
         with pytest.raises(ConfigError):

@@ -315,6 +315,85 @@ class TestPanelBudget:
         assert max(sizes) <= 2 * 1_000 and sum(sizes) <= 3 * 1_000
 
 
+class TestSweepBatch:
+    """One kernel_log_cumulative call sweeps many (beta, alpha, start) at once; each sweep in the
+    batch gives its masses, means and achieved tolerance bit for bit as it does alone."""
+
+    PARAMS = [(1e-3, 0.77), (0.1, 2.0), (10.0, 5.0), (1e3, 0.3), (1e4, 12.0)]
+
+    @staticmethod
+    def sweep(sweeps, moments, rel_tol=1e-12):
+        """kernel_log_cumulative of (start, points, beta, alpha) sweeps in one call, split back
+        into (masses, achieved[, means]) per sweep."""
+        starts, points, betas, alphas = zip(*sweeps)
+        sizes = [len(p) for p in points]
+        cum, worst, achieved, *means = kernel_log_cumulative(
+            np.array(starts), np.concatenate(points), np.array(betas), np.array(alphas), rel_tol,
+            moments=moments, sizes=sizes)
+        assert worst == max(a for a in achieved if a < np.inf)
+        ends = np.cumsum(sizes)
+        return [(cum[end - n:end], achieved[k], *(m[:, end - n:end] for m in means))
+                for k, (end, n) in enumerate(zip(ends, sizes))]
+
+    def batch(self):
+        sweeps = []
+        for beta, alpha in self.PARAMS:
+            layouts = _region_layouts(_series_cutoff(beta, alpha))
+            for name in ("knots at the cutoff", "start inside the series region",
+                         "wholly above the cutoff"):
+                start, points = layouts[name]
+                sweeps.append((start, np.array(points), beta, alpha))
+        return sweeps
+
+    @staticmethod
+    def assert_same(together, alone):
+        for got, want in zip(together, alone):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("moments", [False, True])
+    def test_sweeps_keep_their_alone_bits(self, moments):
+        sweeps = self.batch()
+        alone = [self.sweep([s], moments)[0] for s in sweeps]
+        self.assert_same(self.sweep(sweeps, moments), alone)
+        self.assert_same(self.sweep(sweeps[::-1], moments), alone[::-1])
+
+    def test_an_exhausted_budget_and_a_missed_tolerance_stay_with_their_sweep(self, monkeypatch):
+        # Under a budget of 20 panels the sweep from below the cutoff at beta = 1e4 is cut
+        # short and reaches only 1.3e-10.  The batch's sweeps that converge alone under that
+        # budget converge beside it, though together they spend far more than 20 panels.
+        cut = _series_cutoff(1e4, 2.0)
+        heavy = (0.5 * cut, np.array([0.3]), 1e4, 2.0)
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 20)
+        light = [s for s in self.batch() if self.sweep([s], False)[0][1] <= 1e-12]
+        alone = [self.sweep([s], False)[0] for s in [heavy, *light]]
+        assert alone[0][1] > 1e-12 and len(light) >= 8
+        self.assert_same(self.sweep([heavy, *light], False), alone)
+        self.assert_same(self.sweep([*light, heavy], False), alone[1:] + alone[:1])
+
+    def test_an_overflowing_sweep_is_flagged_alone(self):
+        # beta = 1e300 overflows the series coefficients: that sweep is not integrated, its
+        # masses are NaN and it achieves inf, and the others keep their bits.
+        sweeps = self.batch()
+        out = self.sweep([sweeps[0], (0.0, np.array([0.5, 1.0]), 1e300, 2.0), sweeps[1]], True)
+        assert np.isnan(out[1][0]).all() and out[1][1] == np.inf
+        self.assert_same([out[0], out[2]], [self.sweep([s], True)[0] for s in sweeps[:2]])
+
+    def test_branch_masses_flag_only_the_sweep_that_misses(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 20)
+        # m0 = 1e4 T and m0 / m = tan(0.3): the heavy sweep above, in income space.
+        m0, temperature = 1e4, 1.0
+        top = m0 / math.tan(0.5 * _series_cutoff(1e4, 2.0))
+        masses = quadrature.branch_log_masses(
+            [m0, 135000.0], [temperature, 38000.0], [2.0, 3.153], [top, 450000.0],
+            np.array([m0 / math.tan(0.3), 1e4, 1e5]), [1, 2], 1e-12)
+        assert isinstance(masses[0], idist.QuadratureError)
+        want = quadrature.branch_log_masses([135000.0], [38000.0], [3.153], [450000.0],
+                                            np.array([1e4, 1e5]), [2], 1e-12)[0]
+        assert np.array_equal(masses[1], want)
+
+
 class TestSweepRegions:
     """A sweep splits its segments at the series cutoff; each split must be seamless.
 

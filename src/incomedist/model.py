@@ -248,10 +248,12 @@ def _normalize_on(points, quad_tol: float, grad: bool = False):
     of each parameter, an (m.size, 6) array with columns in :class:`Params` field order; or
     the :class:`QuadratureError` the point raises alone.  Its callers check ``quad_tol``.
     """
-    swept = _sweep([(p, np.insert(m, [0, int(np.searchsorted(m, p.m1))], [0.0, p.m1])) for p, m in points],
-                   quad_tol, grad)
+    with_ends = []
+    for p, m in points:
+        i = int(np.searchsorted(m, p.m1))
+        with_ends.append((p, np.concatenate([[0.0], m[:i], [p.m1], m[i:]])))
     out = []
-    for (p, _m), branches in zip(points, swept):
+    for (p, _m), branches in zip(points, _sweep(with_ends, quad_tol, grad)):
         try:
             out.append(_compose(p, quad_tol, *_raised(branches), grad))
         except QuadratureError as exc:

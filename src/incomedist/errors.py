@@ -8,7 +8,9 @@ problems to exit code 3.
 
 The package's one set of input checks lives here too: :func:`_real`,
 :func:`_integer` and :func:`_nonnegative_array` each raise the class their
-caller names, and none takes a ``bool`` for a number.
+caller names, and none takes a ``bool`` for a number.  A batched
+computation returns a failed item's error in place of its result;
+:func:`_raised` raises it where one item is asked for.
 """
 
 from __future__ import annotations

@@ -12,15 +12,20 @@ kernel-weighted means of u = arctan(m/m0) and of log cos u (the
 derivatives by log T and by alpha) and the integrand at both ends
 (Leibniz's rule), from which the model composes the log CCDF and its
 derivatives through both branch constants and the continuity ratio.
-That sweep costs about 1.5 residual-only ones, and has no step size to
+That sweep costs about 1.7 residual-only ones, and has no step size to
 trade against quadrature noise.
 Uncertainty comes from a nonparametric bootstrap: resample the
 dataset, refit from the fitted center, report per-parameter standard
 deviations, which the caller passes to :func:`fit_result_document`.
 A :class:`FitProblem` builds the grid and empirical curve once per
 curve; each evaluation is then one normalization whose two branch
-sweeps also give the model curve.  The fit needs numpy alone, so every
-command's cold start costs about numpy and click.
+sweeps also give the model curve.  Each Levenberg-Marquardt run is a
+generator of trial points, and one driver runs a fit's restarts or a
+bootstrap's refits in lockstep: each round, one batched quadrature call
+evaluates every live run's next point, and each point's curve and
+Jacobian are composed on their own, so every run takes the steps it
+takes alone.  The fit needs numpy alone, so every command's cold start
+costs about numpy and click.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ _LN10 = math.log(10.0)
 _PENALTY = 1e9
 _MAX_STEPS = 300  # misfit calls per run: trial points, each one sweep with its Jacobian
 _TAIL_FLOOR = 20  # effective exceedances that must back the grid's last point
+_LIVE_RUNS = 64  # runs that share a round's batched sweep
 
 
 @dataclass(frozen=True)
@@ -316,14 +322,17 @@ def _lockstep(problems, fold: np.ndarray, starts, log_bounds, opt_tol: float):
     """One :func:`_minimize_from` run from each start, run k on ``problems[k]``, in lockstep.
 
     Each round advances every live run by one trial point, and one batched sweep evaluates
-    the round's points, so a run takes the steps it takes alone.  Returns each run's result,
-    in order.
+    the round's points, so a run takes the steps it takes alone.  At most ``_LIVE_RUNS`` runs
+    are live at once, the next starting as one ends, so the round's arrays stay bounded
+    however many refits a bootstrap asks for.  Returns each run's result, in order.
     """
     evaluate = _evaluator(fold)
-    runs = [_minimize_from(x0, log_bounds, opt_tol) for x0 in starts]
-    results = [None] * len(runs)
-    replies = dict.fromkeys(range(len(runs)))  # the first reply, None, starts a run
-    while replies:
+    waiting, runs, replies = list(enumerate(starts))[::-1], {}, {}
+    results = [None] * len(starts)
+    while replies or waiting:
+        while waiting and len(replies) < _LIVE_RUNS:
+            k, x0 = waiting.pop()
+            runs[k], replies[k] = _minimize_from(x0, log_bounds, opt_tol), None  # None starts it
         points = {}
         for k, reply in replies.items():
             try:
@@ -339,11 +348,11 @@ def _minimize_from(x0, log_bounds, opt_tol: float):
     generator: it yields each trial point and is sent back its (residuals, Jacobian).
 
     So an accepted point already holds the next step's Jacobian, and a driver such as
-    :func:`_lockstep` may evaluate many runs' points together.  The box enters through Coleman & Li's affine
-    scaling (SIAM J. Optim. 6, 1996), as in scipy's ``trf``.  A step that would
-    leave the box stops at 0.995 of the way to the first bound it meets, or if the
-    best step along the scaled gradient then gains more, that one is taken.  Stops
-    as :func:`fit` says.  Returns (log-space end point, objective there (twice the
+    :func:`_lockstep` may evaluate many runs' points together.  The box enters through
+    Coleman & Li's affine scaling (SIAM J. Optim. 6, 1996), as in scipy's ``trf``.  A step
+    that would leave the box stops at 0.995 of the way to the first bound it meets, or if
+    the best step along the scaled gradient then gains more, that one is taken.  Stops as
+    :func:`fit` says.  Returns (log-space end point, objective there (twice the
     cost), converged, misfit calls, Jacobian there).
     """
     lb, ub = log_bounds.T

@@ -26,7 +26,10 @@ All evaluation is carried out in log space; realistic parameters put
 exponents of order (m0/T)*pi/2 into the branch constants, which is fine
 for log arithmetic and fatal for linear arithmetic.  The branch kernel
 masses come from :mod:`quadrature` in income space; this module only
-composes the branch constants and the CCDF from them.
+composes the branch constants and the CCDF from them.  One quadrature
+call sweeps both branches of a model, or of a batch of parameter points
+(each with its own incomes), and each point is then composed alone:
+:func:`normalize` and :func:`logccdf` are batches of one.
 """
 
 from __future__ import annotations
@@ -228,7 +231,8 @@ def _sweep(points, quad_tol: float, grad: bool = False):
     sweeps, incomes = [], []
     for p, m in points:
         i = int(np.searchsorted(m, p.m1))
-        sweeps += [(p.m0, p.t_high, p.alpha1, math.inf, m.size - i), (p.m0, p.t_low, p.alpha, p.m1, i)]
+        sweeps += [(p.m0, p.t_high, p.alpha1, math.inf, m.size - i),
+                   (p.m0, p.t_low, p.alpha, p.m1, i)]
         incomes += [m[i:], m[:i]]
     m0, temperature, alpha, top, sizes = zip(*sweeps)
     masses = quadrature.branch_log_masses(m0, temperature, alpha, top, np.concatenate(incomes),

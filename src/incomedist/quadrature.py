@@ -22,17 +22,22 @@ subdivided until an embedded error estimate passes.  All kernel masses
 are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 
-A sweep makes one series evaluation, of every segment's part below the
-cutoff, and one batch of Gauss-Kronrod panels, of every part above it; a
-segment that straddles the cutoff adds its two parts.  The series primitives
-are taken once per knot up to the cutoff and once at it.  As in QUADPACK, a
-panel may pass against its segment's whole mass, so panels that carry none
-stop early and one panel budget serves the batch.  The head's sums over its
-power table and a panel's sums over its nodes are plain row reductions, not
-BLAS products, so a knot's or a panel's bits do not depend on its place in a
-batch (numpy does not document this for ``einsum`` or ``sum``;
-``TestSeriesHeadBatch`` and ``TestPanelBatch`` check it, verified on numpy
-2.4.6 only).  A first-round pass returns as is.
+One call integrates a batch of sweeps, each with its own beta, alpha and
+start: the branches of one model, or the trial points of many fit runs.  It
+makes one series evaluation, of every segment's part below its sweep's
+cutoff, and one batch of Gauss-Kronrod panels per round, of every part above
+it; a segment that straddles the cutoff adds its two parts.  The series
+primitives are taken at both ends of each segment's part below the cutoff.
+As in QUADPACK, a panel may pass against its segment's whole mass, so panels
+that carry none stop early; each sweep has its own panel budget and its own
+achieved tolerance.  The head's sums over its power table and a panel's sums
+over its nodes are plain row reductions, not BLAS products, so a knot's or a
+panel's bits do not depend on its place in a batch (numpy does not document
+this for ``einsum`` or ``sum``; ``TestSeriesHeadBatch``, ``TestPanelBatch``
+and ``TestSweepBatch`` check it, verified on numpy 2.4.6 only).  So a sweep
+gets the bits it gets alone, and a sweep that misses its tolerance or
+overflows is flagged alone.  A first round whose panels all pass returns as
+is.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
 -log sin v times the integrand: two more weighted sums per panel and, in
@@ -44,8 +49,9 @@ behind the derivatives of a branch log mass by log T (beta times the mean
 of u = pi/2 - v) and by alpha (the mean of log sin v).
 
 No other module knows the substitution: :func:`branch_log_masses` maps
-incomes to v, checks the sweep's tolerance and returns log masses in
-income space, scaled back by m0 * exp(-beta*pi/2).
+incomes to v, checks each sweep's tolerance and returns log masses in
+income space, scaled back by m0 * exp(-beta*pi/2); :func:`kernel_log_mass`
+is its batch of one.
 """
 
 from __future__ import annotations
@@ -179,8 +185,9 @@ def _log_series_primitives(x, alpha, rows):
 def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     """Evaluate one Gauss-Kronrod panel per segment, scaled by exp(-beta*hi).
 
-    ``beta`` and ``alpha`` hold one value per panel.  Returns (logs, accepted): ``logs`` is a (rows, panels) array whose rows,
-    log_value and log_error, already include the +beta*hi exponent, so
+    ``beta`` and ``alpha`` hold one value per panel.  Returns (logs, accepted): ``logs`` is
+    a (rows, panels) array whose rows, log_value and log_error, already include the +beta*hi
+    exponent, so
     contributions from different panels combine directly via logaddexp.
     With ``moments`` two rows follow: the logs of the panel integrals of
     (pi/2 - v) and -log sin v times the integrand, scaled alike.
@@ -305,8 +312,9 @@ def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
     firsts = [end - size for end, size in zip(ends, sizes)]
     sweep = np.arange(len(sizes)).repeat(sizes)
     # Segment k of a sweep runs from its point k - 1 (its start for k = 0) to its point k.
-    lo = np.concatenate([x for a, b, start in zip(firsts, ends, starts[:, None])
-                         for x in (start, points[a:b - 1])])
+    lo = np.empty_like(points)
+    lo[1:] = points[:-1]
+    lo[firsts] = starts
     cut = np.array([_series_cutoff(b, a) for b, a in zip(betas.tolist(), alphas.tolist())])[sweep]
     # Per segment, the log increment, log error and (with moments) log moment increments: the
     # series head takes the part below the cutoff and panels the part above it.
@@ -319,8 +327,8 @@ def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
             d[s] = _series_coefficients(float(betas[s]), float(alphas[s]))
         # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
         at = np.concatenate([owner, owner])
-        log_s = _log_series_primitives(np.concatenate([lo[head], np.minimum(points[head], cut[head])]),
-                                       alphas[at], _series_rows(d, alphas, moments)[:, at])
+        ends_x = np.concatenate([lo[head], np.minimum(points[head], cut[head])])
+        log_s = _log_series_primitives(ends_x, alphas[at], _series_rows(d, alphas, moments)[:, at])
         lower, upper = log_s[:, :head.size], log_s[:, head.size:]
         delta = -np.expm1(lower - upper)
         increments = np.where(delta > 0.0, upper + np.log(delta), -np.inf)
@@ -335,7 +343,8 @@ def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
     for a, b in zip(firsts, ends):
         np.logaddexp.accumulate(logs[:, a:b], axis=1, out=cum[:, a:b])
     gap = np.where(cum[0] > -np.inf, cum[1] - cum[0], -np.inf)
-    return cum[0], np.exp(np.maximum.reduceat(gap, firsts)), np.exp(cum[2:] - cum[0]) if moments else None
+    means = np.exp(cum[2:] - cum[0]) if moments else None
+    return cum[0], np.exp(np.maximum.reduceat(gap, firsts)), means
 
 
 def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=False):
@@ -386,7 +395,8 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
         beta_s = m0[s] / temperature[s]
         if sweep_achieved > rel_tol:
             out[s] = QuadratureError(f"kernel mass up to {top[s]!r} at beta = {beta_s!r} reached "
-                                     f"relative error {sweep_achieved:.3e} (requested {rel_tol:.3e})")
+                                     f"relative error {sweep_achieved:.3e} "
+                                     f"(requested {rel_tol:.3e})")
         else:
             masses = math.log(m0[s]) - beta_s * _HALF_PI + cum[part]
             out[s] = (masses, grad[:, part]) if moments else masses
@@ -409,6 +419,6 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
         raise NonNormalizableError(f"kernel tail exponent alpha={alpha!r} gives a divergent integral")
     m0, temperature, alpha = (_real(x, name, DomainError, 0.0) for x, name in
                               ((m0, "m0"), (temperature, "temperature"), (alpha, "alpha")))
-    return float(_raised(branch_log_masses([m0], [temperature], [alpha], [b], np.array([a]), [1],
-                                        rel_tol)[0])[0])
+    masses = branch_log_masses([m0], [temperature], [alpha], [b], np.array([a]), [1], rel_tol)
+    return float(_raised(masses[0])[0])
 

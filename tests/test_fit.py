@@ -554,7 +554,10 @@ class TestLockstep:
             assert np.array_equal(x, want[0]) and np.array_equal(jac, want[4])
             assert (value, converged, calls) == want[1:4]
 
-    def test_runs_end_where_they_end_alone(self, models):
+    @pytest.mark.parametrize("live", [64, 3])
+    def test_runs_end_where_they_end_alone(self, models, monkeypatch, live):
+        # With 3 live runs at most, the fourth starts when the first of them ends.
+        monkeypatch.setattr(fit_mod, "_LIVE_RUNS", live)
         problems, fold, starts, log_bounds, opt_tol = self.runs(models)
         together = fit_mod._lockstep(problems, fold, starts, log_bounds, opt_tol)
         alone = [fit_mod._lockstep([p], fold, [s], log_bounds, opt_tol)[0]

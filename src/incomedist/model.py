@@ -337,8 +337,10 @@ def _validate_incomes(m):
 def logpdf(model: NormalizedModel, m):
     """Log density at income m (scalar or array)."""
     arr, p = _validate_incomes(m), model.params
-    out = np.where(arr < p.m1, _log_kernel(arr, p.m0, p.m0 / p.t_low, p.alpha) + model.log_c_low,
-                   _log_kernel(arr, p.m0, p.m0 / p.t_high, p.alpha1) + model.log_c_high)
+    low = arr < p.m1  # each income's branch, then one kernel evaluation with its parameters
+    beta, alpha, log_c = (np.where(low, a, b) for a, b in (
+        (p.m0 / p.t_low, p.m0 / p.t_high), (p.alpha, p.alpha1), (model.log_c_low, model.log_c_high)))
+    out = _log_kernel(arr, p.m0, beta, alpha) + log_c
     return float(out) if np.isscalar(m) else out
 
 

@@ -151,17 +151,17 @@ def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
     return np.convolve(e, c)[:_SERIES_ORDER]
 
 
-def _series_rows(d: np.ndarray, alpha: np.ndarray, moments=False) -> np.ndarray:
-    """The head's coefficient rows for :func:`_log_series_primitives` from coefficients ``d``,
-    one row of them per sweep, and each sweep's ``alpha``: a (rows, sweeps, 9) array of the
-    mass rows d_j / (alpha + j) and, with ``moments``, the rows of the (pi/2 - v) and
-    -log sin v primitives, the latter by the alpha-derivative of d."""
-    a = alpha[:, None] + np.arange(_SERIES_ORDER)
+def _series_rows(d: np.ndarray, alpha: float, moments=False) -> np.ndarray:
+    """The head's coefficient rows for :func:`_log_series_primitives` from one sweep's
+    coefficients ``d``, as a (rows, 1, 9) array: the mass row d_j / (alpha + j) and, with
+    ``moments``, the rows of the (pi/2 - v) and -log sin v primitives, the latter by the
+    alpha-derivative of d."""
+    a = alpha + np.arange(_SERIES_ORDER)
     rows = [d / a]
     if moments:  # two (pi/2 - v) rows and a -log sin v row
-        d_alpha = -np.array([np.convolve(_NEG_LOG_SINC, x)[:_SERIES_ORDER] for x in d])
+        d_alpha = -np.convolve(_NEG_LOG_SINC, d)[:_SERIES_ORDER]
         rows += [_HALF_PI * d / a, d / (a + 1.0), d / (a * a) - d_alpha / a]
-    return np.array(rows)
+    return np.array(rows)[:, None, :]
 
 
 def _log_series_primitives(x, alpha, rows):
@@ -170,9 +170,8 @@ def _log_series_primitives(x, alpha, rows):
     and of -log sin v times the integrand follow.
 
     Valid for 0 <= x <= the series cutoff.  ``rows`` is a (rows, x.size or 1, 9) array of
-    coefficient rows and ``alpha`` one value per x or one for all, so one call serves knots
-    of many sweeps.  All are -inf at x = 0 and positive above it.  Each is x^alpha times
-    row sums over one table of x^j.
+    coefficient rows and ``alpha`` one value per x or one for all.  All are -inf at x = 0 and
+    positive above it.  Each is x^alpha times row sums over one table of x^j.
     """
     xj = x[:, None] ** np.arange(_SERIES_ORDER)
     s = (rows * xj).sum(axis=2)
@@ -308,40 +307,41 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
 def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
     """:func:`kernel_log_cumulative` of sweeps that have points and whose series coefficients fit.
     Returns (log_cumulative, achieved_per_sweep, means or None)."""
-    ends = list(itertools.accumulate(sizes))
-    firsts = [end - size for end, size in zip(ends, sizes)]
-    sweep = np.arange(len(sizes)).repeat(sizes)
-    # Segment k of a sweep runs from its point k - 1 (its start for k = 0) to its point k.
-    lo = np.empty_like(points)
-    lo[1:] = points[:-1]
-    lo[firsts] = starts
-    cut = np.array([_series_cutoff(b, a) for b, a in zip(betas.tolist(), alphas.tolist())])[sweep]
-    # Per segment, the log increment, log error and (with moments) log moment increments: the
-    # series head takes the part below the cutoff and panels the part above it.
+    # Per segment, the log increment, log error and (with moments) log moment increments.
     logs = np.full((4 if moments else 2, points.size), -np.inf)
-    head = (lo <= cut).nonzero()[0]
-    if head.size:
-        owner = sweep[head]
-        d = np.zeros((len(sizes), _SERIES_ORDER))
-        for s in dict.fromkeys(owner.tolist()):
-            d[s] = _series_coefficients(float(betas[s]), float(alphas[s]))
-        # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
-        at = np.concatenate([owner, owner])
-        ends_x = np.concatenate([lo[head], np.minimum(points[head], cut[head])])
-        log_s = _log_series_primitives(ends_x, alphas[at], _series_rows(d, alphas, moments)[:, at])
-        lower, upper = log_s[:, :head.size], log_s[:, head.size:]
-        delta = -np.expm1(lower - upper)
-        increments = np.where(delta > 0.0, upper + np.log(delta), -np.inf)
-        logs[:, head] = [increments[0], increments[0] + _LOG_SERIES_REL_ERR, *increments[1:]]
-    panel = (points > cut).nonzero()[0]
-    if panel.size:  # a segment that straddles the cutoff adds its two parts
-        owner = sweep[panel]
-        parts = _gk_log_segments(np.maximum(lo[panel], cut[panel]), points[panel], betas[owner],
-                                 alphas[owner], owner, rel_tol, moments)
-        logs[:, panel] = np.logaddexp(logs[:, panel], parts) if head.size else parts
+    firsts = [0, *itertools.accumulate(sizes)][:-1]
+    panels = []  # per sweep with panels: (first segment, lower ends, upper ends, beta, alpha)
+    for a, size, start, beta, alpha in zip(firsts, sizes, starts.tolist(), betas.tolist(),
+                                           alphas.tolist()):
+        b = a + size
+        knots = np.concatenate([[start], points[a:b]])
+        cut = _series_cutoff(beta, alpha)
+        # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the series
+        # up to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut) if
+        # k >= n_low - 1.
+        n_low = int(knots.searchsorted(cut, side="right"))
+        if n_low:
+            # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
+            rows = _series_rows(_series_coefficients(beta, alpha), alpha, moments)
+            log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), alpha, rows)
+            # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
+            delta = -np.expm1(log_s[:, :-1] - log_s[:, 1:])
+            head = np.where(delta > 0.0, log_s[:, 1:] + np.log(delta), -np.inf)
+            logs[:, a:a + head.shape[1]] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
+        first = max(n_low - 1, 0)
+        if a + first < b:
+            panels.append((a + first, np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha))
+    if panels:  # one batch of panels for every sweep; a segment that straddles adds its two parts
+        ids, lo, hi, beta, alpha = zip(*panels)
+        counts = [x.size for x in lo]
+        parts = _gk_log_segments(np.concatenate(lo), np.concatenate(hi), np.array(beta).repeat(counts),
+                                 np.array(alpha).repeat(counts), np.arange(len(counts)).repeat(counts),
+                                 rel_tol, moments)
+        for a, (p, q) in zip(ids, itertools.pairwise(itertools.accumulate([0] + counts))):
+            logs[:, a:a + q - p] = np.logaddexp(logs[:, a:a + q - p], parts[:, p:q])
     cum = np.empty_like(logs)
-    for a, b in zip(firsts, ends):
-        np.logaddexp.accumulate(logs[:, a:b], axis=1, out=cum[:, a:b])
+    for a, size in zip(firsts, sizes):
+        np.logaddexp.accumulate(logs[:, a:a + size], axis=1, out=cum[:, a:a + size])
     gap = np.where(cum[0] > -np.inf, cum[1] - cum[0], -np.inf)
     means = np.exp(cum[2:] - cum[0]) if moments else None
     return cum[0], np.exp(np.maximum.reduceat(gap, firsts)), means

@@ -230,9 +230,9 @@ class TestSeriesHeadBatch:
         """A knot's series primitives (the mass and both moments) give the same bits
         alone as inside a 300-knot call, as a panel does in its batch."""
         x = np.random.default_rng(23).uniform(0.0, _series_cutoff(beta, alpha), 300)
-        rows = _series_rows(_series_coefficients(beta, alpha)[None], np.array([alpha]), moments=True)
-        whole = _log_series_primitives(x, np.full(x.size, alpha), rows[:, np.zeros(x.size, int)])
-        alone = np.column_stack([_log_series_primitives(x[i:i + 1], np.array([alpha]), rows)
+        rows = _series_rows(_series_coefficients(beta, alpha), alpha, moments=True)
+        whole = _log_series_primitives(x, alpha, rows)
+        alone = np.column_stack([_log_series_primitives(x[i:i + 1], alpha, rows)
                                  for i in range(x.size)])
         assert np.isfinite(whole).all()
         assert np.array_equal(whole, alone)

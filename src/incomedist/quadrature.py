@@ -223,39 +223,39 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     return beta * hi + np.log(np.array(rows)), accepted
 
 
-def _gk_log_segments(lo, hi, beta, alpha, sweep, rel_tol, moments=False):
+def _gk_log_segments(lo, hi, sweep, betas, alphas, rel_tol, moments=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one) lie inside [series cutoff, pi/2]; ``beta``, ``alpha`` and
-    ``sweep``, the index of the segment's sweep, hold one value per segment.  One of zero
-    width passes at once with mass -inf.  A panel passes its own test, or when its error is
-    within its width's share of half ``rel_tol`` times its segment's mass so far (the accepted
-    panels and this round's), so a segment's errors sum to about ``rel_tol`` of its mass at
-    most.  A failing panel is halved; the width test passes any panel within about 51
-    halvings, and once a sweep has spent ``_MAX_BATCH_PANELS`` panels in all, every panel of it
-    is taken.  So no segment's panels depend on another sweep's.  Returns the running sums, per
-    segment, of the accepted panels' (log_value, log_error[, moments]) from ``_gk_panel_batch``.
+    Segments (at least one) lie inside [series cutoff, pi/2]; ``sweep`` holds each segment's
+    sweep, an index into ``betas`` and ``alphas``.  One of zero width passes at once with mass
+    -inf.  A panel passes its own test, or when its error is within its width's share of half
+    ``rel_tol`` times its segment's mass so far (the accepted panels and this round's), so a
+    segment's errors sum to about ``rel_tol`` of its mass at most.  A failing panel is halved;
+    the width test passes any panel within about 51 halvings, and once a sweep has spent
+    ``_MAX_BATCH_PANELS`` panels in all, every panel of it is taken.  So no segment's panels
+    depend on another sweep's.  Returns the running sums, per segment, of the accepted panels'
+    (log_value, log_error[, moments]) from ``_gk_panel_batch``.
     """
-    cur_lo, cur_hi, cur_id, sums = lo, hi, np.arange(lo.size), None
+    cur_lo, cur_hi, cur_id, owner, sums = lo, hi, np.arange(lo.size), sweep, None
     while cur_lo.size:
-        logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta[cur_id], alpha[cur_id], rel_tol, moments)
+        logs, ok = _gk_panel_batch(cur_lo, cur_hi, betas[owner], alphas[owner], rel_tol, moments)
         if sums is None:  # a first-round panel is its segment: its own test is the share test
             if ok.all():
                 return logs
             log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
             sums = np.full((logs.shape[0], lo.size), -np.inf)
-            spent = np.zeros(sweep[-1] + 1, dtype=int)
+            spent = np.zeros(betas.size, dtype=int)
         elif not ok.all():
             mass = sums[0].copy()
             np.logaddexp.at(mass, cur_id, logs[0])
             ok |= logs[1] - np.log(cur_hi - cur_lo) <= (log_share + mass)[cur_id]
-        owner = sweep[cur_id]
         spent += np.bincount(owner, minlength=spent.size)
         ok |= (spent > _MAX_BATCH_PANELS)[owner]
         np.logaddexp.at(sums, (slice(None), cur_id[ok]), logs[:, ok])
         blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
         mid = 0.5 * (blo + bhi)
         cur_lo, cur_hi, cur_id = (np.concatenate(pair) for pair in ((blo, mid), (mid, bhi), (bid, bid)))
+        owner = sweep[cur_id]
     return sums
 
 
@@ -279,40 +279,39 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     masses and errors are the same without them.
     """
     points = np.asarray(points_v, dtype=float)
-    starts, betas, alphas = (np.asarray(x, dtype=float).reshape(-1) for x in (start_v, beta, alpha))
+    starts, betas, alphas = np.array([start_v, beta, alpha], dtype=float).reshape(3, -1).tolist()
     sizes = [points.size] if sizes is None else list(sizes)
-    fits = [_series_fits(b, a) for b, a in zip(betas.tolist(), alphas.tolist())]
+    fits = [_series_fits(b, a) for b, a in zip(betas, alphas)]
     ran = [f and n > 0 for f, n in zip(fits, sizes)]
     # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
     # share test and in a zero mass's error gap, and as an overflowed beta (inf) times hi meets
     # log(0): NaN, so normalize raises.
     with np.errstate(divide="ignore", invalid="ignore"):
         if all(ran):
-            cum, achieved, means = _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments)
+            cum, achieved, means = _cumulate(starts, sizes, betas, alphas, points, rel_tol, moments)
             worst = float(achieved.max())
         else:  # integrate the others; a sweep with no points achieves 0
-            ran, kept = np.array(ran), np.repeat(ran, sizes)
+            kept = np.repeat(ran, sizes)
             cum, means = np.full(points.size, np.nan), np.full((2, points.size), np.nan)
             achieved, worst = np.where(fits, 0.0, np.inf), 0.0
-            if ran.any():
+            if any(ran):
                 cum[kept], achieved[ran], part_means = _cumulate(
-                    starts[ran], points[kept], [n for n, r in zip(sizes, ran) if r], betas[ran],
-                    alphas[ran], rel_tol, moments)
+                    *([x for x, r in zip(xs, ran) if r] for xs in (starts, sizes, betas, alphas)),
+                    points[kept], rel_tol, moments)
                 worst = float(achieved[ran].max())
                 if moments:
                     means[:, kept] = part_means
     return (cum, worst, achieved, means) if moments else (cum, worst, achieved)
 
 
-def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
-    """:func:`kernel_log_cumulative` of sweeps that have points and whose series coefficients fit.
-    Returns (log_cumulative, achieved_per_sweep, means or None)."""
+def _cumulate(starts, sizes, betas, alphas, points, rel_tol, moments):
+    """:func:`kernel_log_cumulative` of sweeps, given as lists, that have points and whose
+    series coefficients fit.  Returns (log_cumulative, achieved_per_sweep, means or None)."""
     # Per segment, the log increment, log error and (with moments) log moment increments.
     logs = np.full((4 if moments else 2, points.size), -np.inf)
     firsts = [0, *itertools.accumulate(sizes)][:-1]
     panels = []  # per sweep with panels: (first segment, lower ends, upper ends, beta, alpha)
-    for a, size, start, beta, alpha in zip(firsts, sizes, starts.tolist(), betas.tolist(),
-                                           alphas.tolist()):
+    for a, size, start, beta, alpha in zip(firsts, sizes, starts, betas, alphas):
         b = a + size
         knots = np.concatenate([[start], points[a:b]])
         cut = _series_cutoff(beta, alpha)
@@ -334,9 +333,9 @@ def _cumulate(starts, points, sizes, betas, alphas, rel_tol, moments):
     if panels:  # one batch of panels for every sweep; a segment that straddles adds its two parts
         ids, lo, hi, beta, alpha = zip(*panels)
         counts = [x.size for x in lo]
-        parts = _gk_log_segments(np.concatenate(lo), np.concatenate(hi), np.array(beta).repeat(counts),
-                                 np.array(alpha).repeat(counts), np.arange(len(counts)).repeat(counts),
-                                 rel_tol, moments)
+        parts = _gk_log_segments(np.concatenate(lo), np.concatenate(hi),
+                                 np.arange(len(counts)).repeat(counts), np.array(beta),
+                                 np.array(alpha), rel_tol, moments)
         for a, (p, q) in zip(ids, itertools.pairwise(itertools.accumulate([0] + counts))):
             logs[:, a:a + q - p] = np.logaddexp(logs[:, a:a + q - p], parts[:, p:q])
     cum = np.empty_like(logs)

@@ -270,9 +270,8 @@ class TestPanelBudget:
 
     def _segments(self, lo, hi):
         with np.errstate(divide="ignore"):
-            n = len(lo)
-            return _gk_log_segments(np.asarray(lo), np.asarray(hi), np.full(n, self.BETA),
-                                    np.full(n, self.ALPHA), np.zeros(n, int), 1e-12)
+            return _gk_log_segments(np.asarray(lo), np.asarray(hi), np.zeros(len(lo), int),
+                                    np.array([self.BETA]), np.array([self.ALPHA]), 1e-12)
 
     @staticmethod
     def _count_panels(monkeypatch):

@@ -230,15 +230,15 @@ def _sweep(points, quad_tol: float, grad: bool = False):
     """
     sweeps, incomes = [], []
     for p, m in points:
-        i = int(np.searchsorted(m, p.m1))
+        i = int(m.searchsorted(p.m1))
         sweeps += [(p.m0, p.t_high, p.alpha1, math.inf, m.size - i),
                    (p.m0, p.t_low, p.alpha, p.m1, i)]
         incomes += [m[i:], m[:i]]
     m0, temperature, alpha, top, sizes = zip(*sweeps)
     masses = quadrature.branch_log_masses(m0, temperature, alpha, top, np.concatenate(incomes),
                                           sizes, quad_tol, grad)
-    return [next((x for x in (high, low) if isinstance(x, QuadratureError)), (low, high))
-            for high, low in zip(masses[::2], masses[1::2])]
+    return [high if isinstance(high, QuadratureError) else low if isinstance(low, QuadratureError)
+            else (low, high) for high, low in zip(masses[::2], masses[1::2])]
 
 
 def _normalize_on(points, quad_tol: float, grad: bool = False):
@@ -254,7 +254,7 @@ def _normalize_on(points, quad_tol: float, grad: bool = False):
     """
     with_ends = []
     for p, m in points:
-        i = int(np.searchsorted(m, p.m1))
+        i = int(m.searchsorted(p.m1))
         with_ends.append((p, np.concatenate([[0.0], m[:i], [p.m1], m[i:]])))
     out = []
     for (p, _m), branches in zip(points, _sweep(with_ends, quad_tol, grad)):

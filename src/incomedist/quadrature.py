@@ -23,21 +23,21 @@ are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 
 One call integrates a batch of sweeps, each with its own beta, alpha and
-start: the branches of one model, or the trial points of many fit runs.  It
-makes one series evaluation, of every segment's part below its sweep's
-cutoff, and one batch of Gauss-Kronrod panels per round, of every part above
-it; a segment that straddles the cutoff adds its two parts.  The series
-primitives are taken at both ends of each segment's part below the cutoff.
-As in QUADPACK, a panel may pass against its segment's whole mass, so panels
-that carry none stop early; each sweep has its own panel budget and its own
-achieved tolerance.  The head's sums over its power table and a panel's sums
-over its nodes are plain row reductions, not BLAS products, so a knot's or a
-panel's bits do not depend on its place in a batch (numpy does not document
-this for ``einsum`` or ``sum``; ``TestSeriesHeadBatch``, ``TestPanelBatch``
-and ``TestSweepBatch`` check it, verified on numpy 2.4.6 only).  So a sweep
-gets the bits it gets alone, and a sweep that misses its tolerance or
-overflows is flagged alone.  A first round whose panels all pass returns as
-is.
+start: the branches of one model, or the trial points of many fit runs.  Each
+sweep makes one series evaluation, of its segments' parts below its cutoff,
+taking the series primitives once per knot up to the cutoff and once at it;
+the parts above the cutoffs, of every sweep, go into one batch of
+Gauss-Kronrod panels per round, and a segment that straddles its cutoff adds
+its two parts.  As in QUADPACK, a panel may pass against its segment's whole
+mass, so panels that carry none stop early; each sweep has its own panel
+budget and its own achieved tolerance.  The head's sums over its power table
+and a panel's sums over its nodes are plain row reductions, not BLAS
+products, so a knot's or a panel's bits do not depend on its place in a batch
+(numpy does not document this for ``einsum`` or ``sum``;
+``TestSeriesHeadBatch``, ``TestPanelBatch`` and ``TestSweepBatch`` check it,
+verified on numpy 2.4.6 only).  So a sweep gets the bits it gets alone, and a
+sweep that misses its tolerance or overflows is flagged alone.  A first round
+whose panels all pass returns as is.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
 -log sin v times the integrand: two more weighted sums per panel and, in
@@ -169,9 +169,9 @@ def _log_series_primitives(x, alpha, rows):
     with the moment rows of :func:`_series_rows`, rows of the same integral of (pi/2 - v)
     and of -log sin v times the integrand follow.
 
-    Valid for 0 <= x <= the series cutoff.  ``rows`` is a (rows, x.size or 1, 9) array of
-    coefficient rows and ``alpha`` one value per x or one for all.  All are -inf at x = 0 and
-    positive above it.  Each is x^alpha times row sums over one table of x^j.
+    Valid for 0 <= x <= the series cutoff; ``rows``, from :func:`_series_rows`, carry beta.
+    All are -inf at x = 0 and positive above it.  Each is x^alpha times row sums over one
+    table of x^j.
     """
     xj = x[:, None] ** np.arange(_SERIES_ORDER)
     s = (rows * xj).sum(axis=2)
@@ -186,10 +186,9 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
 
     ``beta`` and ``alpha`` hold one value per panel.  Returns (logs, accepted): ``logs`` is
     a (rows, panels) array whose rows, log_value and log_error, already include the +beta*hi
-    exponent, so
-    contributions from different panels combine directly via logaddexp.
-    With ``moments`` two rows follow: the logs of the panel integrals of
-    (pi/2 - v) and -log sin v times the integrand, scaled alike.
+    exponent, so contributions from different panels combine directly via logaddexp.  With
+    ``moments`` two rows follow: the logs of the panel integrals of (pi/2 - v) and -log sin v
+    times the integrand, scaled alike.
     """
     width = hi - lo
     h = 0.5 * width
@@ -281,8 +280,7 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     points = np.asarray(points_v, dtype=float)
     starts, betas, alphas = np.array([start_v, beta, alpha], dtype=float).reshape(3, -1).tolist()
     sizes = [points.size] if sizes is None else list(sizes)
-    fits = [_series_fits(b, a) for b, a in zip(betas, alphas)]
-    ran = [f and n > 0 for f, n in zip(fits, sizes)]
+    ran = [n > 0 and _series_fits(b, a) for n, b, a in zip(sizes, betas, alphas)]
     # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
     # share test and in a zero mass's error gap, and as an overflowed beta (inf) times hi meets
     # log(0): NaN, so normalize raises.
@@ -293,7 +291,8 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
         else:  # integrate the others; a sweep with no points achieves 0
             kept = np.repeat(ran, sizes)
             cum, means = np.full(points.size, np.nan), np.full((2, points.size), np.nan)
-            achieved, worst = np.where(fits, 0.0, np.inf), 0.0
+            achieved = np.array([0.0 if _series_fits(b, a) else np.inf for b, a in zip(betas, alphas)])
+            worst = 0.0
             if any(ran):
                 cum[kept], achieved[ran], part_means = _cumulate(
                     *([x for x, r in zip(xs, ran) if r] for xs in (starts, sizes, betas, alphas)),
@@ -370,17 +369,17 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
     if not live:
         return out
     counts = [sizes[s] for s in live]
-    m0_live, beta, alpha_live, top_live = np.array(
-        [(m0[s], m0[s] / temperature[s], alpha[s], top[s]) for s in live], dtype=float).T
+    betas, alphas = [m0[s] / temperature[s] for s in live], [alpha[s] for s in live]
+    m0_live, top_live = np.array([(m0[s], top[s]) for s in live], dtype=float).T
     with np.errstate(divide="ignore", over="ignore"):  # m = 0 maps to pi/2, inf to 0
         v_top = np.arctan(m0_live / top_live)
         v_tops = v_top.repeat(counts)
         v = np.maximum(np.arctan(m0_live.repeat(counts) / np.asarray(m, dtype=float)[::-1]), v_tops)
-    cum, _worst, achieved, *means = kernel_log_cumulative(v_top, v, beta, alpha_live, rel_tol,
+    cum, _worst, achieved, *means = kernel_log_cumulative(v_top, v, betas, alphas, rel_tol,
                                                           moments=moments, sizes=counts)
     if moments:
         mean_u, mean_neg_log_sin = means[0]
-        beta, alpha_live = beta.repeat(counts), alpha_live.repeat(counts)
+        beta, alpha_live = (np.array(x).repeat(counts) for x in (betas, alphas))
 
         def leibniz(x):  # integrand times sin v cos v = -dv/dlog m at an end, over the mass
             return np.exp(beta * x + alpha_live * np.log(np.sin(x)) + np.log(np.cos(x)) - cum)
@@ -389,9 +388,8 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
             grad = np.array([beta * mean_u, -mean_neg_log_sin, -leibniz(v), leibniz(v_tops)])
         grad = np.where(cum > -np.inf, grad, 0.0)[:, ::-1]
     cum, end = cum[::-1], v.size
-    for s, sweep_achieved in zip(live, achieved.tolist()):  # the last sweep first
+    for s, beta_s, sweep_achieved in zip(live, betas, achieved.tolist()):  # the last sweep first
         part, end = slice(end - sizes[s], end), end - sizes[s]
-        beta_s = m0[s] / temperature[s]
         if sweep_achieved > rel_tol:
             out[s] = QuadratureError(f"kernel mass up to {top[s]!r} at beta = {beta_s!r} reached "
                                      f"relative error {sweep_achieved:.3e} "

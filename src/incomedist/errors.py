@@ -116,8 +116,6 @@ def _nonnegative_array(values, what: str, error) -> np.ndarray:
     is refused.  numpy reads ``[1.0, True]`` as two floats and an object array's ``"2"`` as
     2.0, so input that is neither a number array nor a scalar is scanned for bools and
     strings, one check per entry.  A float64 array is not copied."""
-    if type(values) is float and 0.0 <= values < math.inf:  # the common scalar, checked at once
-        return np.asarray(values)
     try:
         arr = np.asarray(values)
         if arr.dtype is not _FLOAT:

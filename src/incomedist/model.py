@@ -222,23 +222,21 @@ def _sweep(points, quad_tol: float, grad: bool = False):
 
     ``points`` holds (params, ascending incomes) pairs.  One
     :func:`quadrature.branch_log_masses` call sweeps, for every point, its incomes given
-    and no others: the high kernel from each m >= m1 up to infinity, and the low kernel
-    from each m < m1 up to m1.  Returns one entry per point: (low, high), each in the order
+    and no others: the low kernel from each m < m1 up to m1, and the high kernel from each
+    m >= m1 up to infinity.  Returns one entry per point: (low, high), each in the order
     of its incomes and with ``grad`` the (masses, derivatives) pair of
     :func:`quadrature.branch_log_masses`, or the :class:`QuadratureError` the point raises
     alone.
     """
-    sweeps, incomes = [], []
+    sweeps = []
     for p, m in points:
         i = int(m.searchsorted(p.m1))
-        sweeps += [(p.m0, p.t_high, p.alpha1, math.inf, m.size - i),
-                   (p.m0, p.t_low, p.alpha, p.m1, i)]
-        incomes += [m[i:], m[:i]]
+        sweeps += [(p.m0, p.t_low, p.alpha, p.m1, i), (p.m0, p.t_high, p.alpha1, math.inf, m.size - i)]
     m0, temperature, alpha, top, sizes = zip(*sweeps)
-    masses = quadrature.branch_log_masses(m0, temperature, alpha, top, np.concatenate(incomes),
-                                          sizes, quad_tol, grad)
+    masses = quadrature.branch_log_masses(m0, temperature, alpha, top,
+                                          np.concatenate([m for _p, m in points]), sizes, quad_tol, grad)
     return [high if isinstance(high, QuadratureError) else low if isinstance(low, QuadratureError)
-            else (low, high) for high, low in zip(masses[::2], masses[1::2])]
+            else (low, high) for low, high in zip(masses[::2], masses[1::2])]
 
 
 def _normalize_on(points, quad_tol: float, grad: bool = False):
@@ -337,10 +335,8 @@ def _validate_incomes(m):
 def logpdf(model: NormalizedModel, m):
     """Log density at income m (scalar or array)."""
     arr, p = _validate_incomes(m), model.params
-    low = arr < p.m1  # each income's branch, then one kernel evaluation with its parameters
-    beta, alpha, log_c = (np.where(low, a, b) for a, b in (
-        (p.m0 / p.t_low, p.m0 / p.t_high), (p.alpha, p.alpha1), (model.log_c_low, model.log_c_high)))
-    out = _log_kernel(arr, p.m0, beta, alpha) + log_c
+    out = np.where(arr < p.m1, _log_kernel(arr, p.m0, p.m0 / p.t_low, p.alpha) + model.log_c_low,
+                   _log_kernel(arr, p.m0, p.m0 / p.t_high, p.alpha1) + model.log_c_high)
     return float(out) if np.isscalar(m) else out
 
 

@@ -56,7 +56,6 @@ is its batch of one.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -108,6 +107,7 @@ _LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _MAX_BATCH_PANELS = 200_000
 _FACTORIALS = [float(math.factorial(k)) for k in range(_SERIES_ORDER)]
+_POWERS = np.arange(float(_SERIES_ORDER))  # the series' powers j = 0 .. 8
 # ell = -log(sin v / v) = v^2/6 + v^4/180 + v^6/2835 + v^8/37800 + O(v^10).  The series head's
 # coefficients d are those of exp(beta*v - (alpha-1)*ell), so their alpha-derivative is -(ell * d).
 _NEG_LOG_SINC = np.array([0.0, 0.0, 1.0 / 6.0, 0.0, 1.0 / 180.0, 0.0, 1.0 / 2835.0, 0.0, 1.0 / 37800.0])
@@ -156,7 +156,7 @@ def _series_rows(d: np.ndarray, alpha: float, moments=False) -> np.ndarray:
     coefficients ``d``, as a (rows, 1, 9) array: the mass row d_j / (alpha + j) and, with
     ``moments``, the rows of the (pi/2 - v) and -log sin v primitives, the latter by the
     alpha-derivative of d."""
-    a = alpha + np.arange(_SERIES_ORDER)
+    a = alpha + _POWERS
     rows = [d / a]
     if moments:  # two (pi/2 - v) rows and a -log sin v row
         d_alpha = -np.convolve(_NEG_LOG_SINC, d)[:_SERIES_ORDER]
@@ -173,8 +173,7 @@ def _log_series_primitives(x, alpha, rows):
     All are -inf at x = 0 and positive above it.  Each is x^alpha times row sums over one
     table of x^j.
     """
-    xj = x[:, None] ** np.arange(_SERIES_ORDER)
-    s = (rows * xj).sum(axis=2)
+    s = np.add.reduce(rows * x[:, None] ** _POWERS, axis=2)
     log_x = np.log(x)
     if rows.shape[0] > 1:  # at x = 0 the -log sin v row would be -inf + inf: log 0 makes it -inf
         s = np.array([s[0], s[1] - x * s[2], np.where(x > 0.0, s[3] - log_x * s[0], 0.0)])
@@ -222,40 +221,43 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     return beta * hi + np.log(np.array(rows)), accepted
 
 
-def _gk_log_segments(lo, hi, sweep, betas, alphas, rel_tol, moments=False):
+def _gk_log_segments(lo, hi, counts, beta, alpha, rel_tol, moments=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one) lie inside [series cutoff, pi/2]; ``sweep`` holds each segment's
-    sweep, an index into ``betas`` and ``alphas``.  One of zero width passes at once with mass
-    -inf.  A panel passes its own test, or when its error is within its width's share of half
+    Segments (at least one) lie inside [series cutoff, pi/2]; ``beta`` and ``alpha`` hold
+    each segment's kernel parameters, and the segments come in sweeps, the next
+    ``counts[s]`` of them in sweep s.  One of zero width passes at once with mass -inf.  A
+    panel passes its own test, or when its error is within its width's share of half
     ``rel_tol`` times its segment's mass so far (the accepted panels and this round's), so a
-    segment's errors sum to about ``rel_tol`` of its mass at most.  A failing panel is halved;
-    the width test passes any panel within about 51 halvings, and once a sweep has spent
-    ``_MAX_BATCH_PANELS`` panels in all, every panel of it is taken.  So no segment's panels
-    depend on another sweep's.  Returns the running sums, per segment, of the accepted panels'
-    (log_value, log_error[, moments]) from ``_gk_panel_batch``.
+    segment's errors sum to about ``rel_tol`` of its mass at most.  A failing panel is
+    halved; the width test passes any panel within about 51 halvings, and once a sweep has
+    spent ``_MAX_BATCH_PANELS`` panels in all, every panel of it is taken.  So no segment's
+    panels depend on another sweep's.  Returns the running sums, per segment, of the
+    accepted panels' (log_value, log_error[, moments]) from ``_gk_panel_batch``.
     """
-    cur_lo, cur_hi, cur_id, owner, sums = lo, hi, np.arange(lo.size), sweep, None
-    while cur_lo.size:
-        logs, ok = _gk_panel_batch(cur_lo, cur_hi, betas[owner], alphas[owner], rel_tol, moments)
-        if sums is None:  # a first-round panel is its segment: its own test is the share test
-            if ok.all():
-                return logs
-            log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
-            sums = np.full((logs.shape[0], lo.size), -np.inf)
-            spent = np.zeros(betas.size, dtype=int)
-        elif not ok.all():
-            mass = sums[0].copy()
-            np.logaddexp.at(mass, cur_id, logs[0])
-            ok |= logs[1] - np.log(cur_hi - cur_lo) <= (log_share + mass)[cur_id]
+    logs, ok = _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments)
+    if ok.all():  # a first-round panel is its segment: its own test is the share test
+        return logs
+    log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
+    sums = np.full((logs.shape[0], lo.size), -np.inf)
+    sweep = np.arange(len(counts)).repeat(counts)
+    spent = np.zeros(len(counts), dtype=int)
+    cur_lo, cur_hi, cur_id, owner = lo, hi, np.arange(lo.size), sweep
+    while True:
         spent += np.bincount(owner, minlength=spent.size)
         ok |= (spent > _MAX_BATCH_PANELS)[owner]
         np.logaddexp.at(sums, (slice(None), cur_id[ok]), logs[:, ok])
         blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
+        if not bid.size:
+            return sums
         mid = 0.5 * (blo + bhi)
         cur_lo, cur_hi, cur_id = (np.concatenate(pair) for pair in ((blo, mid), (mid, bhi), (bid, bid)))
         owner = sweep[cur_id]
-    return sums
+        logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta[cur_id], alpha[cur_id], rel_tol, moments)
+        if not ok.all():
+            mass = sums[0].copy()
+            np.logaddexp.at(mass, cur_id, logs[0])
+            ok |= logs[1] - np.log(cur_hi - cur_lo) <= (log_share + mass)[cur_id]
 
 
 def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments=False,
@@ -263,86 +265,77 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     """Cumulative log kernel masses in v, for a batch of sweeps.
 
     Sweep s computes log( integral_{start_s}^{p_k} exp(beta_s*v) sin(v)^(alpha_s-1) dv )
-    for each of its points, the next ``sizes[s]`` entries of ``points_v``, which increase.
-    ``start_v``, ``beta`` and ``alpha`` hold one value per sweep; scalars and no ``sizes``
-    make one sweep of every point.  Zero-width segments contribute -inf and are harmless.
-    A sweep gets the bits it gets alone: its series head, its panels and its panel budget
-    are its own.  Returns (log_cumulative, achieved, achieved_per_sweep): the cumulative
-    masses in the order of ``points_v``, the worst relative error the batch achieved and
-    each sweep's.  A sweep whose series coefficients overflow (beta past ~3e38 or
-    |alpha - 1| past ~1e77) is not integrated: its masses are NaN, it achieves inf, and the
-    worst is over the others.  With ``moments`` a fourth element follows: the
-    kernel-weighted means of pi/2 - v and of -log sin v over each point's interval, as a
-    (2, n) array (NaN where the mass is zero).  They ride on the panels the masses
-    accepted, with no error estimate of their own (within 1e-8 relative in the tests).  The
-    masses and errors are the same without them.
+    for each of its points, the next ``sizes[s]`` entries of ``points_v``, which increase
+    from ``start_v[s]``.  ``start_v``, ``beta`` and ``alpha`` hold one value per sweep;
+    scalars and no ``sizes`` make one sweep of every point.  Zero-width segments contribute
+    -inf and are harmless.  A sweep gets the bits it gets alone: its series head, its panels
+    and its panel budget are its own.  Returns (log_cumulative, achieved, achieved_per_sweep):
+    the cumulative masses in the order of ``points_v``, the worst relative error the batch
+    achieved and a list of each sweep's (0 for a sweep with no points).  A sweep whose series
+    coefficients overflow (beta past ~3e38 or |alpha - 1| past ~1e77) is not integrated: its
+    masses are NaN, it achieves inf, and the worst is over the others.  With ``moments`` a
+    fourth element follows: the kernel-weighted means of pi/2 - v and of -log sin v over
+    each point's interval, as a (2, n) array (NaN where the mass is zero).  They ride on the
+    panels the masses accepted, with no error estimate of their own (within 1e-8 relative in
+    the tests).  The masses and errors are the same without them.
     """
     points = np.asarray(points_v, dtype=float)
-    starts, betas, alphas = np.array([start_v, beta, alpha], dtype=float).reshape(3, -1).tolist()
-    sizes = [points.size] if sizes is None else list(sizes)
-    ran = [n > 0 and _series_fits(b, a) for n, b, a in zip(sizes, betas, alphas)]
+    if sizes is None:
+        start_v, beta, alpha, sizes = [start_v], [beta], [alpha], [points.size]
+    # Per segment, the log increment, log error and (with moments) log moment increments;
+    # each sweep's cumulative sums then replace its increments.
+    logs = np.full((4 if moments else 2, points.size), -np.inf)
+    achieved = [0.0] * len(sizes)
+    runs, panels, end = [], [], 0  # the sweeps integrated, as (sweep, first point, end)
     # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
     # share test and in a zero mass's error gap, and as an overflowed beta (inf) times hi meets
     # log(0): NaN, so normalize raises.
     with np.errstate(divide="ignore", invalid="ignore"):
-        if all(ran):
-            cum, achieved, means = _cumulate(starts, sizes, betas, alphas, points, rel_tol, moments)
-            worst = float(achieved.max())
-        else:  # integrate the others; a sweep with no points achieves 0
-            kept = np.repeat(ran, sizes)
-            cum, means = np.full(points.size, np.nan), np.full((2, points.size), np.nan)
-            achieved = np.array([0.0 if _series_fits(b, a) else np.inf for b, a in zip(betas, alphas)])
-            worst = 0.0
-            if any(ran):
-                cum[kept], achieved[ran], part_means = _cumulate(
-                    *([x for x, r in zip(xs, ran) if r] for xs in (starts, sizes, betas, alphas)),
-                    points[kept], rel_tol, moments)
-                worst = float(achieved[ran].max())
-                if moments:
-                    means[:, kept] = part_means
-    return (cum, worst, achieved, means) if moments else (cum, worst, achieved)
-
-
-def _cumulate(starts, sizes, betas, alphas, points, rel_tol, moments):
-    """:func:`kernel_log_cumulative` of sweeps, given as lists, that have points and whose
-    series coefficients fit.  Returns (log_cumulative, achieved_per_sweep, means or None)."""
-    # Per segment, the log increment, log error and (with moments) log moment increments.
-    logs = np.full((4 if moments else 2, points.size), -np.inf)
-    firsts = [0, *itertools.accumulate(sizes)][:-1]
-    panels = []  # per sweep with panels: (first segment, lower ends, upper ends, beta, alpha)
-    for a, size, start, beta, alpha in zip(firsts, sizes, starts, betas, alphas):
-        b = a + size
-        knots = np.concatenate([[start], points[a:b]])
-        cut = _series_cutoff(beta, alpha)
-        # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the series
-        # up to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut) if
-        # k >= n_low - 1.
-        n_low = int(knots.searchsorted(cut, side="right"))
-        if n_low:
-            # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
-            rows = _series_rows(_series_coefficients(beta, alpha), alpha, moments)
-            log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), alpha, rows)
-            # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
-            delta = -np.expm1(log_s[:, :-1] - log_s[:, 1:])
-            head = np.where(delta > 0.0, log_s[:, 1:] + np.log(delta), -np.inf)
-            logs[:, a:a + head.shape[1]] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
-        first = max(n_low - 1, 0)
-        if a + first < b:
-            panels.append((a + first, np.maximum(knots[first:-1], cut), knots[first + 1:], beta, alpha))
-    if panels:  # one batch of panels for every sweep; a segment that straddles adds its two parts
-        ids, lo, hi, beta, alpha = zip(*panels)
-        counts = [x.size for x in lo]
-        parts = _gk_log_segments(np.concatenate(lo), np.concatenate(hi),
-                                 np.arange(len(counts)).repeat(counts), np.array(beta),
-                                 np.array(alpha), rel_tol, moments)
-        for a, (p, q) in zip(ids, itertools.pairwise(itertools.accumulate([0] + counts))):
-            logs[:, a:a + q - p] = np.logaddexp(logs[:, a:a + q - p], parts[:, p:q])
-    cum = np.empty_like(logs)
-    for a, size in zip(firsts, sizes):
-        np.logaddexp.accumulate(logs[:, a:a + size], axis=1, out=cum[:, a:a + size])
-    gap = np.where(cum[0] > -np.inf, cum[1] - cum[0], -np.inf)
-    means = np.exp(cum[2:] - cum[0]) if moments else None
-    return cum[0], np.exp(np.maximum.reduceat(gap, firsts)), means
+        for s, (size, start, b, al) in enumerate(zip(sizes, start_v, beta, alpha)):
+            a, end, b, al = end, end + size, float(b), float(al)
+            if not size:
+                continue
+            if not _series_fits(b, al):
+                logs[:, a:end], achieved[s] = np.nan, math.inf
+                continue
+            runs.append((s, a, end))
+            knots = np.concatenate([[start], points[a:end]])
+            cut = _series_cutoff(b, al)
+            # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the
+            # series up to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut)
+            # if k >= n_low - 1.
+            n_low = int(knots.searchsorted(cut, side="right"))
+            if n_low:
+                # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
+                rows = _series_rows(_series_coefficients(b, al), al, moments)
+                log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), al, rows)
+                # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
+                delta = -np.expm1(log_s[:, :-1] - log_s[:, 1:])
+                head = np.where(delta > 0.0, log_s[:, 1:] + np.log(delta), -np.inf)
+                logs[:, a:a + head.shape[1]] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
+            first = max(n_low - 1, 0)
+            if first < size:
+                panels.append((a + first, np.maximum(knots[first:-1], cut), knots[first + 1:], b, al))
+        if panels:  # one batch of panels for every sweep; a segment that straddles adds its two parts
+            firsts, lo, hi, b, al = zip(*panels)
+            counts = [x.size for x in lo]
+            ends = np.concatenate(lo + hi)  # every lower end, then every upper end
+            parts = _gk_log_segments(ends[:ends.size // 2], ends[ends.size // 2:], counts,
+                                     *np.array([b, al]).repeat(counts, axis=1), rel_tol, moments)
+            p = 0
+            for a, count in zip(firsts, counts):
+                logs[:, a:a + count] = np.logaddexp(logs[:, a:a + count], parts[:, p:p + count])
+                p += count
+        for _s, a, end in runs:
+            np.logaddexp.accumulate(logs[:, a:end], axis=1, out=logs[:, a:end])
+        if runs:  # a sweep's worst error gap over its nonzero masses; a later sweep's gaps are -inf
+            gap = np.where(logs[0] > -np.inf, logs[1] - logs[0], -np.inf)
+            gaps = np.maximum.reduceat(gap, [a for _s, a, _end in runs])
+            for (s, _a, _end), x in zip(runs, np.exp(gaps).tolist()):
+                achieved[s] = x
+        means = np.exp(logs[2:] - logs[0]) if moments else None
+    worst = max((achieved[s] for s, _a, _end in runs), default=0.0)
+    return (logs[0], worst, achieved, means) if moments else (logs[0], worst, achieved)
 
 
 def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=False):
@@ -351,10 +344,9 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
     Sweep s takes the kernel of ``m0[s]``, ``temperature[s]`` and ``alpha[s]`` from each of
     its incomes, the next ``sizes[s]`` entries of ``m``, which ascend below ``top[s]`` (inf or
     the breakpoint), up to ``top[s]``.  One kernel_log_cumulative call in v = arctan(m0/m)
-    from v(top) through every v(m) serves the sweeps with incomes, none if no sweep has one;
-    the masses are log m0 - beta*pi/2 plus the sweep, in the order of ``m``.  Returns one
-    entry per sweep: its masses or, if it misses ``rel_tol``, the :class:`QuadratureError`
-    it raises alone.
+    from v(top) through every v(m) serves every sweep; the masses are log m0 - beta*pi/2
+    plus the sweep, in the order of ``m``.  Returns one entry per sweep: its masses or, if it
+    misses ``rel_tol``, the :class:`QuadratureError` it raises alone.
 
     With ``moments``, an entry is (masses, grad): ``grad`` is a (4, size) array of the
     masses' derivatives by log T, by alpha, by log m (the lower end) and by log top, each
@@ -362,41 +354,37 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
     derivative by log m0 is 1 minus the sum of the other three scale rows.  A zero mass gets
     zero derivatives.
     """
-    out = [(np.empty(0), np.empty((4, 0))) if moments else np.empty(0)] * len(sizes)
+    betas = [a / b for a, b in zip(m0, temperature)]
+    m0_s, top_s = np.array([m0, top], dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):  # m = 0 maps to pi/2, inf to 0
+        v_top = np.arctan(m0_s / top_s)
+        v_tops = v_top.repeat(sizes)
+        v = np.maximum(np.arctan(m0_s.repeat(sizes) / m), v_tops)
     # The sweeps run in v, which falls as m rises: reversing the whole batch reverses each
     # sweep's incomes and the order of the sweeps.
-    live = [s for s in reversed(range(len(sizes))) if sizes[s]]
-    if not live:
-        return out
-    counts = [sizes[s] for s in live]
-    betas, alphas = [m0[s] / temperature[s] for s in live], [alpha[s] for s in live]
-    m0_live, top_live = np.array([(m0[s], top[s]) for s in live], dtype=float).T
-    with np.errstate(divide="ignore", over="ignore"):  # m = 0 maps to pi/2, inf to 0
-        v_top = np.arctan(m0_live / top_live)
-        v_tops = v_top.repeat(counts)
-        v = np.maximum(np.arctan(m0_live.repeat(counts) / np.asarray(m, dtype=float)[::-1]), v_tops)
-    cum, _worst, achieved, *means = kernel_log_cumulative(v_top, v, betas, alphas, rel_tol,
-                                                          moments=moments, sizes=counts)
+    cum, _worst, achieved, *means = kernel_log_cumulative(
+        v_top[::-1].tolist(), v[::-1], betas[::-1], alpha[::-1], rel_tol, moments, sizes[::-1])
+    cum = cum[::-1]
     if moments:
-        mean_u, mean_neg_log_sin = means[0]
-        beta, alpha_live = (np.array(x).repeat(counts) for x in (betas, alphas))
+        mean_u, mean_neg_log_sin = means[0][:, ::-1]
+        beta_m, alpha_m = np.array([betas, alpha]).repeat(sizes, axis=1)
 
         def leibniz(x):  # integrand times sin v cos v = -dv/dlog m at an end, over the mass
-            return np.exp(beta * x + alpha_live * np.log(np.sin(x)) + np.log(np.cos(x)) - cum)
+            return np.exp(beta_m * x + alpha_m * np.log(np.sin(x)) + np.log(np.cos(x)) - cum)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grad = np.array([beta * mean_u, -mean_neg_log_sin, -leibniz(v), leibniz(v_tops)])
-        grad = np.where(cum > -np.inf, grad, 0.0)[:, ::-1]
-    cum, end = cum[::-1], v.size
-    for s, beta_s, sweep_achieved in zip(live, betas, achieved.tolist()):  # the last sweep first
-        part, end = slice(end - sizes[s], end), end - sizes[s]
+            grad = np.array([beta_m * mean_u, -mean_neg_log_sin, -leibniz(v), leibniz(v_tops)])
+        grad = np.where(cum > -np.inf, grad, 0.0)
+    out, end = [], 0
+    for m0_one, beta, top_one, size, sweep_achieved in zip(m0, betas, top, sizes, achieved[::-1]):
+        part, end = slice(end, end + size), end + size
         if sweep_achieved > rel_tol:
-            out[s] = QuadratureError(f"kernel mass up to {top[s]!r} at beta = {beta_s!r} reached "
-                                     f"relative error {sweep_achieved:.3e} "
-                                     f"(requested {rel_tol:.3e})")
+            out.append(QuadratureError(f"kernel mass up to {top_one!r} at beta = {beta!r} reached "
+                                       f"relative error {sweep_achieved:.3e} "
+                                       f"(requested {rel_tol:.3e})"))
         else:
-            masses = math.log(m0[s]) - beta_s * _HALF_PI + cum[part]
-            out[s] = (masses, grad[:, part]) if moments else masses
+            masses = math.log(m0_one) - beta * _HALF_PI + cum[part]
+            out.append((masses, grad[:, part]) if moments else masses)
     return out
 
 
@@ -418,4 +406,3 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
                               ((m0, "m0"), (temperature, "temperature"), (alpha, "alpha")))
     masses = branch_log_masses([m0], [temperature], [alpha], [b], np.array([a]), [1], rel_tol)
     return float(_raised(masses[0])[0])
-

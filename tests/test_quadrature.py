@@ -270,8 +270,8 @@ class TestPanelBudget:
 
     def _segments(self, lo, hi):
         with np.errstate(divide="ignore"):
-            return _gk_log_segments(np.asarray(lo), np.asarray(hi), np.zeros(len(lo), int),
-                                    np.array([self.BETA]), np.array([self.ALPHA]), 1e-12)
+            return _gk_log_segments(np.asarray(lo), np.asarray(hi), [len(lo)],
+                                    np.full(len(lo), self.BETA), np.full(len(lo), self.ALPHA), 1e-12)
 
     @staticmethod
     def _count_panels(monkeypatch):

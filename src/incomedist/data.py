@@ -2,10 +2,12 @@
 
 CSV survey data (column ``income``, optional ``weight``; a path or an
 open text stream) becomes an immutable sorted :class:`Dataset`, read in
-chunks of rows, so the memory a loader needs beyond its result is bounded
-by the chunk, not the file; a billionaire wealth array can be converted
-to effective incomes and merged in, since surveys top-code or never
-reach the extreme tail.
+chunks of lines, so the memory a loader needs beyond its result is bounded
+by the chunk, not the file.  A clean chunk (unquoted numbers, each valid)
+is parsed whole by numpy's C reader; any other goes through Python's csv
+reader, which alone writes the per-row diagnostics.  A billionaire
+wealth array can be converted to effective incomes and merged in, since
+surveys top-code or never reach the extreme tail.
 Empirical complementary CDFs use the Weibull plotting position
 1 - i/(n+1), generalized to weighted samples in a way that reduces
 exactly to the unweighted formula when all weights are equal.  Every
@@ -54,6 +56,9 @@ class Dataset:
         if values.size == 0:
             raise EmptyDatasetError("dataset has no records")
         if self.weights is None:
+            zeros = values[values == 0.0]  # in input order, as a stable sort leaves -0.0 and 0.0
+            values = np.sort(values)
+            values[:zeros.size] = zeros
             weights = np.ones(values.size)
         else:
             weights = _nonnegative_array(self.weights, "weights", DomainError).ravel()
@@ -61,10 +66,9 @@ class Dataset:
                 raise DomainError(f"{weights.size} weights for {values.size} values")
             if not weights.sum() > 0.0:
                 raise DomainError("total weight must be positive")
-        order = np.argsort(values, kind="stable")
-        values = values[order]
+            order = np.argsort(values, kind="stable")
+            values, weights = values[order], weights[order]
         values.flags.writeable = False
-        weights = weights[order]
         weights.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -98,7 +102,7 @@ class EmpiricalCcdf:
 _INCOME_COLUMN = "income"
 _WEIGHT_COLUMN = "weight"
 _WEALTH_COLUMN = "wealth_usd"
-_CHUNK = 2048  # CSV rows (and raw lines) a loader holds at a time; 8192 raised a fit's peak RSS by 3 MB
+_CHUNK = 2048  # raw lines (so at most as many CSV rows) a loader holds at a time; 8192 raised a fit's peak RSS by 3 MB
 
 
 def _open_text(source):
@@ -147,55 +151,93 @@ def _floats(rows, i: int):
     return values, unreadable
 
 
+def _valid(values, positive: bool) -> np.ndarray:
+    """Which values are finite and >= 0, or > 0 if ``positive``."""
+    return np.isfinite(values) & (values > 0.0 if positive else values >= 0.0)
+
+
+def _clean_columns(lines, fields):
+    """The wanted columns of a chunk of raw lines, from numpy's C reader, or None if the csv reader must read it.
+
+    A chunk is clean when it holds no quote, no NUL and no ASCII separator (``\\x1c``-``\\x1f``, which
+    numpy strips as whitespace and ``float`` refuses), no line is over the csv field size limit, and
+    numpy parses the wanted fields of every non-blank line, each within its rule.  numpy's number syntax
+    is otherwise a subset of ``float``'s (no ``_`` separators, no non-ASCII digits) and gives the same
+    values, so a clean chunk reads as the csv reader would read it, with no diagnostic.
+    """
+    text, limit = "".join(lines), csv.field_size_limit()
+    if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    if not text.strip("\r\n"):  # blank lines only, on which numpy warns of no data
+        return np.empty((len(fields), 0))
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=[i for i, _, _ in fields], comments=None, ndmin=2).T
+    except ValueError:
+        return None
+    # numpy skips blank lines and refuses a line break inside a line, so a row per line means none was skipped
+    n = values.shape[1]
+    if n != len(lines) and n != len(lines) - lines.count("\n") - lines.count("\r\n") - lines.count("\r"):
+        return None
+    if not all(np.all(_valid(column, positive)) for column, (_, _, positive) in zip(values, fields)):
+        return None
+    return values
+
+
 def _read_columns(source, fields) -> tuple[list[np.ndarray], list[str]]:
     """The valid rows' values of CSV columns, one array per ``(column, what, positive)`` field, and diagnostics.
 
     The first field's column is required and an absent later one gives no array; a repeated name means
     its last column.  Blank rows are skipped silently.  A row is skipped at its first field that is
     missing, unreadable, not finite, negative (or zero if ``positive``), with a diagnostic citing the
-    line it ends on (the reader's ``line_num``).  An unreadable line (a field over the csv size limit)
-    or non-UTF-8 text raises DataFormatError.  Rows are parsed ``_CHUNK`` at a time, column by column.
+    line it ends on.  An unreadable line (a field over the csv size limit) or non-UTF-8 text raises
+    DataFormatError.  Lines are read ``_CHUNK`` at a time.  A clean chunk (see :func:`_clean_columns`)
+    is parsed whole by numpy.  From any other the csv reader, which alone writes diagnostics, reads as
+    many rows as the chunk has lines, running past its last line when quoted fields span lines.
     """
     with _open_text(source) as fh:
-        batches = []  # raw lines from line ``first`` + 1 on, re-read only to place rows that span lines
-
-        def pulled():
-            for batch in iter(lambda: list(itertools.islice(fh, _CHUNK)), []):
-                batches.append(batch)
-                yield batch
-
-        reader = csv.reader(itertools.chain.from_iterable(pulled()))
+        reader, done = csv.reader(fh), 0  # ``done``: the file lines read before ``reader``'s first
         try:
             header = next(reader, None)
             if header is None or fields[0][0] not in header:
                 raise DataFormatError(f"missing required column {fields[0][0]!r} in header {header!r}")
             index = {name: i for i, name in enumerate(header)}
             fields = [(index[name], what, positive) for name, what, positive in fields if name in index]
-            kept, diagnostics, first, done = [np.empty((len(fields), 0))], [], 0, reader.line_num
-            while rows := list(itertools.islice(reader, _CHUNK)):
-                ends = range(1, len(rows) + 1)
-                if reader.line_num - done != len(rows):  # a quoted field spans lines: re-read the chunk's lines
-                    text = list(itertools.chain.from_iterable(batches))[done - first:reader.line_num - first]
-                    lines = csv.reader(text)
-                    ends = [lines.line_num for _ in lines]
-                first += sum(map(len, batches[:-1]))  # the reader has passed every batch but the last
-                del batches[:-1]
+            kept, diagnostics, done = [np.empty((len(fields), 0))], [], reader.line_num
+            while lines := list(itertools.islice(fh, _CHUNK)):
+                clean = _clean_columns(lines, fields)
+                if clean is not None:
+                    kept.append(clean)
+                    done += len(lines)
+                    continue
+                extra = []  # lines past the chunk that rows spanning lines pull in
+
+                def tapped():
+                    for line in fh:
+                        extra.append(line)
+                        yield line
+
+                reader = csv.reader(itertools.chain(lines, tapped()))
+                rows = list(itertools.islice(reader, len(lines)))
+                ends = range(done + 1, done + len(rows) + 1)
+                if reader.line_num != len(rows):  # a quoted field spans lines: re-read them to place each row
+                    again = csv.reader(lines + extra)
+                    ends = [done + again.line_num for _ in again]
+                done += reader.line_num
                 columns = [_floats(rows, i) for i, _, _ in fields]
                 skip, notes = np.zeros(len(rows), bool), {}
                 for (i, what, positive), (values, unreadable) in zip(fields, columns):
-                    bad = unreadable | ~(np.isfinite(values) & (values > 0.0 if positive else values >= 0.0))
+                    bad = unreadable | ~_valid(values, positive)
                     for k in np.flatnonzero(bad & ~skip):
                         if rows[k]:  # a blank row, unreadable in the first field, is skipped silently
                             raw = rows[k][i] if len(rows[k]) > i else None
                             rule = "positive" if positive else "finite and >= 0"
                             why = f"unreadable {what} {raw!r}" if unreadable[k] else f"{what} must be {rule}, got {raw}"
-                            notes[k] = f"row {done + ends[k]}: {why}, skipped"
+                            notes[k] = f"row {ends[k]}: {why}, skipped"
                     skip |= bad
                 diagnostics += [notes[k] for k in sorted(notes)]
                 kept.append(np.array([values for values, _ in columns])[:, ~skip])
-                done = reader.line_num
         except csv.Error as exc:
-            raise DataFormatError(f"line {reader.line_num}: unreadable CSV ({exc})") from None
+            raise DataFormatError(f"line {done + reader.line_num}: unreadable CSV ({exc})") from None
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{getattr(fh, 'name', source)}: not UTF-8 text ({exc})") from None
     return list(np.concatenate(kept, axis=1)), diagnostics

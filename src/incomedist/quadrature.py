@@ -355,16 +355,16 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
     zero derivatives.
     """
     betas = [a / b for a, b in zip(m0, temperature)]
-    m0_s, top_s = np.array([m0, top], dtype=float)
     with np.errstate(divide="ignore", over="ignore"):  # m = 0 maps to pi/2, inf to 0
-        v_top = np.arctan(m0_s / top_s)
+        v_top = np.arctan(np.divide(m0, top))
         v_tops = v_top.repeat(sizes)
-        v = np.maximum(np.arctan(m0_s.repeat(sizes) / m), v_tops)
+        v = np.maximum(np.arctan(np.array(m0).repeat(sizes) / m), v_tops)
     # The sweeps run in v, which falls as m rises: reversing the whole batch reverses each
     # sweep's incomes and the order of the sweeps.
     cum, _worst, achieved, *means = kernel_log_cumulative(
-        v_top[::-1].tolist(), v[::-1], betas[::-1], alpha[::-1], rel_tol, moments, sizes[::-1])
+        v_top[::-1], v[::-1], betas[::-1], alpha[::-1], rel_tol, moments, sizes[::-1])
     cum = cum[::-1]
+    masses = np.array([math.log(a) - b * _HALF_PI for a, b in zip(m0, betas)]).repeat(sizes) + cum
     if moments:
         mean_u, mean_neg_log_sin = means[0][:, ::-1]
         beta_m, alpha_m = np.array([betas, alpha]).repeat(sizes, axis=1)
@@ -376,15 +376,14 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
             grad = np.array([beta_m * mean_u, -mean_neg_log_sin, -leibniz(v), leibniz(v_tops)])
         grad = np.where(cum > -np.inf, grad, 0.0)
     out, end = [], 0
-    for m0_one, beta, top_one, size, sweep_achieved in zip(m0, betas, top, sizes, achieved[::-1]):
-        part, end = slice(end, end + size), end + size
+    for beta, top_one, size, sweep_achieved in zip(betas, top, sizes, achieved[::-1]):
+        start, end = end, end + size
         if sweep_achieved > rel_tol:
             out.append(QuadratureError(f"kernel mass up to {top_one!r} at beta = {beta!r} reached "
                                        f"relative error {sweep_achieved:.3e} "
                                        f"(requested {rel_tol:.3e})"))
         else:
-            masses = math.log(m0_one) - beta * _HALF_PI + cum[part]
-            out.append((masses, grad[:, part]) if moments else masses)
+            out.append((masses[start:end], grad[:, start:end]) if moments else masses[start:end])
     return out
 
 

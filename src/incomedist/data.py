@@ -192,7 +192,8 @@ def _read_columns(source, fields) -> tuple[list[np.ndarray], list[str]]:
     line it ends on.  An unreadable line (a field over the csv size limit) or non-UTF-8 text raises
     DataFormatError.  Lines are read ``_CHUNK`` at a time.  A clean chunk (see :func:`_clean_columns`)
     is parsed whole by numpy.  From any other the csv reader, which alone writes diagnostics, reads as
-    many rows as the chunk has lines, running past its last line when quoted fields span lines.
+    many rows as the chunk has lines, running past its last line when quoted fields span lines, and
+    each row's line is the reader's line count once the row is read.
     """
     with _open_text(source) as fh:
         reader, done = csv.reader(fh), 0  # ``done``: the file lines read before ``reader``'s first
@@ -209,19 +210,10 @@ def _read_columns(source, fields) -> tuple[list[np.ndarray], list[str]]:
                     kept.append(clean)
                     done += len(lines)
                     continue
-                extra = []  # lines past the chunk that rows spanning lines pull in
-
-                def tapped():
-                    for line in fh:
-                        extra.append(line)
-                        yield line
-
-                reader = csv.reader(itertools.chain(lines, tapped()))
-                rows = list(itertools.islice(reader, len(lines)))
-                ends = range(done + 1, done + len(rows) + 1)
-                if reader.line_num != len(rows):  # a quoted field spans lines: re-read them to place each row
-                    again = csv.reader(lines + extra)
-                    ends = [done + again.line_num for _ in again]
+                reader, rows, ends = csv.reader(itertools.chain(lines, fh)), [], []
+                for row in itertools.islice(reader, len(lines)):  # a quoted field may run past the chunk
+                    rows.append(row)
+                    ends.append(done + reader.line_num)
                 done += reader.line_num
                 columns = [_floats(rows, i) for i, _, _ in fields]
                 skip, notes = np.zeros(len(rows), bool), {}

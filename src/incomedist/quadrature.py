@@ -105,6 +105,7 @@ _SERIES_ORDER = 9          # coefficients d_0 .. d_8
 _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
 _LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
+_ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's (dqk15) floor on a panel's relative error
 _MAX_BATCH_PANELS = 200_000
 _FACTORIALS = [float(math.factorial(k)) for k in range(_SERIES_ORDER)]
 _POWERS = np.arange(float(_SERIES_ORDER))  # the series' powers j = 0 .. 8
@@ -125,16 +126,6 @@ def _series_cutoff(beta: float, alpha: float) -> float:
     if w > 1.0:
         cut = min(cut, math.sqrt(0.024 / w))
     return cut
-
-
-def _series_fits(beta: float, alpha: float) -> bool:
-    """Whether :func:`_series_coefficients` gives floats: past beta ~ 3e38 or |alpha - 1| ~ 1e77
-    its highest power of beta or of alpha - 1 overflows, and with it a sweep's series head."""
-    try:
-        beta ** (_SERIES_ORDER - 1), (alpha - 1.0) ** 4
-    except OverflowError:
-        return False
-    return True
 
 
 def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
@@ -213,6 +204,7 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     scale = resasc > 0.0
     shrunk = resasc * np.minimum(1.0, (200.0 * err / np.where(scale, resasc, 1.0)) ** 1.5)
     err = np.where(scale & (err > 0.0), shrunk, err)
+    np.maximum(err, _ROUNDOFF * val, out=err)  # in place, so a large batch's peak memory does not grow
     tiny = width <= _TINY_WIDTH * np.maximum(hi, 1.0)
     accepted = (err <= 0.5 * rel_tol * val) | tiny
     rows = [val, err]
@@ -260,42 +252,39 @@ def _gk_log_segments(lo, hi, counts, beta, alpha, rel_tol, moments=False):
             ok |= logs[1] - np.log(cur_hi - cur_lo) <= (log_share + mass)[cur_id]
 
 
-def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments=False,
-                          sizes=None):
+def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments=False, *, sizes):
     """Cumulative log kernel masses in v, for a batch of sweeps.
 
     Sweep s computes log( integral_{start_s}^{p_k} exp(beta_s*v) sin(v)^(alpha_s-1) dv )
     for each of its points, the next ``sizes[s]`` entries of ``points_v``, which increase
-    from ``start_v[s]``.  ``start_v``, ``beta`` and ``alpha`` hold one value per sweep;
-    scalars and no ``sizes`` make one sweep of every point.  Zero-width segments contribute
-    -inf and are harmless.  A sweep gets the bits it gets alone: its series head, its panels
-    and its panel budget are its own.  Returns (log_cumulative, achieved, achieved_per_sweep):
-    the cumulative masses in the order of ``points_v``, the worst relative error the batch
-    achieved and a list of each sweep's (0 for a sweep with no points).  A sweep whose series
-    coefficients overflow (beta past ~3e38 or |alpha - 1| past ~1e77) is not integrated: its
-    masses are NaN, it achieves inf, and the worst is over the others.  With ``moments`` a
-    fourth element follows: the kernel-weighted means of pi/2 - v and of -log sin v over
-    each point's interval, as a (2, n) array (NaN where the mass is zero).  They ride on the
-    panels the masses accepted, with no error estimate of their own (within 1e-8 relative in
-    the tests).  The masses and errors are the same without them.
+    from ``start_v[s]``.  ``start_v``, ``beta`` and ``alpha`` hold one value per sweep.
+    Zero-width segments contribute -inf and are harmless.  A sweep gets the bits it gets
+    alone: its series head, its panels and its panel budget are its own.  Returns
+    (log_cumulative, achieved, achieved_per_sweep): the cumulative masses in the order of
+    ``points_v``, the worst relative error the batch achieved and a list of each sweep's (0
+    for a sweep with no points or no mass, else about 50 eps at least, the panels' roundoff
+    floor).  A sweep whose series head would overflow (beta from 1e38, inf included, or
+    |alpha - 1| from 1e76) is not integrated: its masses are NaN, it achieves inf, and the
+    worst is over the others.  With ``moments`` a fourth element follows: the
+    kernel-weighted means of pi/2 - v and of -log sin v over each point's interval, as a
+    (2, n) array (NaN where the mass is zero).  They ride on the panels the masses accepted,
+    with no error estimate of their own (within 1e-8 relative in the tests).  The masses and
+    errors are the same without them.
     """
     points = np.asarray(points_v, dtype=float)
-    if sizes is None:
-        start_v, beta, alpha, sizes = [start_v], [beta], [alpha], [points.size]
     # Per segment, the log increment, log error and (with moments) log moment increments;
     # each sweep's cumulative sums then replace its increments.
     logs = np.full((4 if moments else 2, points.size), -np.inf)
     achieved = [0.0] * len(sizes)
     runs, panels, end = [], [], 0  # the sweeps integrated, as (sweep, first point, end)
     # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
-    # share test and in a zero mass's error gap, and as an overflowed beta (inf) times hi meets
-    # log(0): NaN, so normalize raises.
+    # share test and in a zero mass's error gap.
     with np.errstate(divide="ignore", invalid="ignore"):
         for s, (size, start, b, al) in enumerate(zip(sizes, start_v, beta, alpha)):
             a, end, b, al = end, end + size, float(b), float(al)
             if not size:
                 continue
-            if not _series_fits(b, al):
+            if not (b < 1e38 and abs(al - 1.0) < 1e76):  # beta**8 and (alpha - 1)**4 stay finite
                 logs[:, a:end], achieved[s] = np.nan, math.inf
                 continue
             runs.append((s, a, end))
@@ -362,7 +351,7 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
     # The sweeps run in v, which falls as m rises: reversing the whole batch reverses each
     # sweep's incomes and the order of the sweeps.
     cum, _worst, achieved, *means = kernel_log_cumulative(
-        v_top[::-1], v[::-1], betas[::-1], alpha[::-1], rel_tol, moments, sizes[::-1])
+        v_top[::-1], v[::-1], betas[::-1], alpha[::-1], rel_tol, moments, sizes=sizes[::-1])
     cum = cum[::-1]
     masses = np.array([math.log(a) - b * _HALF_PI for a, b in zip(m0, betas)]).repeat(sizes) + cum
     if moments:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incomedist as idist
@@ -424,6 +424,8 @@ class TestChunkedReader:
         last_eol=st.booleans(),
         chunk=st.integers(1, 3),
     )
+    # A quoted field runs past a one-line chunk, and the rejected row after it must cite line 4.
+    @example(header=["income"], rows=[['"5\n6"'], ["-3"]], eol="\n", last_eol=True, chunk=1)
     def test_matches_row_by_row_reference(self, tmp_path_factory, header, rows, eol, last_eol, chunk):
         text = eol.join([",".join(header)] + [",".join(row) for row in rows]) + (eol if last_eol else "")
         path = tmp_path_factory.getbasetemp() / "chunked.csv"

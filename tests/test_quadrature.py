@@ -27,6 +27,11 @@ def _mass(p, branch, a, b, rel_tol=1e-12):
     return math.exp(kernel_log_mass(p.m0, temperature, alpha, a, b, rel_tol))
 
 
+def _one_sweep(start, points, beta, alpha, rel_tol, moments=False):
+    """kernel_log_cumulative of the one sweep from ``start`` through ``points``."""
+    return kernel_log_cumulative([start], points, [beta], [alpha], rel_tol, moments, sizes=[len(points)])
+
+
 def _log_exp_integral(beta, x):
     """log of integral_0^x exp(beta*v) dv = (exp(beta*x) - 1)/beta, without overflow.
 
@@ -55,7 +60,7 @@ class TestIntegrateAdaptive:
         # [0, pi/2], the v-space image of integral_{-20}^0 e^u du.
         beta = 40.0 / math.pi
         exact = 20.0 - math.log(beta) + math.log(-math.expm1(-20.0))
-        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], beta, 1.0, 1e-10)[:2]
+        cum, achieved = _one_sweep(0.0, [HALF_PI], beta, 1.0, 1e-10)[:2]
         assert achieved <= 1e-10
         assert abs(math.expm1(cum[0] - exact)) <= 1e-10
         # The same integral in income space: m0 * (1 - e^-20) / beta.
@@ -64,11 +69,11 @@ class TestIntegrateAdaptive:
         assert abs(math.expm1(got - (math.log(m0) + exact - 20.0))) <= 1e-10
 
     def test_empty_interval_is_zero(self):
-        cum, achieved = kernel_log_cumulative(0.3, [0.3], 2.0, 1.5, 1e-12)[:2]
+        cum, achieved = _one_sweep(0.3, [0.3], 2.0, 1.5, 1e-12)[:2]
         assert cum[0] == -np.inf
         assert achieved == 0.0
         # A repeated knot adds nothing to the running mass.
-        cum, _ = kernel_log_cumulative(0.0, [0.3, 0.3, 1.0], 2.0, 1.5, 1e-12)[:2]
+        cum, _ = _one_sweep(0.0, [0.3, 0.3, 1.0], 2.0, 1.5, 1e-12)[:2]
         assert cum[0] == cum[1] < cum[2]
         for a in (0.0, 5000.0, np.inf):
             assert kernel_log_mass(100.0, 50.0, 2.0, a, a) == -np.inf
@@ -91,7 +96,7 @@ class TestIntegrateAdaptive:
         with I the regularized incomplete Beta function.
         """
         alpha = 0.7
-        cum, achieved = kernel_log_cumulative(0.0, _KNOTS, 1e-15, alpha, 1e-9)[:2]
+        cum, achieved = _one_sweep(0.0, _KNOTS, 1e-15, alpha, 1e-9)[:2]
         exact = (
             0.5
             * scipy.special.beta(0.5 * alpha, 0.5)
@@ -125,7 +130,7 @@ class TestIntegrateAdaptive:
         coarse = midpoint(12_500_000)
         oracle_self_err = abs(oracle - coarse)
 
-        cum, achieved = kernel_log_cumulative(0.0, [HALF_PI], 1e-15, 0.77, 1e-10)[:2]
+        cum, achieved = _one_sweep(0.0, [HALF_PI], 1e-15, 0.77, 1e-10)[:2]
         value = math.exp(cum[0])
         assert achieved <= 1e-10
         assert abs(value - oracle) <= max(1e-8 * oracle, 2.0 * oracle_self_err)
@@ -145,17 +150,25 @@ class TestErrorHonesty:
         for beta in _BETAS:
             exact = np.array([_log_exp_integral(beta, x) for x in _KNOTS])
             for rel_tol in (1e-6, 1e-10, 1e-12):
-                cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, rel_tol)[:2]
+                cum, achieved = _one_sweep(0.0, _KNOTS, beta, 1.0, rel_tol)[:2]
                 true_err = np.abs(np.expm1(cum - exact))
                 allowed = 10.0 * achieved + 5e-16 + 4.0 * EPS * np.abs(exact)
                 if np.any(true_err > allowed):
                     failures.append((beta, rel_tol, float(np.max(true_err)), achieved))
         assert not failures, failures
 
+    def test_no_sweep_reports_less_than_roundoff(self):
+        """A panel's error estimate carries QUADPACK's floor of 50 eps times its value, so a
+        sweep whose panels agree to the last bit still reports that much, and a tolerance
+        below it is refused rather than met."""
+        assert _one_sweep(0.5, [1.0], 2.0, 1.5, 1e-20)[1] == pytest.approx(50.0 * EPS, rel=1e-9)
+        with pytest.raises(idist.QuadratureError):
+            kernel_log_mass(1e5, 1e4, 2.0, 1e3, 1e4, 1e-20)
+
     def test_converged_flag_matches_tolerance(self):
         for beta in _BETAS:
             exact = np.array([_log_exp_integral(beta, x) for x in _KNOTS])
-            cum, achieved = kernel_log_cumulative(0.0, _KNOTS, beta, 1.0, 1e-10)[:2]
+            cum, achieved = _one_sweep(0.0, _KNOTS, beta, 1.0, 1e-10)[:2]
             assert achieved <= 1e-10
             assert np.max(np.abs(np.expm1(cum - exact))) <= 1e-9
 
@@ -303,7 +316,7 @@ class TestPanelBudget:
         cut = _series_cutoff(self.BETA, self.ALPHA)
         points = np.linspace(0.3, 1.5, 201)
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 3_000)
-        _, achieved = kernel_log_cumulative(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)[:2]
+        _, achieved = _one_sweep(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)[:2]
         assert achieved <= 1e-12
 
     def test_budget_bounds_the_rounds(self, monkeypatch):
@@ -372,12 +385,16 @@ class TestSweepBatch:
         self.assert_same(self.sweep([*light, heavy], False), alone[1:] + alone[:1])
 
     def test_an_overflowing_sweep_is_flagged_alone(self):
-        # beta = 1e300 overflows the series coefficients: that sweep is not integrated, its
-        # masses are NaN and it achieves inf, and the others keep their bits.
+        # beta = 1e300, beta = inf and alpha = 1e77 lie past the series head's range: those
+        # sweeps are not integrated, their masses are NaN and they achieve inf, and the others
+        # keep their bits.
         sweeps = self.batch()
-        out = self.sweep([sweeps[0], (0.0, np.array([0.5, 1.0]), 1e300, 2.0), sweeps[1]], True)
-        assert np.isnan(out[1][0]).all() and out[1][1] == np.inf
-        self.assert_same([out[0], out[2]], [self.sweep([s], True)[0] for s in sweeps[:2]])
+        points = np.array([0.5, 1.0])
+        out = self.sweep([sweeps[0], (0.0, points, 1e300, 2.0), (0.0, points, math.inf, 2.0),
+                          (0.0, points, 2.0, 1e77), sweeps[1]], True)
+        for masses, achieved, _means in out[1:4]:
+            assert np.isnan(masses).all() and achieved == np.inf
+        self.assert_same([out[0], out[4]], [self.sweep([s], True)[0] for s in sweeps[:2]])
 
     def test_branch_masses_flag_only_the_sweep_that_misses(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 20)
@@ -408,7 +425,7 @@ class TestSweepRegions:
         failures = []
         for beta in self.BETAS:
             for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
-                cum, achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)[:2]
+                cum, achieved = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
                 exact = np.array([_oracle_log_mass(beta, alpha, start, p) for p in points])
                 error = np.abs(np.expm1(cum - exact))
                 if achieved > 1e-12 or np.any(error > 1e-12 + EPS * np.abs(exact)):
@@ -428,9 +445,8 @@ class TestSweepRegions:
         failures = []
         for beta in (1e-3, 10.0, 1e4):
             for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
-                cum, achieved, _, means = kernel_log_cumulative(start, points, beta, alpha, 1e-12,
-                                                                moments=True)
-                plain, plain_achieved = kernel_log_cumulative(start, points, beta, alpha, 1e-12)[:2]
+                cum, achieved, _, means = _one_sweep(start, points, beta, alpha, 1e-12, moments=True)
+                plain, plain_achieved = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
                 if not (np.array_equal(cum, plain) and achieved == plain_achieved):
                     failures.append((beta, name, "masses moved"))
                 for k, p in enumerate(points):
@@ -453,9 +469,9 @@ class TestSweepRegions:
         failures = []
         for beta in self.BETAS:
             for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
-                cum, _ = kernel_log_cumulative(start, points, beta, alpha, 1e-12)[:2]
+                cum, _ = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
                 knots = np.concatenate([[start], points])
-                alone = np.array([kernel_log_cumulative(lo, [hi], beta, alpha, 1e-12)[0][0]
+                alone = np.array([_one_sweep(lo, [hi], beta, alpha, 1e-12)[0][0]
                                   for lo, hi in zip(knots[:-1], knots[1:])])
                 before = np.concatenate([[-np.inf], cum[:-1]])
                 repeated = knots[1:] == knots[:-1]
@@ -541,6 +557,13 @@ class TestBranchMass:
             got = math.exp(kernel_log_mass(m0, 1e15 * m0, alpha, 0.0, np.inf, rel_tol=1e-12))
             exact = m0 * scipy.special.beta(0.5 * alpha, 0.5) / 2.0
             assert abs(got - exact) <= 1e-12 * exact, alpha
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (1.0, 2.0)])
+    def test_infinite_beta_is_refused(self, a, b):
+        # m0 / T overflows to inf, where no series head can be formed: the mass raises rather
+        # than return NaN.
+        with pytest.raises(idist.QuadratureError):
+            kernel_log_mass(1e300, 1e-10, 2.0, a, b)
 
     def test_subnormal_income_is_the_zero_income(self):
         # m0/m overflows to inf for m = 5e-324; v = arctan(inf) = pi/2 is

@@ -41,6 +41,7 @@ from .data import Dataset, EmpiricalCcdf, empirical_ccdf
 from .errors import (ConfigError, DomainError, InsufficientDataError, InvalidParamsError, QuadratureError,
                      UnreliableErrorsError, _integer, _raised, _real)
 from .model import Params, logccdf, normalize  # noqa: F401 (bench/tracing.py)
+from .quadrature import _TOL_RANGE
 
 __all__ = ["FitConfig", "FitResult", "FitProblem", "initial_guess", "objective", "fit",
            "bootstrap_errors", "fit_result_document"]
@@ -56,7 +57,7 @@ _LIVE_RUNS = 64  # runs that share a round's batched sweep
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimation settings; defaults suit 10^4..10^6-record samples."""
+    """Estimation settings; defaults suit 10^4..10^6-record samples; quad_tol in [100 eps, 1e-6]."""
 
     grid_points: int = 200
     tie_t1_m1: bool = False
@@ -74,7 +75,7 @@ class FitConfig:
             raise ConfigError(
                 f"bootstrap_resamples must be 0 or >= 20, got {self.bootstrap_resamples!r}")
         _real(self.opt_tol, "opt_tol", ConfigError, 0.0, 1.0)
-        _real(self.quad_tol, "quad_tol", ConfigError, 0.0, 1e-6, closed="right")
+        _real(self.quad_tol, "quad_tol", ConfigError, *_TOL_RANGE, closed="both")
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,12 @@ def _derive_bounds(ccdf: EmpiricalCcdf) -> dict:
 
 
 class FitProblem:
-    """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF.
-    Each evaluation is one sweep that gives the residuals and their exact Jacobian."""
+    """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF.  Each
+    evaluation, to a ``quad_tol`` in [100 eps, 1e-6], is one sweep: residuals and exact Jacobian."""
 
     def __init__(self, ccdf: EmpiricalCcdf, grid_points: int, quad_tol: float = 1e-10):
         grid_points = _integer(grid_points, "grid_points", DomainError, 2)
-        self.quad_tol = _real(quad_tol, "quad_tol", DomainError, 0.0, 1e-6, closed="right")
+        self.quad_tol = _real(quad_tol, "quad_tol", DomainError, *_TOL_RANGE, closed="both")
         m, p = _positive_points(ccdf)
         self.grid = np.geomspace(m[0], _grid_ceiling(m, p), grid_points)
         self.log10_emp = np.interp(np.log(self.grid), np.log(m), np.log(p)) / _LN10
@@ -169,7 +170,7 @@ def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
     point when fewer than two points pass that test: beyond it the
     extreme order statistics scatter by whole factors around the true
     CCDF, and letting them into a mean-squared criterion drowns the
-    signal of every other regime.
+    signal of every other regime.  ``quad_tol`` lies in [100 eps, 1e-6].
     """
     r = FitProblem(ccdf, grid_points, quad_tol).residuals(params)[0]
     return float(r @ r)

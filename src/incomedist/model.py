@@ -136,14 +136,10 @@ def _log_kernel(m, m0: float, beta: float, alpha: float):
 def _log_kernel_ratio_at_m1(params: Params) -> float:
     """log of k_low(m1)/k_high(m1); fixes c_high/c_low by continuity.  Past m1/m0 = 1e154
     it is NaN or infinite, and :func:`normalize` refuses the branch constants it gives."""
-    u1 = math.atan(params.m1 / params.m0)
-    try:
-        log1p_r2 = math.log1p((params.m1 / params.m0) ** 2)
-    except OverflowError:
-        log1p_r2 = math.inf
-    return (params.m0 / params.t_high - params.m0 / params.t_low) * u1 + 0.5 * (
+    r = params.m1 / params.m0
+    return (params.m0 / params.t_high - params.m0 / params.t_low) * math.atan(r) + 0.5 * (
         params.alpha1 - params.alpha
-    ) * log1p_r2
+    ) * math.log1p(r * r)
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     ----------
     params : Params
     quad_tol : float
-        Relative tolerance for the kernel quadratures, in (0, 1e-6].
+        Relative tolerance for the kernel quadratures, in [100 eps, 1e-6].
 
     Returns
     -------
@@ -208,12 +204,12 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     Raises
     ------
     DomainError
-        If ``quad_tol`` is not a number in (0, 1e-6].
+        If ``quad_tol`` is not a number in [100 eps, 1e-6].
     QuadratureError
         If a branch mass cannot be integrated to ``quad_tol``, or the branch
         constants are not finite floats.
     """
-    quad_tol = _real(quad_tol, "quad_tol", DomainError, 0.0, 1e-6, closed="right")
+    quad_tol = _real(quad_tol, "quad_tol", DomainError, *quadrature._TOL_RANGE, closed="both")
     return _raised(_normalize_on([(params, np.empty(0))], quad_tol)[0])[0]
 
 
@@ -247,33 +243,29 @@ def _normalize_on(points, quad_tol: float, grad: bool = False):
     on [0, m1] and [m1, inf).  With no incomes each sweep is the one kernel_log_mass makes,
     so the constants equal it.  Returns one entry per point: (model, curve) or, with
     ``grad``, (model, curve, jac), where ``jac`` holds the log CCDF's derivatives by the log
-    of each parameter, an (m.size, 6) array with columns in :class:`Params` field order; or
-    the :class:`QuadratureError` the point raises alone.  Its callers check ``quad_tol``.
+    of each parameter, an (m.size, 6) array with columns in :class:`Params` field order; or,
+    in its place, the :class:`QuadratureError` the point raises alone.  Callers check ``quad_tol``.
     """
     with_ends = []
     for p, m in points:
         i = int(m.searchsorted(p.m1))
         with_ends.append((p, np.concatenate([[0.0], m[:i], [p.m1], m[i:]])))
-    out = []
-    for (p, _m), branches in zip(points, _sweep(with_ends, quad_tol, grad)):
-        try:
-            out.append(_compose(p, quad_tol, *_raised(branches), grad))
-        except QuadratureError as exc:
-            out.append(exc)
-    return out
+    return [branches if isinstance(branches, QuadratureError) else _compose(p, quad_tol, *branches, grad)
+            for (p, _m), branches in zip(points, _sweep(with_ends, quad_tol, grad))]
 
 
 def _compose(p: Params, quad_tol: float, low, high, grad: bool):
-    """One point of :func:`_normalize_on` from its branch masses (and derivatives)."""
+    """One point of :func:`_normalize_on` from its branch masses (and derivatives), or, in
+    its place, a :class:`QuadratureError` if its branch constants are not finite."""
     if grad:
         (low, d_low), (high, d_high) = low, high
     log_ratio = _log_kernel_ratio_at_m1(p)
-    # invalid: infinite masses or ratio (overflowed parameters); caught just below.
+    # invalid: infinite masses or ratio (overflowed parameters); refused just below.
     with np.errstate(invalid="ignore"):
         log_c_low = -np.logaddexp(low[0], log_ratio + high[0])
         log_c_high = log_c_low + log_ratio
     if not (math.isfinite(log_c_low) and math.isfinite(log_c_high)):
-        raise QuadratureError(f"branch constants are not finite for {p!r}")
+        return QuadratureError(f"branch constants are not finite for {p!r}")
     log_ccdf_at_m1 = float(log_c_high + high[0])
     model = NormalizedModel(params=p, log_c_low=float(log_c_low), log_c_high=float(log_c_high),
                             log_ccdf_at_m1=log_ccdf_at_m1, quad_tol=quad_tol)

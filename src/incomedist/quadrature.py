@@ -106,6 +106,7 @@ _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
 _LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's (dqk15) floor on a panel's relative error
+_TOL_RANGE = (float(2.0 * _ROUNDOFF), 1e-6)  # the tolerances a panel floored at _ROUNDOFF can meet
 _MAX_BATCH_PANELS = 200_000
 _FACTORIALS = [float(math.factorial(k)) for k in range(_SERIES_ORDER)]
 _POWERS = np.arange(float(_SERIES_ORDER))  # the series' powers j = 0 .. 8
@@ -379,7 +380,7 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
 def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
     """log of integral_a^b of one branch kernel in income space.
 
-    ``b`` may be inf.  Raises :class:`QuadratureError` if the requested relative tolerance
+    ``b`` may be inf.  Raises :class:`QuadratureError` if ``rel_tol``, in [100 eps, 1e-6],
     is not met, :class:`NonNormalizableError` for a divergent improper integral (alpha <= 0
     with b = inf) and :class:`DomainError` for any other bound or parameter out of range.
     """
@@ -387,7 +388,7 @@ def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
             for x, name in ((a, "a"), (b, "b")))
     if not a <= b:
         raise DomainError(f"invalid kernel bounds [{a!r}, {b!r}]")
-    rel_tol = _real(rel_tol, "rel_tol", DomainError, 0.0)
+    rel_tol = _real(rel_tol, "rel_tol", DomainError, *_TOL_RANGE, closed="both")
     if b == math.inf and _real(alpha, "alpha", DomainError) <= 0.0:
         raise NonNormalizableError(f"kernel tail exponent alpha={alpha!r} gives a divergent integral")
     m0, temperature, alpha = (_real(x, name, DomainError, 0.0) for x, name in

@@ -138,6 +138,16 @@ class TestFitCommand:
         assert result.exit_code == 2, result.output
         assert "bootstrap_resamples" in result.output
 
+    def test_unreachable_quad_tol_refused_before_fitting(self, runner, quick_income_csv,
+                                                         monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(cli_mod, "fit", no_fit)
+        result = runner.invoke(main, ["fit", "--incomes", quick_income_csv, "--quad-tol", "1e-15"])
+        assert result.exit_code == 2, result.output
+        assert "quad_tol" in result.output
+
     def test_nonconverged_fit_exits_3_but_still_reports(
         self, runner, quick_income_csv, monkeypatch
     ):

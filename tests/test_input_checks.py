@@ -164,6 +164,26 @@ def test_junk_is_refused(entry, arg):
     assert not leaks, f"{entry}({arg}=...) expected {args[arg].__name__}: " + "; ".join(leaks)
 
 
+@pytest.mark.parametrize("entry, arg", [(entry, arg) for entry, (_, args) in ENTRIES.items()
+                                        for arg in args if arg in ("quad_tol", "rel_tol")])
+def test_tolerance_outside_the_panels_range_is_refused_before_any_sweep(entry, arg, monkeypatch):
+    """No panel, its error floored at 50 eps of its value, passes a tolerance below 100 eps, so
+    each entry refuses one with its own error before any sweep; both ends of the range pass."""
+    call, args = ENTRIES[entry]
+    for tol in quadrature._TOL_RANGE:  # accepted: the answer, or the QuadratureError of a sweep
+        try:
+            call(**{arg: tol})
+        except idist.QuadratureError:
+            pass
+
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(quadrature, "kernel_log_cumulative", no_sweep)
+    with pytest.raises(args[arg], match=arg):
+        call(**{arg: 1e-15})
+
+
 def _takes_numbers(obj) -> bool:
     """Whether a parameter is annotated with a number or array type, or unannotated and not
     known to take something else (a flag with a bool default takes none)."""

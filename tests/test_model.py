@@ -201,8 +201,9 @@ class TestNormalize:
     def test_constants_equal_composed_reference(self):
         cases = [(year_params(year), 1e-10) for year in YEAR_ROWS]
         cases += [(p, 1e-10) for p in _fitter_box_params(200, seed=8)]
-        # Cases where the reference raises QuadratureError: an unreachable tolerance,
-        # and beta = m0/T so large that its series coefficients overflow.
+        # Cases where the reference raises: a tolerance below the range a panel can meet
+        # (DomainError), and beta = m0/T so large that its series coefficients overflow
+        # (QuadratureError).
         cases += [
             (year_params(2010), 1e-17),
             (idist.Params(t_low=1e-300, t_high=1.0, m0=1.0, m1=1.0, alpha=2.0, alpha1=2.0), 1e-10),
@@ -226,6 +227,8 @@ class TestNormalize:
         idist.Params(t_low=1.0, t_high=1e-300, m0=1e10, m1=1e10, alpha=2.0, alpha1=2.0),
         # Both branch masses overflow: logaddexp of two infinities.
         idist.Params(t_low=1.0, t_high=1.0, m0=1e-10, m1=1e300, alpha=2.0, alpha1=2.0),
+        # m1/m0 is finite, but its square overflows in the continuity ratio.
+        idist.Params(t_low=1.0, t_high=1.0, m0=1.0, m1=1e160, alpha=2.0, alpha1=2.0),
     ])
     def test_overflowed_parameters_raise_quadrature_error(self, p):
         # The suite turns RuntimeWarning into an error, so a bare numpy

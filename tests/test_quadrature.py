@@ -160,9 +160,9 @@ class TestErrorHonesty:
     def test_no_sweep_reports_less_than_roundoff(self):
         """A panel's error estimate carries QUADPACK's floor of 50 eps times its value, so a
         sweep whose panels agree to the last bit still reports that much, and a tolerance
-        below it is refused rather than met."""
+        below it is refused rather than met: the entry points refuse it before any sweep."""
         assert _one_sweep(0.5, [1.0], 2.0, 1.5, 1e-20)[1] == pytest.approx(50.0 * EPS, rel=1e-9)
-        with pytest.raises(idist.QuadratureError):
+        with pytest.raises(idist.DomainError):
             kernel_log_mass(1e5, 1e4, 2.0, 1e3, 1e4, 1e-20)
 
     def test_converged_flag_matches_tolerance(self):

@@ -186,7 +186,7 @@ def _dataset_options(fn):
 @click.option("--restarts", type=int, default=5, show_default=True)
 @click.option("--grid-points", type=int, default=200, show_default=True)
 @click.option("--opt-tol", type=float, default=2e-4, show_default=True)
-@click.option("--quad-tol", type=float, default=1e-10, show_default=True, help="Relative quadrature tolerance, in [100 eps = 2.2e-14, 1e-6].")
+@click.option("--quad-tol", type=float, default=1e-10, show_default=True, help="Relative quadrature tolerance, in [2e-13, 1e-6].")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here instead of stdout.")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file overriding any flag.")
 @_exits

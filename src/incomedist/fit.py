@@ -12,7 +12,7 @@ kernel-weighted means of u = arctan(m/m0) and of log cos u (the
 derivatives by log T and by alpha) and the integrand at both ends
 (Leibniz's rule), from which the model composes the log CCDF and its
 derivatives through both branch constants and the continuity ratio.
-That sweep costs about 1.7 residual-only ones, and has no step size to
+That sweep costs about 1.6 residual-only ones, and has no step size to
 trade against quadrature noise.
 Uncertainty comes from a nonparametric bootstrap: resample the
 dataset, refit from the fitted center, report per-parameter standard
@@ -57,7 +57,7 @@ _LIVE_RUNS = 64  # runs that share a round's batched sweep
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimation settings; defaults suit 10^4..10^6-record samples; quad_tol in [100 eps, 1e-6]."""
+    """Estimation settings; defaults suit 10^4..10^6-record samples; quad_tol in [2e-13, 1e-6]."""
 
     grid_points: int = 200
     tie_t1_m1: bool = False
@@ -137,7 +137,7 @@ def _derive_bounds(ccdf: EmpiricalCcdf) -> dict:
 
 class FitProblem:
     """The part of :func:`objective` fixed by the curve: grid and log10 empirical CCDF.  Each
-    evaluation, to a ``quad_tol`` in [100 eps, 1e-6], is one sweep: residuals and exact Jacobian."""
+    evaluation, to a ``quad_tol`` in [2e-13, 1e-6], is one sweep: residuals and exact Jacobian."""
 
     def __init__(self, ccdf: EmpiricalCcdf, grid_points: int, quad_tol: float = 1e-10):
         grid_points = _integer(grid_points, "grid_points", DomainError, 2)
@@ -170,7 +170,7 @@ def objective(params: Params, ccdf: EmpiricalCcdf, grid_points: int,
     point when fewer than two points pass that test: beyond it the
     extreme order statistics scatter by whole factors around the true
     CCDF, and letting them into a mean-squared criterion drowns the
-    signal of every other regime.  ``quad_tol`` lies in [100 eps, 1e-6].
+    signal of every other regime.  ``quad_tol`` lies in [2e-13, 1e-6].
     """
     r = FitProblem(ccdf, grid_points, quad_tol).residuals(params)[0]
     return float(r @ r)
@@ -511,8 +511,4 @@ def fit_result_document(result: FitResult, config: FitConfig, errors: dict) -> d
     }
 
 
-def __getattr__(name):  # bench/tracing.py wraps fit.minimize, unused here; goes with ROADMAP item 6
-    if name == "minimize":
-        from scipy.optimize import minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+minimize = _minimize_from  # bench/tracing.py wraps this name; the fit calls _minimize_from

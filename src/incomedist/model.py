@@ -195,7 +195,7 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     ----------
     params : Params
     quad_tol : float
-        Relative tolerance for the kernel quadratures, in [100 eps, 1e-6].
+        Relative tolerance for the kernel quadratures, in [2e-13, 1e-6].
 
     Returns
     -------
@@ -204,7 +204,7 @@ def normalize(params: Params, quad_tol: float = 1e-10) -> NormalizedModel:
     Raises
     ------
     DomainError
-        If ``quad_tol`` is not a number in [100 eps, 1e-6].
+        If ``quad_tol`` is not a number in [2e-13, 1e-6].
     QuadratureError
         If a branch mass cannot be integrated to ``quad_tol``, or the branch
         constants are not finite floats.

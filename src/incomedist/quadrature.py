@@ -106,7 +106,7 @@ _SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
 _LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's (dqk15) floor on a panel's relative error
-_TOL_RANGE = (float(2.0 * _ROUNDOFF), 1e-6)  # the tolerances a panel floored at _ROUNDOFF can meet
+_TOL_RANGE = (2.0 * max(_ROUNDOFF, _SERIES_REL_ERR), 1e-6)  # twice a sweep's larger error floor
 _MAX_BATCH_PANELS = 200_000
 _FACTORIALS = [float(math.factorial(k)) for k in range(_SERIES_ORDER)]
 _POWERS = np.arange(float(_SERIES_ORDER))  # the series' powers j = 0 .. 8
@@ -264,13 +264,13 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     (log_cumulative, achieved, achieved_per_sweep): the cumulative masses in the order of
     ``points_v``, the worst relative error the batch achieved and a list of each sweep's (0
     for a sweep with no points or no mass, else about 50 eps at least, the panels' roundoff
-    floor).  A sweep whose series head would overflow (beta from 1e38, inf included, or
-    |alpha - 1| from 1e76) is not integrated: its masses are NaN, it achieves inf, and the
-    worst is over the others.  With ``moments`` a fourth element follows: the
-    kernel-weighted means of pi/2 - v and of -log sin v over each point's interval, as a
-    (2, n) array (NaN where the mass is zero).  They ride on the panels the masses accepted,
-    with no error estimate of their own (within 1e-8 relative in the tests).  The masses and
-    errors are the same without them.
+    floor, or 1e-13, the series head's budget, if it covers a segment).  A sweep whose head
+    would overflow (beta from 1e38, inf included, or |alpha - 1| from 1e76) is not
+    integrated: its masses are NaN, it achieves inf, and the worst is over the others.  With
+    ``moments`` a fourth element follows: the kernel-weighted means of pi/2 - v and of
+    -log sin v over each point's interval, as a (2, n) array (NaN where the mass is zero).
+    They ride on the panels the masses accepted, with no error estimate of their own (within
+    1e-8 relative in the tests).  The masses and errors are the same without them.
     """
     points = np.asarray(points_v, dtype=float)
     # Per segment, the log increment, log error and (with moments) log moment increments;
@@ -380,7 +380,7 @@ def branch_log_masses(m0, temperature, alpha, top, m, sizes, rel_tol, moments=Fa
 def kernel_log_mass(m0, temperature, alpha, a, b, rel_tol=1e-12):
     """log of integral_a^b of one branch kernel in income space.
 
-    ``b`` may be inf.  Raises :class:`QuadratureError` if ``rel_tol``, in [100 eps, 1e-6],
+    ``b`` may be inf.  Raises :class:`QuadratureError` if ``rel_tol``, in [2e-13, 1e-6],
     is not met, :class:`NonNormalizableError` for a divergent improper integral (alpha <= 0
     with b = inf) and :class:`DomainError` for any other bound or parameter out of range.
     """

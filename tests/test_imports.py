@@ -13,7 +13,8 @@ cannot leave its helpers or constants behind either, and every parameter of a
 ``def`` or ``lambda`` (``self`` aside) must be read in its body, so no caller
 passes a value that nothing uses.  Importing the package or
 the CLI must load no scipy at all, and neither may running any command,
-``fit`` included, so every command's cold start stays at numpy and click.
+``fit`` included, so every command's cold start stays at numpy and click; nor may
+reading ``fit.minimize``, the name a traced benchmark run wraps.
 Every source file parses with the grammar of the oldest Python that
 ``requires-python`` admits, so newer syntax fails here and not only on that Python.
 """
@@ -274,3 +275,10 @@ def test_no_command_loads_scipy(tmp_path):
 
 def test_package_import_loads_no_scipy():
     assert _scipy_modules_after("import incomedist") == []
+
+
+def test_reading_fit_minimize_loads_no_scipy():
+    # bench/tracing.py wraps fit.minimize on every traced run; the fit's own loop is that name.
+    assert _scipy_modules_after("import incomedist.fit as f\nf.minimize") == []
+    fit = importlib.import_module("incomedist.fit")
+    assert fit.minimize is fit._minimize_from

@@ -167,8 +167,9 @@ def test_junk_is_refused(entry, arg):
 @pytest.mark.parametrize("entry, arg", [(entry, arg) for entry, (_, args) in ENTRIES.items()
                                         for arg in args if arg in ("quad_tol", "rel_tol")])
 def test_tolerance_outside_the_panels_range_is_refused_before_any_sweep(entry, arg, monkeypatch):
-    """No panel, its error floored at 50 eps of its value, passes a tolerance below 100 eps, so
-    each entry refuses one with its own error before any sweep; both ends of the range pass."""
+    """No sweep meets a tolerance below twice its larger error floor (50 eps of a panel's value,
+    the series head's 1e-13 budget), so each entry refuses one with its own error before any
+    sweep; both ends of the range pass."""
     call, args = ENTRIES[entry]
     for tol in quadrature._TOL_RANGE:  # accepted: the answer, or the QuadratureError of a sweep
         try:

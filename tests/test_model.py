@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import incomedist as idist
 from incomedist.langevin import ks_distance
 from incomedist.model import _interp_ascending, _log_kernel_ratio_at_m1
-from incomedist.quadrature import kernel_log_mass
+from incomedist.quadrature import _TOL_RANGE, kernel_log_mass
 
 from conftest import YEAR_ROWS, loglog_slope, year_params
 
@@ -201,7 +201,7 @@ class TestNormalize:
     def test_constants_equal_composed_reference(self):
         cases = [(year_params(year), 1e-10) for year in YEAR_ROWS]
         cases += [(p, 1e-10) for p in _fitter_box_params(200, seed=8)]
-        # Cases where the reference raises: a tolerance below the range a panel can meet
+        # Cases where the reference raises: a tolerance below the range a sweep can meet
         # (DomainError), and beta = m0/T so large that its series coefficients overflow
         # (QuadratureError).
         cases += [
@@ -235,6 +235,15 @@ class TestNormalize:
         # warning on the way would fail this test before the raise.
         with pytest.raises(idist.QuadratureError):
             idist.normalize(p)
+
+    @pytest.mark.parametrize("year", sorted(YEAR_ROWS))
+    def test_published_rows_meet_the_tolerance_floor(self, year):
+        # A sweep books the series head's 1e-13 on each segment the head covers, so the floor
+        # is twice that; at twice the panels' own floor (100 eps) five of the six rows fell short.
+        p = year_params(year)
+        model = idist.normalize(p, _TOL_RANGE[0])
+        want = _composed_constants(p, _TOL_RANGE[0])  # kernel_log_mass of each branch
+        assert (model.log_c_low, model.log_c_high, model.log_ccdf_at_m1) == want
 
     def test_unit_mass_on_published_rows(self, models):
         for model in models.values():

@@ -28,6 +28,7 @@ from . import langevin as langevin_mod
 from . import model as model_mod
 from .data import (
     Dataset,
+    _open,
     billionaire_effective_income,
     csv_rows,
     empirical_ccdf,
@@ -91,7 +92,7 @@ def _dump_json(doc) -> str:
 
 def _load_json_object(path) -> dict:
     """The object a JSON file holds; any other JSON value is a DataFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")

@@ -10,9 +10,10 @@ wealth array can be converted to effective incomes and merged in, since
 surveys top-code or never reach the extreme tail.
 Empirical complementary CDFs use the Weibull plotting position
 1 - i/(n+1), generalized to weighted samples in a way that reduces
-exactly to the unweighted formula when all weights are equal.  Every
-output is written through :func:`open_output`, and every CSV number is
-formatted by :func:`csv_rows`.
+exactly to the unweighted formula when all weights are equal.  Each file
+read or written is opened by ``_open`` (a path as UTF-8, read past a
+byte-order mark, written with none; a text stream in place, left open),
+outputs as :func:`open_output`; :func:`csv_rows` formats every CSV number.
 """
 
 from __future__ import annotations
@@ -105,22 +106,20 @@ _WEALTH_COLUMN = "wealth_usd"
 _CHUNK = 2048  # raw lines (so at most as many CSV rows) a loader holds at a time; 8192 raised a fit's peak RSS by 3 MB
 
 
-def _open_text(source):
-    """A path (``str`` or ``os.PathLike``) is opened as UTF-8, past a byte-order mark if any; a
-    text stream is left open."""
-    if isinstance(source, io.TextIOBase):
-        return nullcontext(source)
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
-    raise DataFormatError(f"expected a path or an open text stream, got {type(source).__name__}")
+def _open(target, mode: str):
+    """The one opener: a path (``str`` or ``os.PathLike``) as UTF-8 with ``newline=""``, read (``mode``
+    "r") past a byte-order mark if any or written ("w") with none; an open text stream in place, left open."""
+    if isinstance(target, io.TextIOBase):
+        return nullcontext(target)
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="")
+    raise DataFormatError(f"expected a path or an open text stream, got {type(target).__name__}")
 
 
 def open_output(dest):
-    """A path (``str`` or ``os.PathLike``) is opened for writing as UTF-8, with no byte-order mark;
-    anything else is an open text stream, written in place and left open."""
-    if isinstance(dest, (str, os.PathLike)):
-        return open(dest, "w", encoding="utf-8", newline="")
-    return nullcontext(dest)
+    """``dest`` opened for writing by the one opener, :func:`_open`: a path as UTF-8 with no byte-order
+    mark, an open text stream in place and left open; anything else is a DataFormatError."""
+    return _open(dest, "w")
 
 
 def csv_rows(*columns, label: str = "") -> str:
@@ -129,7 +128,7 @@ def csv_rows(*columns, label: str = "") -> str:
     A scalar column repeats on every line; ``label``, if given, opens each line as a text field."""
     arrays = [np.ravel(c) for c in columns if np.ndim(c)]
     fields = ["%.12g" % c if np.ndim(c) == 0 else "%.12g" for c in columns]
-    line = ",".join([label] + fields if label else fields) + "\n"
+    line = ",".join([label.replace("%", "%%")] + fields if label else fields) + "\n"
     if not arrays:
         return line % ()
     return (line * arrays[0].size) % tuple(np.column_stack(arrays).ravel().tolist())
@@ -195,7 +194,7 @@ def _read_columns(source, fields) -> tuple[list[np.ndarray], list[str]]:
     many rows as the chunk has lines, running past its last line when quoted fields span lines, and
     each row's line is the reader's line count once the row is read.
     """
-    with _open_text(source) as fh:
+    with _open(source, "r") as fh:
         reader, done = csv.reader(fh), 0  # ``done``: the file lines read before ``reader``'s first
         try:
             header = next(reader, None)

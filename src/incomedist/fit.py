@@ -68,14 +68,12 @@ class FitConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        for name, least in (("grid_points", 10), ("restarts", 1), ("bootstrap_resamples", 0),
-                            ("seed", 0)):
-            _integer(getattr(self, name), name, ConfigError, least)
+        for name, least in (("grid_points", 10), ("restarts", 1), ("bootstrap_resamples", 0), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, least))
+        for name, (lo, hi), closed in (("opt_tol", (0.0, 1.0), "neither"), ("quad_tol", _TOL_RANGE, "both")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, ConfigError, lo, hi, closed))
         if 0 < self.bootstrap_resamples < 20:
-            raise ConfigError(
-                f"bootstrap_resamples must be 0 or >= 20, got {self.bootstrap_resamples!r}")
-        _real(self.opt_tol, "opt_tol", ConfigError, 0.0, 1.0)
-        _real(self.quad_tol, "quad_tol", ConfigError, *_TOL_RANGE, closed="both")
+            raise ConfigError(f"bootstrap_resamples must be 0 or >= 20, got {self.bootstrap_resamples!r}")
 
 
 @dataclass(frozen=True)
@@ -425,7 +423,7 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
     problem = FitProblem(ccdf, config.grid_points, config.quad_tol)
     x0 = np.log([getattr(guess, n) for n in names])  # initial_guess clips into the box
     starts = [x0 + 0.3 * np.random.default_rng((config.seed, 1, k)).standard_normal(x0.size)
-              if k else x0 for k in range(int(config.restarts))]
+              if k else x0 for k in range(config.restarts)]
     runs = _lockstep([problem] * len(starts), fold, starts, log_bounds, config.opt_tol)
     x, value, converged, calls, jac = min(runs, key=lambda run: run[1])
 
@@ -440,7 +438,7 @@ def fit(ccdf: EmpiricalCcdf, config: FitConfig) -> FitResult:
         objective=value,
         iterations=calls,
         converged=converged,
-        restarts_used=int(config.restarts),
+        restarts_used=config.restarts,
         diagnostics={"bound_saturated": saturated, "misfit_calls": sum(run[3] for run in runs),
                      "restart_objectives": [run[1] for run in runs],
                      "grid_points_above_m1": int(np.count_nonzero(problem.grid >= params.m1)),
@@ -492,7 +490,7 @@ def _resamples(ds: Dataset, config: FitConfig):
     n = len(ds)
     cdf = np.cumsum(ds.weights / ds.weights.sum())
     cdf /= cdf[-1]
-    for k in range(int(config.bootstrap_resamples)):
+    for k in range(config.bootstrap_resamples):
         yield cdf.searchsorted(np.sort(np.random.default_rng((config.seed, 2, k)).random(n)),
                                side="right")
 

@@ -501,8 +501,8 @@ def params_from_dict(doc: Mapping) -> Params:
     if missing:
         raise DataFormatError(f"parameter document lacks keys: {', '.join(missing)}")
     try:
-        if any(isinstance(doc[key], bool) for key in _PARAM_KEYS):  # JSON true and false
-            raise TypeError("a boolean is no number")
+        if any(isinstance(doc[key], (bool, str, bytes)) for key in _PARAM_KEYS):  # JSON true, false, "38000"
+            raise TypeError("a boolean or a string is no number")
         kwargs = {attr: float(doc[key]) for key, attr in _PARAM_KEYS.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"parameter value is not a float: {exc}") from None

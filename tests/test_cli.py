@@ -321,6 +321,26 @@ class TestNonUtf8Input:
         assert "utf-8" in result.output
 
 
+class TestByteOrderMarkJson:
+    @pytest.mark.parametrize("flag", ["--params", "--fit-json", "--config"])
+    def test_reads_as_without_one(self, runner, tmp_path, quick_income_csv, flag):
+        """A JSON input opens as the CSVs do: past a UTF-8 byte-order mark, to the same bytes out."""
+        doc = {"restarts": 1, "grid-points": 50} if flag == "--config" else idist.params_to_dict(year_params(2010))
+        path, out = tmp_path / "in.json", tmp_path / "out"
+        args = {
+            "--params": ["sample", "--n", "5", "--params", str(path)],
+            "--fit-json": ["report", "--fit-json", str(path)],
+            "--config": ["fit", "--incomes", quick_income_csv, "--config", str(path)],
+        }[flag] + ["--out", str(out)]
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + json.dumps(doc).encode())
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestCsvFieldOverLimit:
     @pytest.mark.parametrize("flag", ["fit --incomes", "plotdata --incomes", "--billionaires"])
     def test_is_input_error(self, runner, tmp_path, quick_income_csv, flag):
@@ -365,6 +385,13 @@ class TestSampleCommand:
         assert all(v > 0.0 for v in values)
         draws = idist.sample(idist.normalize(year_params(2009)), 50, 3)
         assert first.output == "income\n" + "".join(f"{v:.12g}\n" for v in draws.tolist())
+
+    def test_digit_string_params_are_input_error(self, runner, tmp_path):
+        doc = {**idist.params_to_dict(year_params(2010)), "T": "38000"}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["sample", "--params", str(tmp_path / "p.json"), "--n", "5"])
+        assert result.exit_code == 2, result.output
+        assert "not a float" in result.output
 
     def test_chunked_output_is_one_csv(self, runner, tmp_path, monkeypatch):
         # 50 draws in chunks of 7 (the last one short) write the bytes of one chunk.

@@ -175,6 +175,10 @@ class TestOutput:
         assert csv_rows(0.1, np.array([3.0, 1 / 3]), label="t") == "t,0.1,3\nt,0.1,0.333333333333\n"
         assert csv_rows(1e20, 0.5, label="marker") == "marker,1e+20,0.5\n"
         assert csv_rows(np.array([]), label="empty") == ""
+        # a label is written as given, '%' too
+        assert csv_rows(np.array([1.0, 2.0]), label="50%") == "50%,1\n50%,2\n"
+        assert csv_rows(np.array([3.0]), label="%s") == "%s,3\n"
+        assert csv_rows(0.25, np.array([1.0, 2.0]), label="p%d") == "p%d,0.25,1\np%d,0.25,2\n"
 
     def test_open_output_writes_paths_and_leaves_streams_open(self, tmp_path):
         with open_output(tmp_path / "out.csv") as fh:

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -717,3 +718,15 @@ class TestFitResultDocument:
                                            "jacobian_singular_values", "weakest_direction"}
         assert set(doc["config"]) == {"grid_points", "tie_t1_m1", "restarts",
                                       "bootstrap_resamples", "seed", "opt_tol", "quad_tol"}
+
+    def test_numpy_and_fraction_settings_give_the_plain_document(self):
+        """FitConfig stores what its checks return, so numpy integers and a Fraction tolerance
+        give the fit JSON of the same plain Python values."""
+        ds = Dataset(values=idist.sample(idist.normalize(year_params(2010)), 2000, 1))
+        docs = []
+        for cfg in (FitConfig(grid_points=50, restarts=1, seed=3, quad_tol=1e-8, opt_tol=1e-3),
+                    FitConfig(grid_points=np.int64(50), restarts=np.int64(1), seed=np.int64(3),
+                              quad_tol=Fraction(1, 10**8), opt_tol=Fraction(1, 1000))):
+            result = fit(empirical_ccdf(ds), cfg)
+            docs.append(json.dumps(fit_result_document(result, cfg, {}), sort_keys=True))
+        assert docs[0] == docs[1]

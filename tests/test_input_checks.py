@@ -9,6 +9,11 @@ and in an object array) and expects that class, never a bare exception or an ans
 ``test_every_numeric_entry_point_is_listed`` keeps the table whole: a public callable
 that takes a number or an array appears in ``ENTRIES``, or in ``UNCHECKED`` with the
 reason its inputs need no check of their own.
+
+``OPENERS`` lists each public argument that takes a path or an open text stream;
+``test_not_a_path_or_stream_is_refused`` feeds each a bytes path, None, an int and a plain
+object and expects DataFormatError with no file created, and
+``test_every_path_argument_is_listed`` keeps that table whole.
 """
 
 import importlib
@@ -22,7 +27,7 @@ import pytest
 import incomedist as idist
 from conftest import year_params
 from incomedist import cli, data, fit, langevin, model, quadrature
-from incomedist.errors import ConfigError, DomainError, InvalidParamsError
+from incomedist.errors import ConfigError, DataFormatError, DomainError, InvalidParamsError
 
 MODULES = ("cli", "data", "errors", "fit", "langevin", "model", "quadrature")
 
@@ -197,11 +202,16 @@ def _takes_numbers(obj) -> bool:
     return False
 
 
+def _public() -> dict:
+    """Every exported name of the package's modules, as ``module.name``."""
+    return {f"{name}.{attr}": getattr(mod, attr)
+            for name in MODULES
+            for mod in [importlib.import_module(f"incomedist.{name}")]
+            for attr in getattr(mod, "__all__", ())}
+
+
 def test_every_numeric_entry_point_is_listed():
-    public = {f"{name}.{attr}": getattr(mod, attr)
-              for name in MODULES
-              for mod in [importlib.import_module(f"incomedist.{name}")]
-              for attr in getattr(mod, "__all__", ())}
+    public = _public()
     numeric = {name for name, obj in public.items() if callable(obj) and _takes_numbers(obj)}
     assert numeric - set(ENTRIES) - set(UNCHECKED) == set()
     assert set(ENTRIES) | set(UNCHECKED) <= set(public)  # no stale names
@@ -219,6 +229,33 @@ def test_guard_sees_an_unlisted_function():
         return source
 
     assert _takes_numbers(fresh) and _takes_numbers(unannotated) and not _takes_numbers(flags)
+
+
+# name: (call with the path-or-stream argument, that argument's name).
+OPENERS = {
+    "data.load_incomes": (data.load_incomes, "source"),
+    "data.load_billionaires": (data.load_billionaires, "source"),
+    "data.open_output": (data.open_output, "dest"),
+    "langevin.write_snapshots_csv": (lambda dest: langevin.write_snapshots_csv(dest, _snapshots()), "dest"),
+}
+
+NOT_PATHS = {"bytes path": b"out.csv", "None": None, "int": 1, "object": object()}
+
+
+@pytest.mark.parametrize("junk", NOT_PATHS)
+@pytest.mark.parametrize("entry", OPENERS)
+def test_not_a_path_or_stream_is_refused(entry, junk, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a bytes path would be created
+    call, _ = OPENERS[entry]
+    with pytest.raises(DataFormatError, match="expected a path or an open text stream"):
+        call(NOT_PATHS[junk])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_path_argument_is_listed():
+    takes_path = {name: arg for name, obj in _public().items() if callable(obj)
+                  for arg in inspect.signature(obj).parameters if arg in ("source", "dest")}
+    assert takes_path == {name: arg for name, (_, arg) in OPENERS.items()}
 
 
 @pytest.mark.parametrize("params", [

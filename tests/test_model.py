@@ -704,6 +704,13 @@ class TestSerialization:
         with pytest.raises(idist.DataFormatError, match="not a float"):
             idist.params_from_dict(doc)
 
+    @pytest.mark.parametrize("value", ["38000", " 3.8e4 ", b"38000"])
+    def test_digit_string_rejected(self, value):
+        doc = idist.params_to_dict(year_params(2007))
+        doc["T"] = value  # float() would read it as 38000.0
+        with pytest.raises(idist.DataFormatError, match="not a float"):
+            idist.params_from_dict(doc)
+
     def test_int_beyond_float_range_rejected(self):
         doc = idist.params_to_dict(year_params(2007))
         doc["T"] = 10**330

@@ -74,8 +74,11 @@ def crisis_indicator(params: Params, threshold: float = 2.0) -> bool:
 
 
 def aggregate_params(rows: list[ReportRow], exclude_labels=frozenset()) -> dict:
-    """Arithmetic means of each parameter over non-excluded rows."""
-    included = [r for r in rows if r.label not in set(exclude_labels)]
+    """Arithmetic means of each parameter over the rows whose label is not in ``exclude_labels``."""
+    if isinstance(exclude_labels, (str, bytes)):
+        raise DomainError(f"exclude_labels must be a collection of labels, got the string {exclude_labels!r}")
+    excluded = set(exclude_labels)
+    included = [r for r in rows if r.label not in excluded]
     if not included:
         raise DomainError("no rows left after exclusion")
     sums = {key: 0.0 for key in model_mod.params_to_dict(included[0].params)}
@@ -214,17 +217,17 @@ def cmd_fit(config_path, **flags):
 
 
 @main.command("plotdata")
-@click.option("--params", "params_path", required=True, type=click.Path(), help="Params JSON (bare or a fit result).")
+@click.option("--params", required=True, type=click.Path(), help="Params JSON (bare or a fit result).")
 @_dataset_options
 @click.option("--curve-points", type=int, default=500, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file overriding any flag.")
 @_exits
-def cmd_plotdata(config_path, params_path, **flags):
+def cmd_plotdata(config_path, **flags):
     """Emit empirical and model CCDF curves as plot-ready CSV."""
     opts = _load_config_overrides(config_path, flags)
     _integer(opts["curve_points"], "curve_points", ConfigError, 2)
-    params, _ = _load_params_file(params_path)
+    params, _ = _load_params_file(opts["params"])
     mod = normalize(params)
     ds, _ = _load_dataset(opts)
     m_emp, p_emp = _positive_points(empirical_ccdf(ds))
@@ -270,16 +273,8 @@ def cmd_sample(params_path, n, seed, out):
 def cmd_simulate(params_path, b, agents, dt, steps, stride, seed, out):
     """Integrate the income Langevin ensemble and dump snapshots."""
     params, _ = _load_params_file(params_path)
-    coeffs = model_mod.fp_coefficients_for(params, b=b)
-    cfg = langevin_mod.SimConfig(
-        coeffs=coeffs,
-        m1=params.m1,
-        n_agents=agents,
-        dt=dt,
-        n_steps=steps,
-        seed=seed,
-        record_stride=stride,
-    )
+    cfg = langevin_mod.SimConfig(coeffs=model_mod.fp_coefficients_for(params, b=b), n_agents=agents,
+                                 dt=dt, n_steps=steps, seed=seed, record_stride=stride)
     snapshots = langevin_mod.simulate_ensemble(cfg)
     langevin_mod.write_snapshots_csv(out or sys.stdout, snapshots)
 
@@ -302,6 +297,7 @@ def cmd_report(fit_paths, excludes, crisis_threshold, out):
         rows.append(ReportRow(label=label, params=params, errors=errors,
                               crisis=crisis_indicator(params, crisis_threshold)))
     rows.sort(key=lambda r: r.label)
+    excluded = set(excludes)
     table = []
     for row in rows:
         raw = params_to_dict(row.params)
@@ -320,13 +316,13 @@ def cmd_report(fit_paths, excludes, crisis_threshold, out):
         "rows": table,
         "aggregates": {
             "all": aggregate_params(rows),
-            "included_labels": [r.label for r in rows if r.label not in set(excludes)],
+            "included_labels": [r.label for r in rows if r.label not in excluded],
         },
         "crisis_threshold": crisis_threshold,
     }
-    if excludes:
-        doc["aggregates"]["excluding"] = aggregate_params(rows, set(excludes))
-        doc["aggregates"]["excluded_labels"] = sorted(set(excludes))
+    if excluded:
+        doc["aggregates"]["excluding"] = aggregate_params(rows, excluded)
+        doc["aggregates"]["excluded_labels"] = sorted(excluded)
     with open_output(out or sys.stdout) as fh:
         fh.write(_dump_json(doc))
 

@@ -72,6 +72,9 @@ class FitConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, least))
         for name, (lo, hi), closed in (("opt_tol", (0.0, 1.0), "neither"), ("quad_tol", _TOL_RANGE, "both")):
             object.__setattr__(self, name, _real(getattr(self, name), name, ConfigError, lo, hi, closed))
+        if not isinstance(self.tie_t1_m1, (bool, np.bool_)):
+            raise ConfigError(f"tie_t1_m1 must be a bool, got {self.tie_t1_m1!r}")
+        object.__setattr__(self, "tie_t1_m1", bool(self.tie_t1_m1))
         if 0 < self.bootstrap_resamples < 20:
             raise ConfigError(f"bootstrap_resamples must be 0 or >= 20, got {self.bootstrap_resamples!r}")
 

@@ -5,7 +5,7 @@ Fokker-Planck equation of the Ito process
 
     dm = -A(m) dt + sqrt(2 B(m)) dW,
 
-with piecewise-linear drift A(m) = A0 + a*m below the threshold m1
+with piecewise-linear drift A(m) = A0 + a*m below its own breakpoint m1
 (A0' + a'*m above) and quadratic diffusion B(m) = B0 + b*m**2.  This
 module integrates that process for an agent ensemble with the
 Euler-Maruyama scheme and a reflecting boundary at m = 0 (m <- |m|
@@ -55,7 +55,7 @@ _STABILITY_LIMIT = 0.1
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Ensemble integration plan.
+    """Ensemble integration plan; the drift ``coeffs`` carries its own breakpoint m1.
 
     ``record_stride`` k keeps every k-th step (plus the initial and
     final states); 0 keeps only those two.  ``initial_incomes``
@@ -64,7 +64,6 @@ class SimConfig:
     """
 
     coeffs: FpCoefficients
-    m1: float
     n_agents: int
     dt: float
     n_steps: int
@@ -76,10 +75,9 @@ class SimConfig:
         c = self.coeffs
         if not isinstance(c, FpCoefficients):
             raise ConfigError(f"coeffs must be FpCoefficients, got {type(c).__name__}")
-        _real(self.m1, "m1", ConfigError, 0.0)
         for name, least in (("n_agents", 1), ("n_steps", 0), ("record_stride", 0), ("seed", 0)):
-            _integer(getattr(self, name), name, ConfigError, least)
-        _real(self.dt, "dt", ConfigError, 0.0)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, least))
+        object.__setattr__(self, "dt", _real(self.dt, "dt", ConfigError, 0.0))
         rate = max(abs(c.a_low), abs(c.a_high), c.b)
         if self.dt * rate >= _STABILITY_LIMIT:
             raise ConfigError(
@@ -107,10 +105,11 @@ def simulate_ensemble(config: SimConfig) -> list[EnsembleSnapshot]:
     Euler-Maruyama with reflection: each step applies
     m <- |m (1 - a dt) - A0 dt + sqrt(2 dt B0 + 2 dt b m**2) * xi| with
     standard normal xi, the drift branch (a, A0) chosen by the current
-    income against m1.  Shard k (agents [0, n//2), then [n//2, n)) draws
-    its xi from child k of ``SeedSequence(seed).spawn(2)``; shard 1 runs
-    on a pool thread that is joined before the call returns or raises.
-    Output is deterministic for a fixed (seed, n_agents, n_steps).
+    income against the drift's breakpoint ``coeffs.m1``.  Shard k (agents
+    [0, n//2), then [n//2, n)) draws its xi from child k of
+    ``SeedSequence(seed).spawn(2)``; shard 1 runs on a pool thread that is
+    joined before the call returns or raises.  Output is deterministic for
+    a fixed (seed, n_agents, n_steps).
 
     Raises
     ------
@@ -120,10 +119,7 @@ def simulate_ensemble(config: SimConfig) -> list[EnsembleSnapshot]:
         shard's first non-finite step.
     """
     c = config.coeffs
-    n = int(config.n_agents)
-    n_steps = int(config.n_steps)
-    stride = int(config.record_stride)
-    dt = float(config.dt)
+    n, n_steps, stride, dt = config.n_agents, config.n_steps, config.record_stride, config.dt
     record_steps = sorted({0, n_steps, *(range(stride, n_steps, stride) if stride else ())})
     row_of = {step: row for row, step in enumerate(record_steps)}
     records = np.empty((len(record_steps), n))
@@ -154,7 +150,7 @@ def simulate_ensemble(config: SimConfig) -> list[EnsembleSnapshot]:
                 np.add(s0, scale, out=scale)
                 np.sqrt(scale, out=scale)
                 np.multiply(scale, xi, out=xi)
-                np.greater_equal(m, config.m1, out=high)
+                np.greater_equal(m, c.m1, out=high)
                 np.multiply(m, keep_low, out=scale)
                 np.subtract(scale, push_low, out=scale)
                 np.multiply(m, keep_high, out=scale, where=high)

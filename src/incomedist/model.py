@@ -18,9 +18,9 @@ while the total mass integrates to one.
 Parameters arise from a drift/diffusion description: with drift
 A(m) = A0 + a*m below m1 (A0' + a'*m above) and diffusion
 B(m) = B0 + b*m^2, the stationary density has exactly the shape above
-with alpha = 1 + a/b, alpha1 = 1 + a'/b, T = B0/A0, T1 = B0/A0' and
-m0 = sqrt(B0/b).  :func:`fp_coefficients_for` gives coefficients that
-realize a parameter set for a chosen b.
+with alpha = 1 + a/b, alpha1 = 1 + a'/b, T = B0/A0, T1 = B0/A0',
+m0 = sqrt(B0/b) and m1 the drift's breakpoint.  :func:`fp_coefficients_for`
+gives the coefficients, m1 among them, realizing a parameter set for a chosen b.
 
 All evaluation is carried out in log space; realistic parameters put
 exponents of order (m0/T)*pi/2 into the branch constants, which is fine
@@ -96,8 +96,8 @@ class Params:
 class FpCoefficients:
     """Drift and diffusion coefficients of the income Langevin dynamics.
 
-    Drift is A(m) = a0_low + a_low * m below the breakpoint and
-    a0_high + a_high * m above it; diffusion is B(m) = b0 + b * m**2.
+    Drift is A(m) = a0_low + a_low * m below the breakpoint m1 and
+    a0_high + a_high * m from m1 on; diffusion is B(m) = b0 + b * m**2.
     """
 
     a0_low: float
@@ -106,9 +106,10 @@ class FpCoefficients:
     a_high: float
     b0: float
     b: float
+    m1: float
 
     def __post_init__(self):
-        _store_floats(self, ("b0", "b"))  # the diffusion
+        _store_floats(self, ("b0", "b", "m1"))  # the diffusion and the breakpoint
 
 
 def fp_coefficients_for(params: Params, b: float = 1.0) -> FpCoefficients:
@@ -122,6 +123,7 @@ def fp_coefficients_for(params: Params, b: float = 1.0) -> FpCoefficients:
         a_high=(params.alpha1 - 1.0) * b,
         b0=b0,
         b=b,
+        m1=params.m1,
     )
 
 

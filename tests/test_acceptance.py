@@ -173,13 +173,12 @@ def test_criterion_6_round_trip_fit(fit_2010, fit_2009):
 
 def test_criterion_7_langevin_reaches_equilibrium(models):
     coeffs = fp_coefficients_for(year_params(2010), b=1.0)
-    m1 = 450000.0
     burn = simulate_ensemble(SimConfig(
-        coeffs=coeffs, m1=m1, n_agents=100_000, dt=0.004, n_steps=5000,
+        coeffs=coeffs, n_agents=100_000, dt=0.004, n_steps=5000,
         seed=2010, record_stride=2500,
     ))
     polish = simulate_ensemble(SimConfig(
-        coeffs=coeffs, m1=m1, n_agents=100_000, dt=0.0004, n_steps=2500,
+        coeffs=coeffs, n_agents=100_000, dt=0.0004, n_steps=2500,
         seed=2011, record_stride=1250, initial_incomes=burn[-1].incomes,
     ))
     relaxed = relaxation_reached(polish)

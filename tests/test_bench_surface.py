@@ -89,6 +89,19 @@ def test_segment_counts_read_a_batched_sweep(pkg, tracing):
     assert second.counts["achieved"] == result[1] == max(result[2])
 
 
+def test_simulate_span_counts_agent_steps(pkg, tracing):
+    # bench/tracing.py counts a simulate_ensemble call's agent-steps as
+    # args[0].n_agents * args[0].n_steps: the SimConfig must stay its first positional argument.
+    recorder = tracing.Recorder()
+    cfg = pkg.langevin.SimConfig(coeffs=pkg.model.fp_coefficients_for(year_params(2010)),
+                                 n_agents=10, dt=0.004, n_steps=3, seed=0)
+    with tracing.Patched(pkg, recorder):
+        pkg.langevin.simulate_ensemble(cfg)
+    spans = [s for s in recorder.spans if s.name == "langevin.simulate_ensemble"]
+    assert len(spans) == 1
+    assert spans[0].counts["agent_steps"] == 30
+
+
 @pytest.mark.parametrize("module, attr", WORKLOAD_NAMES)
 def test_workload_name_resolves(pkg, module, attr):
     assert hasattr(getattr(pkg, module), attr)

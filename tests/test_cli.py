@@ -235,6 +235,18 @@ class TestPlotdataCommand:
         markers = {r[0]: float(r[1]) for r in rows if r[0].startswith("marker")}
         assert markers == {"marker_m0": 135000.0, "marker_m1": 450000.0}
 
+    def test_config_sets_params(self, runner, quick_income_csv, tmp_path):
+        # --params is a required flag like --incomes; the config's value wins over the flag's.
+        params_path = write_params_json(tmp_path / "p2010.json", 2010)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params_path, "curve-points": 40}))
+        via_config = runner.invoke(main, ["plotdata", "--params", write_params_json(tmp_path / "p2009.json", 2009),
+                                          "--incomes", quick_income_csv, "--config", str(cfg)])
+        via_flags = runner.invoke(main, ["plotdata", "--params", params_path,
+                                         "--incomes", quick_income_csv, "--curve-points", "40"])
+        assert via_config.exit_code == 0, via_config.output
+        assert via_config.output == via_flags.output
+
     def test_missing_params_file(self, runner, quick_income_csv, tmp_path):
         result = runner.invoke(
             main,
@@ -492,6 +504,16 @@ class TestReportCommand:
     def test_aggregate_params_requires_rows(self):
         with pytest.raises(idist.DomainError):
             aggregate_params([])
+
+    def test_aggregate_params_refuses_one_label_as_a_string(self):
+        # "2009" as a set is {"2", "0", "9"}: it would exclude nothing and average 1 and 3 to 2.
+        rows = [cli_mod.ReportRow(label=label, params=idist.Params(**dict.fromkeys(
+                    ("t_low", "t_high", "m0", "m1", "alpha", "alpha1"), value)), errors={}, crisis=False)
+                for label, value in (("2008", 1.0), ("2009", 3.0))]
+        for labels in ("2009", b"2009"):
+            with pytest.raises(idist.DomainError, match="exclude_labels"):
+                aggregate_params(rows, labels)
+        assert set(aggregate_params(rows, ["2009"]).values()) == {1.0}
 
 
 class TestOutFlag:

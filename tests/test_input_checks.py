@@ -49,7 +49,7 @@ def _snapshots(time=2.0, incomes=(1.0, 3.0)):
 
 
 def _sim_config(**kw):
-    base = dict(coeffs=COEFFS, m1=P2010.m1, n_agents=2, dt=1e-3, n_steps=1, seed=0)
+    base = dict(coeffs=COEFFS, n_agents=2, dt=1e-3, n_steps=1, seed=0)
     return langevin.SimConfig(**{**base, **kw})
 
 
@@ -67,7 +67,7 @@ ENTRIES = {
     "model.Params": (lambda **kw: model.Params(**{**ROW, **kw}), _args(*ROW, error=InvalidParamsError)),
     "model.FpCoefficients": (
         lambda **kw: model.FpCoefficients(**{**vars(COEFFS), **kw}),
-        _args("a0_low", "a_low", "a0_high", "a_high", "b0", "b", error=InvalidParamsError)),
+        _args("a0_low", "a_low", "a0_high", "a_high", "b0", "b", "m1", error=InvalidParamsError)),
     "model.fp_coefficients_for": (lambda b=1.0: model.fp_coefficients_for(P2010, b),
                                   _args("b", error=InvalidParamsError)),
     "model.normalize": (lambda quad_tol=1e-10: model.normalize(P2010, quad_tol),
@@ -90,14 +90,14 @@ ENTRIES = {
     "data.merge_datasets": (
         lambda top_incomes=(50.0,), top_weight=1.0: data.merge_datasets(SURVEY, top_incomes, top_weight),
         {"top_incomes": DomainError, "top_weight": ConfigError}),
-    "fit.FitConfig": (fit.FitConfig, _args("grid_points", "restarts", "bootstrap_resamples", "seed",
-                                           "opt_tol", "quad_tol", error=ConfigError)),
+    "fit.FitConfig": (fit.FitConfig, _args("grid_points", "tie_t1_m1", "restarts", "bootstrap_resamples",
+                                           "seed", "opt_tol", "quad_tol", error=ConfigError)),
     "fit.FitResult": (_fit_result, _args("objective", error=DomainError)),
     "fit.FitProblem": (lambda grid_points=50, quad_tol=1e-10: fit.FitProblem(CURVE, grid_points, quad_tol),
                        _args("grid_points", "quad_tol", error=DomainError)),
     "fit.objective": (lambda grid_points=50, quad_tol=1e-10: fit.objective(P2010, CURVE, grid_points, quad_tol),
                       _args("grid_points", "quad_tol", error=DomainError)),
-    "langevin.SimConfig": (_sim_config, _args("m1", "n_agents", "dt", "n_steps", "seed", "record_stride",
+    "langevin.SimConfig": (_sim_config, _args("n_agents", "dt", "n_steps", "seed", "record_stride",
                                               "initial_incomes", error=ConfigError)),
     "langevin.ks_distance": (lambda sample=(1e4, 2e4): langevin.ks_distance(sample, MODEL),
                              _args("sample", error=DomainError)),
@@ -125,6 +125,7 @@ ACCEPTED = {
     ("model.FpCoefficients", "a_low"): {"negative"},
     ("model.FpCoefficients", "a0_high"): {"negative"},
     ("model.FpCoefficients", "a_high"): {"negative"},
+    ("fit.FitConfig", "tie_t1_m1"): {"True"},  # a flag
     ("data.Dataset", "weights"): {"None"},  # every weight 1
     ("langevin.SimConfig", "initial_incomes"): {"None"},  # every agent at B0/A0
     ("cli.crisis_indicator", "threshold"): {"negative"},

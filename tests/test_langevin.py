@@ -50,7 +50,7 @@ def sharded_oracle(config):
             xi = np.concatenate([
                 rng.standard_normal(hi - lo) for rng, lo, hi in zip(rngs, cut, cut[1:]) if hi > lo
             ])
-            high = m >= config.m1
+            high = m >= c.m1
             keep = np.where(high, keep_high, keep_low)
             push = np.where(high, push_high, push_low)
             m = np.abs((m * keep - push) + np.sqrt(s0 + s2 * (m * m)) * xi)
@@ -71,14 +71,14 @@ def runaway_config():
     # step; the state overflows after a few thousand steps while the
     # formal stability product stays just under the bound.
     coeffs = idist.FpCoefficients(
-        a0_low=1.0, a_low=0.01, a0_high=1.0, a_high=-24.0, b0=1.0, b=1e-6
+        a0_low=1.0, a_low=0.01, a0_high=1.0, a_high=-24.0, b0=1.0, b=1e-6, m1=0.5
     )
-    return SimConfig(coeffs=coeffs, m1=0.5, n_agents=50, dt=0.004, n_steps=20000, seed=2)
+    return SimConfig(coeffs=coeffs, n_agents=50, dt=0.004, n_steps=20000, seed=2)
 
 
 def unit_2010_config(**overrides):
     coeffs = idist.fp_coefficients_for(year_params(2010), b=1.0)
-    base = dict(coeffs=coeffs, m1=450000.0, n_agents=100, dt=0.004, n_steps=10, seed=1)
+    base = dict(coeffs=coeffs, n_agents=100, dt=0.004, n_steps=10, seed=1)
     base.update(overrides)
     return SimConfig(**base)
 
@@ -86,10 +86,8 @@ def unit_2010_config(**overrides):
 class TestSimConfig:
     def test_rejects_bad_fields(self):
         coeffs = idist.fp_coefficients_for(year_params(2010))
-        good = dict(coeffs=coeffs, m1=450000.0, n_agents=10, dt=0.004, n_steps=5, seed=0)
+        good = dict(coeffs=coeffs, n_agents=10, dt=0.004, n_steps=5, seed=0)
         for key, bad in [
-            ("m1", 0.0),
-            ("m1", math.inf),
             ("n_agents", 0),
             ("dt", 0.0),
             ("dt", -1.0),
@@ -104,8 +102,9 @@ class TestSimConfig:
                 SimConfig(**kwargs)
 
     def test_numpy_scalars_accepted(self):
-        cfg = unit_2010_config(m1=np.int64(450000), dt=np.float32(0.004))
-        assert cfg.m1 == 450000 and cfg.dt == np.float32(0.004)
+        cfg = unit_2010_config(n_agents=np.int64(100), dt=np.float32(0.004))
+        assert cfg.n_agents == 100 and cfg.dt == np.float32(0.004)
+        assert type(cfg.n_agents) is int and type(cfg.dt) is float  # stored as checked
 
     def test_rejects_unstable_timestep(self):
         # alpha = 3.153 with b = 1 puts the fastest rate at b0-independent
@@ -168,14 +167,14 @@ class TestSimulateEnsemble:
         (crossover scale pushed far above the populated range) serves as
         the reference CDF."""
         coeffs = idist.FpCoefficients(
-            a0_low=1.0, a_low=0.0, a0_high=1.0, a_high=0.0, b0=1.0, b=1e-12
+            a0_low=1.0, a_low=0.0, a0_high=1.0, a_high=0.0, b0=1.0, b=1e-12, m1=5.0
         )
         burn = SimConfig(
-            coeffs=coeffs, m1=5.0, n_agents=40_000, dt=0.02, n_steps=600, seed=21
+            coeffs=coeffs, n_agents=40_000, dt=0.02, n_steps=600, seed=21
         )
         relaxed = simulate_ensemble(burn)[-1].incomes
         polish = SimConfig(
-            coeffs=coeffs, m1=5.0, n_agents=40_000, dt=0.002, n_steps=1000, seed=22,
+            coeffs=coeffs, n_agents=40_000, dt=0.002, n_steps=1000, seed=22,
             initial_incomes=relaxed,
         )
         final = simulate_ensemble(polish)[-1].incomes
@@ -191,11 +190,11 @@ class TestSimulateEnsemble:
         polish removes most of the O(sqrt(dt)) boundary bias."""
         coeffs = idist.fp_coefficients_for(year_params(2010), b=1.0)
         burn = SimConfig(
-            coeffs=coeffs, m1=450000.0, n_agents=30_000, dt=0.004, n_steps=2500, seed=31
+            coeffs=coeffs, n_agents=30_000, dt=0.004, n_steps=2500, seed=31
         )
         state = simulate_ensemble(burn)[-1].incomes
         polish = SimConfig(
-            coeffs=coeffs, m1=450000.0, n_agents=30_000, dt=0.0004, n_steps=1250, seed=32,
+            coeffs=coeffs, n_agents=30_000, dt=0.0004, n_steps=1250, seed=32,
             initial_incomes=state,
         )
         final = simulate_ensemble(polish)[-1].incomes
@@ -388,14 +387,14 @@ class TestRelaxation:
     def test_detects_stationarity(self):
         # KS 0.0056 between the half-time and final snapshots, against 0.0136.
         coeffs = idist.FpCoefficients(
-            a0_low=1.0, a_low=0.0, a0_high=1.0, a_high=0.0, b0=1.0, b=1e-12
+            a0_low=1.0, a_low=0.0, a0_high=1.0, a_high=0.0, b0=1.0, b=1e-12, m1=5.0
         )
         warm = simulate_ensemble(
-            SimConfig(coeffs=coeffs, m1=5.0, n_agents=20_000, dt=0.02, n_steps=800, seed=41)
+            SimConfig(coeffs=coeffs, n_agents=20_000, dt=0.02, n_steps=800, seed=41)
         )[-1].incomes
         steady = simulate_ensemble(
             SimConfig(
-                coeffs=coeffs, m1=5.0, n_agents=20_000, dt=0.02, n_steps=800, seed=42,
+                coeffs=coeffs, n_agents=20_000, dt=0.02, n_steps=800, seed=42,
                 record_stride=200, initial_incomes=warm,
             )
         )
@@ -407,7 +406,7 @@ class TestRelaxation:
         coeffs = idist.fp_coefficients_for(year_params(2010), b=1.0)
         cold = simulate_ensemble(
             SimConfig(
-                coeffs=coeffs, m1=450000.0, n_agents=100_000, dt=0.004, n_steps=20,
+                coeffs=coeffs, n_agents=100_000, dt=0.004, n_steps=20,
                 seed=43, record_stride=10,
             )
         )

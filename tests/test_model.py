@@ -110,11 +110,12 @@ class TestParams:
                                  alpha=3.5, alpha1=2.0)
         assert all(type(v) is float for v in idist.params_to_dict(p).values())
         c = idist.FpCoefficients(a0_low=np.int64(1), a_low=np.float32(0.5), a0_high=np.int64(2),
-                                 a_high=np.float32(0.25), b0=np.int64(3), b=np.float32(1.0))
-        assert (c.a0_low, c.a_low, c.b) == (1.0, 0.5, 1.0)
+                                 a_high=np.float32(0.25), b0=np.int64(3), b=np.float32(1.0),
+                                 m1=np.int64(450000))
+        assert (c.a0_low, c.a_low, c.b, c.m1) == (1.0, 0.5, 1.0, 450000.0)
         with pytest.raises(idist.InvalidParamsError, match="finite number"):
             idist.FpCoefficients(a0_low=np.float32("nan"), a_low=1.0, a0_high=1.0, a_high=1.0,
-                                 b0=1.0, b=1.0)
+                                 b0=1.0, b=1.0, m1=1.0)
 
     def test_divergent_tail_rejected(self):
         for alpha1 in (0.0, -0.5):
@@ -122,23 +123,28 @@ class TestParams:
                 idist.Params(t_low=1.0, t_high=1.0, m0=1.0, m1=1.0, alpha=1.0, alpha1=alpha1)
 
 
-def _params_from_coefficients(coeffs, m1):
+def _params_from_coefficients(coeffs):
     """The README mapping: alpha = 1 + a/b, alpha1 = 1 + a'/b, T = B0/A0, T1 = B0/A0',
-    m0 = sqrt(B0/b)."""
+    m0 = sqrt(B0/b), and m1 the drift's breakpoint."""
     return idist.Params(t_low=coeffs.b0 / coeffs.a0_low, t_high=coeffs.b0 / coeffs.a0_high,
-                        m0=math.sqrt(coeffs.b0 / coeffs.b), m1=m1,
+                        m0=math.sqrt(coeffs.b0 / coeffs.b), m1=coeffs.m1,
                         alpha=1.0 + coeffs.a_low / coeffs.b, alpha1=1.0 + coeffs.a_high / coeffs.b)
 
 
 class TestFpMapping:
     def test_nonpositive_diffusion_rejected(self):
         with pytest.raises(idist.InvalidParamsError):
-            idist.FpCoefficients(a0_low=1.0, a_low=1.0, a0_high=1.0, a_high=1.0, b0=1.0, b=0.0)
+            idist.FpCoefficients(a0_low=1.0, a_low=1.0, a0_high=1.0, a_high=1.0, b0=1.0, b=0.0, m1=1.0)
+
+    def test_nonpositive_breakpoint_rejected(self):
+        for m1 in (0.0, -1.0):
+            with pytest.raises(idist.InvalidParamsError, match="m1"):
+                idist.FpCoefficients(a0_low=1.0, a_low=1.0, a0_high=1.0, a_high=1.0, b0=1.0, b=1.0, m1=m1)
 
     def test_round_trip_is_exact_on_published_rows(self):
         for year in YEAR_ROWS:
             p = year_params(year)
-            back = _params_from_coefficients(idist.fp_coefficients_for(p, b=1.0), p.m1)
+            back = _params_from_coefficients(idist.fp_coefficients_for(p, b=1.0))
             assert back == p
 
     @given(
@@ -158,7 +164,7 @@ class TestFpMapping:
             alpha=alpha,
             alpha1=alpha1,
         )
-        back = _params_from_coefficients(idist.fp_coefficients_for(p, b=b), p.m1)
+        back = _params_from_coefficients(idist.fp_coefficients_for(p, b=b))
         for name in ("t_low", "t_high", "m0", "m1", "alpha", "alpha1"):
             a, c = getattr(p, name), getattr(back, name)
             assert abs(c - a) <= 8.0 * EPS * abs(a)

@@ -102,18 +102,16 @@ def _load_json_object(path) -> dict:
     return doc
 
 
-def _load_config_overrides(config_path, flag_values: dict) -> dict:
+def _load_config_overrides(config_path, flag_values: dict, required=()) -> dict:
     """Apply --config JSON on top of flag values (config wins).
 
     Each value converts as the same text would on the command line; one refused is a ConfigError.
+    A flag named in ``required`` that neither gives is click's usage error (exit 2), naming it.
     """
-    if not config_path:
-        return flag_values
-    doc = _load_json_object(config_path)
     ctx = click.get_current_context()
     options = {param.name: param for param in ctx.command.params}
     merged = dict(flag_values)
-    for key, value in doc.items():
+    for key, value in (_load_json_object(config_path) if config_path else {}).items():
         norm = key.replace("-", "_")
         if norm not in merged:
             raise ConfigError(f"unknown config key {key!r}")
@@ -122,11 +120,14 @@ def _load_config_overrides(config_path, flag_values: dict) -> dict:
             if value is not None:
                 text = json.dumps(value) if isinstance(value, (bool, int, float)) else value
                 value = option.type.convert(text, option, ctx)
-            elif option.required or option.default is not None:
+            elif option.default is not None:
                 raise ValueError("null where the flag needs a value")
         except (click.BadParameter, TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
         merged[norm] = value
+    for name in required:
+        if merged[name] is None:
+            raise click.MissingParameter(ctx=ctx, param=options[name])
     return merged
 
 
@@ -171,7 +172,7 @@ def main():
 def _dataset_options(fn):
     """Add the options that name a dataset, listed in this order."""
     for option in reversed((
-        click.option("--incomes", required=True, type=click.Path(), help="Income CSV (column 'income', optional 'weight')."),
+        click.option("--incomes", type=click.Path(), default=None, help="Income CSV (column 'income', optional 'weight'); required, here or in --config."),
         click.option("--billionaires", type=click.Path(), default=None, help="Billionaire CSV (column 'wealth_usd') merged into the tail."),
         click.option("--usd-eur", type=float, default=1.0, show_default=True, help="USD to EUR conversion for billionaire wealth."),
         click.option("--return-rate", type=float, default=0.05, show_default=True, help="Annual return rate imputing income from wealth."),
@@ -196,7 +197,7 @@ def _dataset_options(fn):
 @_exits
 def cmd_fit(config_path, **flags):
     """Fit distribution parameters to an income CSV."""
-    opts = _load_config_overrides(config_path, flags)
+    opts = _load_config_overrides(config_path, flags, ("incomes",))
     opts["bootstrap_resamples"] = opts.pop("bootstrap")
     cfg = FitConfig(**{field.name: opts[field.name] for field in fields(FitConfig)})
     ds, diagnostics = _load_dataset(opts)
@@ -217,7 +218,7 @@ def cmd_fit(config_path, **flags):
 
 
 @main.command("plotdata")
-@click.option("--params", required=True, type=click.Path(), help="Params JSON (bare or a fit result).")
+@click.option("--params", type=click.Path(), default=None, help="Params JSON (bare or a fit result); required, here or in --config.")
 @_dataset_options
 @click.option("--curve-points", type=int, default=500, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -225,7 +226,7 @@ def cmd_fit(config_path, **flags):
 @_exits
 def cmd_plotdata(config_path, **flags):
     """Emit empirical and model CCDF curves as plot-ready CSV."""
-    opts = _load_config_overrides(config_path, flags)
+    opts = _load_config_overrides(config_path, flags, ("params", "incomes"))
     _integer(opts["curve_points"], "curve_points", ConfigError, 2)
     params, _ = _load_params_file(opts["params"])
     mod = normalize(params)

@@ -236,16 +236,41 @@ class TestPlotdataCommand:
         assert markers == {"marker_m0": 135000.0, "marker_m1": 450000.0}
 
     def test_config_sets_params(self, runner, quick_income_csv, tmp_path):
-        # --params is a required flag like --incomes; the config's value wins over the flag's.
+        # --params is a required flag like --incomes; the config's value wins over the flag's,
+        # and a config alone may give it.
         params_path = write_params_json(tmp_path / "p2010.json", 2010)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"params": params_path, "curve-points": 40}))
         via_config = runner.invoke(main, ["plotdata", "--params", write_params_json(tmp_path / "p2009.json", 2009),
                                           "--incomes", quick_income_csv, "--config", str(cfg)])
+        config_only = runner.invoke(main, ["plotdata", "--incomes", quick_income_csv, "--config", str(cfg)])
         via_flags = runner.invoke(main, ["plotdata", "--params", params_path,
                                          "--incomes", quick_income_csv, "--curve-points", "40"])
         assert via_config.exit_code == 0, via_config.output
-        assert via_config.output == via_flags.output
+        assert config_only.exit_code == 0, config_only.output
+        assert via_config.output == config_only.output == via_flags.output
+
+    @pytest.mark.parametrize("command", ["fit", "plotdata"])
+    def test_config_sets_incomes(self, runner, quick_income_csv, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"incomes": quick_income_csv}))
+        args = {"fit": ["fit", "--restarts", "1", "--grid-points", "40", "--seed", "7"],
+                "plotdata": ["plotdata", "--params", write_params_json(tmp_path / "p.json", 2010)]}[command]
+        via_config = runner.invoke(main, [*args, "--config", str(cfg)])
+        via_flag = runner.invoke(main, [*args, "--incomes", quick_income_csv])
+        assert via_config.exit_code == 0, via_config.output
+        assert via_config.output == via_flag.output
+
+    @pytest.mark.parametrize("args, flag", [
+        (["fit"], "--incomes"), (["plotdata", "--params", "p.json"], "--incomes"),
+        (["plotdata", "--incomes", "x.csv"], "--params")])
+    def test_required_flag_missing_from_flags_and_config(self, runner, tmp_path, args, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: None}))
+        for extra in ([], ["--config", str(cfg)]):
+            result = runner.invoke(main, [*args, *extra])
+            assert result.exit_code == 2
+            assert f"Missing option '{flag}'" in result.output
 
     def test_missing_params_file(self, runner, quick_income_csv, tmp_path):
         result = runner.invoke(

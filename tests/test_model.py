@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import incomedist as idist
 from incomedist.langevin import ks_distance
-from incomedist.model import _interp_ascending, _log_kernel_ratio_at_m1
+from incomedist.model import _inverse_log_ccdf, _log_kernel_ratio_at_m1
 from incomedist.quadrature import _TOL_RANGE, kernel_log_mass
 
 from conftest import YEAR_ROWS, loglog_slope, year_params
@@ -79,10 +79,43 @@ PANEL_SHARE_POINTS = [
 ]
 
 
+# Points 73 and 188 of the benchmark's model-sweep at seed 1 (m0/T = 2.1e9 and 3.0e9), where
+# the log CCDF's noise, 2.2e-5 and 3.1e-5, is above the 1e-6 that a stalled quantile may miss by.
+NOISY_QUANTILE_POINTS = [
+    {"T": 0.3405952830292243, "T1": 40.40308951820743, "m0": 730442779.1025089,
+     "m1": 1906.5379002686552, "alpha": 6.496431418383684, "alpha1": 3.697715747504499},
+    {"T": 0.06625384526253869, "T1": 31.224035494372444, "m0": 199378225.9356286,
+     "m1": 31.684796271412992, "alpha": 2.0529479880647017, "alpha1": 4.262226970293265},
+]
+
+
 def quantile_noise(model):
-    """The log CCDF noise within which ``quantile`` may end on a stalled step."""
+    """The log CCDF noise the rising checks allow; a stalled ``quantile`` ends within 1e-6."""
     p = model.params
     return 1e-6 + 1e-14 * p.m0 / min(p.t_low, p.t_high)
+
+
+def cubic_as_drawn(table, x):
+    """The sampling table's cubic at each value of ``x`` on its own: a plain search for the
+    last interval starting at or below it, then Horner's rule in _inverse_log_ccdf's order."""
+    _log_s, knots, coef = table
+    x = np.clip(x, knots[0], knots[-1])
+    i = np.minimum(np.searchsorted(knots, x, side="right") - 1, coef.shape[1] - 1)
+    t = x - knots[i]
+    return ((coef[3, i] * t + coef[2, i]) * t + coef[1, i]) * t + coef[0, i]
+
+
+def table_errors(model):
+    """CDF error, and relative CCDF error where the CCDF is >= 1e-12, of the sampling
+    table's cubics against logccdf at 7 interior fractions of every interval."""
+    table = model._sample_table
+    knots = table[1]
+    h = np.diff(knots)
+    x = (knots[:-1, None] + np.arange(1, 8) / 8.0 * h[:, None])[h > 0.0].ravel()
+    log_s = idist.logccdf(model, np.exp(_inverse_log_ccdf(table, x.copy())))
+    big = x >= math.log(1e-12)
+    return (float(np.max(np.abs(np.exp(log_s) - np.exp(x)))),
+            float(np.max(np.abs(np.expm1(log_s[big] - x[big])))))
 
 
 class TestParams:
@@ -496,6 +529,18 @@ class TestQuantile:
                 continue
             assert abs(idist.logccdf(model, q) - math.log(p)) <= quantile_noise(model)
 
+    @pytest.mark.parametrize("point", NOISY_QUANTILE_POINTS)
+    def test_noisy_log_ccdf_meets_one_in_a_million_or_raises(self, point):
+        # A stalled search ends only on a bracket end within 1e-6 of log p: the log CCDF's
+        # noise alone would let it miss by 2.4e-6 here.
+        model = idist.normalize(idist.params_from_dict(point))
+        for p in (0.5, 1e-2, 1e-4):
+            try:
+                q = idist.quantile(model, p)
+            except idist.QuadratureError:
+                continue
+            assert abs(idist.ccdf(model, q) / p - 1.0) <= 1e-6
+
     @pytest.mark.parametrize("p", [1e-14, 1e-16])
     def test_heavy_tail_root_past_the_square_overflow(self, monkeypatch, p):
         # At alpha1 = 0.05 these roots lie near 2.3e249 and 2.3e289, past the table's top,
@@ -596,14 +641,14 @@ class TestSample:
     @pytest.mark.parametrize("alpha1", [0.77, 0.05])
     def test_table_top_in_one_sweep(self, monkeypatch, alpha1):
         # The 2010 row, and its tail at alpha1 = 0.05, which falls to 1e-13 only
-        # some 200 decades past m1: one log CCDF call for the top, one for the grid.
+        # some 200 decades past m1: one log CCDF call takes every knot, the top among them.
         model = idist.normalize(replace(year_params(2010), alpha1=alpha1))
         real = idist.logccdf
         calls = []
         monkeypatch.setattr("incomedist.model.logccdf",
                             lambda model, m: (calls.append(m), real(model, m))[1])
-        log_m_top = model._sample_table[1][0]
-        assert len(calls) <= 2
+        log_m_top = model._sample_table[2][0, 0]
+        assert len(calls) == 1
         p = model.params
         decade = 10.0 * max(p.m1, p.m0, p.t_low, p.t_high)
         while real(model, decade) >= math.log(1e-13):
@@ -612,32 +657,75 @@ class TestSample:
         assert log_m_top == pytest.approx(math.log(decade), rel=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 10_000, 1_000_000])
-    def test_ordered_search_equals_plain_interpolation(self, models, n):
-        # sample searches its uniforms in ascending order; its draws must be those of one
-        # np.interp call on the uniforms as drawn, bit for bit.
+    def test_ordered_evaluation_equals_the_cubic_as_drawn(self, models, n):
+        # sample evaluates its uniforms in ascending order; its draws must be the table's
+        # cubic at each uniform as drawn, bit for bit.
         tail_heavy = idist.normalize(replace(year_params(2010), alpha1=0.05))
         for seed, model in enumerate([*models.values(), tail_heavy]):
             u = np.random.default_rng(seed).random(n)
-            want = np.exp(np.interp(np.log(u), *model._sample_table))
+            want = np.exp(cubic_as_drawn(model._sample_table, np.log(u)))
             assert np.array_equal(idist.sample(model, n, seed).view(np.int64), want.view(np.int64))
 
-    def test_ordered_search_takes_repeats_and_zero(self, models):
-        log_p, log_m = models[2010]._sample_table
+    def test_ordered_evaluation_takes_repeats_zero_and_knots(self, models):
+        table = models[2010]._sample_table
+        _log_s, knots, coef = table
         with np.errstate(divide="ignore"):
             x = np.log(np.array([0.5, 0.0, 0.25, 0.5, 1e-300, 0.0, 0.5, 0.999]))
-        want = np.interp(x, log_p, log_m)
-        got = _interp_ascending(x, log_p, log_m)
-        assert got is x and np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert got[1] == got[5] == log_m[0] and got[0] == got[3] == got[6]
+        x = np.concatenate([x, knots[[0, 1, 500, -2, -1, -1]], [1.0]])  # knots, and above the last
+        want = cubic_as_drawn(table, x)
+        order = np.argsort(x)
+        got = np.empty_like(x)
+        got[order] = _inverse_log_ccdf(table, x[order])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[1] == got[5] == coef[0, 0] and got[0] == got[3] == got[6]
+        assert got[8] == coef[0, 0] and got[9] == coef[0, 1] and got[13] == got[14]
+
+    @pytest.mark.parametrize("alpha1", [0.77, 0.2, 0.05])
+    def test_table_error_on_published_tails(self, alpha1):
+        # The 2010 row and its tail at alpha1 = 0.2 and 0.05, where the linear table
+        # missed the CDF by 9.5e-6, 6.2e-5 and 8.0e-4.
+        cdf_error, ccdf_error = table_errors(idist.normalize(replace(year_params(2010), alpha1=alpha1)))
+        assert cdf_error <= 1e-8
+        assert ccdf_error <= 1e-6
+
+    @given(alpha=st.floats(0.05, 12.0), alpha1=st.floats(0.05, 12.0),
+           log_tl=st.floats(math.log(100.0 / 30.0), math.log(3e8)),
+           log_th=st.floats(math.log(100.0 / 30.0), math.log(2e7)),
+           log_m0=st.floats(math.log(100.0 / 30.0), math.log(3e8)),
+           log_m1=st.floats(math.log(100.0 / 30.0), math.log(2e7)))
+    @settings(max_examples=40)
+    def test_table_error_over_the_fitter_box(self, alpha, alpha1, log_tl, log_th, log_m0, log_m1):
+        # The box of test_round_trip_or_library_error_over_the_fitter_box.  Wherever the
+        # table builds, its draws are finite and >= 0.  From m0/T or m0/T1 = 1e5 the log
+        # CCDF that the probe reads is itself off (ROADMAP item 2), so the probe stops there.
+        p = idist.Params(t_low=math.exp(log_tl), t_high=math.exp(log_th), m0=math.exp(log_m0),
+                         m1=math.exp(log_m1), alpha=alpha, alpha1=alpha1)
+        try:
+            model = idist.normalize(p)
+            draws = idist.sample(model, 1000, 1)
+        except idist.QuadratureError:
+            return
+        assert np.all(np.isfinite(draws) & (draws >= 0.0))
+        if max(p.m0 / p.t_low, p.m0 / p.t_high) < 1e5:
+            assert table_errors(model)[0] <= 1e-8
 
     @pytest.mark.parametrize("point", BROKEN_CCDF_POINTS)
     def test_broken_table_raises_quadrature_error(self, point):
-        # The table's log CCDF rises with m by 9.5 and 15 here: interpolated
+        # The log CCDF turns positive on the table's knots here (up to 4.4 and 9.2):
         # draws would land where the CCDF is 0 (78.8% above m1 at the first).
         model = idist.normalize(idist.params_from_dict(point))
-        log_p, _ = model._sample_table
-        assert np.max(np.maximum.accumulate(log_p) - log_p) > 1.0
+        with pytest.raises(idist.QuadratureError, match="positive"):
+            model._sample_table
         with pytest.raises(idist.QuadratureError):
+            idist.sample(model, 1000, seed=1)
+
+    def test_rising_table_raises_quadrature_error(self, monkeypatch):
+        # A log CCDF that rises with m by more than its noise on the table's knots.
+        model = idist.normalize(year_params(2010))
+        real = idist.logccdf
+        monkeypatch.setattr("incomedist.model.logccdf",
+                            lambda model, m: real(model, m) + 0.5 * (m > model.params.m0))
+        with pytest.raises(idist.QuadratureError, match="rises"):
             idist.sample(model, 1000, seed=1)
 
     @pytest.mark.parametrize("point", BUDGET_SHARING_POINTS + PANEL_SHARE_POINTS)

@@ -505,12 +505,7 @@ def quantile(model: NormalizedModel, p: float) -> float:
     """
     p, params = _real(p, "quantile probability", DomainError, 0.0, 1.0), model.params
     target = math.log(p)
-    _log_s, knots, coef = model._sample_table
-    # The sampling table's cubic at the target, as _inverse_log_ccdf evaluates it.
-    x = min(max(target, knots[0]), knots[-1])
-    i = min(int(knots.searchsorted(x, side="right")) - 1, coef.shape[1] - 1)
-    t, (c0, c1, c2, c3) = x - knots[i], coef[:, i].tolist()
-    y = ((c3 * t + c2) * t + c1) * t + c0
+    y = float(_inverse_log_ccdf(model._sample_table, np.array([target]))[0])
     noise = _log_ccdf_noise(params)
     lo, hi, g_lo, g_hi, g_last, step = -math.inf, math.inf, math.inf, -math.inf, math.inf, 0.5
     for _ in range(100):

@@ -16,37 +16,34 @@ there, so internally we work in the reflected variable v = pi/2 - u:
 
 where the singular endpoint sits at v = 0 and the tail of the income
 axis maps to small v with full floating point resolution (v = arctan(m0/m)).
-Near v = 0 the integral is evaluated by a truncated series with a
-rigorously small cutoff; elsewhere by Gauss-Kronrod panels that are
-subdivided until an embedded error estimate passes.  All kernel masses
+Below a small cutoff, where the integrand is close to v^(alpha-1), it is
+integrated in t = log v, where it falls like e^(alpha t) toward v = 0 and
+has no singularity; above it, in v.  Both run on the same Gauss-Kronrod
+panels, subdivided until an embedded error estimate passes.  All kernel masses
 are carried as logarithms, because realistic parameters produce
 exponents of order m0/T * pi/2 that overflow in linear arithmetic.
 
 One call integrates a batch of sweeps, each with its own beta, alpha and
-start: the branches of one model, or the trial points of many fit runs.  Each
-sweep makes one series evaluation, of its segments' parts below its cutoff,
-taking the series primitives once per knot up to the cutoff and once at it;
-the parts above the cutoffs, of every sweep, go into one batch of
-Gauss-Kronrod panels per round, and a segment that straddles its cutoff adds
-its two parts.  As in QUADPACK, a panel may pass against its segment's whole
-mass, so panels that carry none stop early; each sweep has its own panel
-budget and its own achieved tolerance.  The head's sums over its power table
-and a panel's sums over its nodes are plain row reductions, not BLAS
-products, so a knot's or a panel's bits do not depend on its place in a batch
-(numpy does not document this for ``einsum`` or ``sum``;
-``TestSeriesHeadBatch``, ``TestPanelBatch`` and ``TestSweepBatch`` check it,
-verified on numpy 2.4.6 only).  So a sweep gets the bits it gets alone, and a
-sweep that misses its tolerance or overflows is flagged alone.  A first round
-whose panels all pass returns as is.
+start: the branches of one model, or the trial points of many fit runs.  The
+segments of every sweep go into one batch of panels per round: a segment's
+part above its sweep's cutoff as one panel in v, and its part below the cutoff
+as a run of panels in t, placed in advance down to where the part has no mass
+left and narrow enough that each passes its own test in the first round; a
+segment that straddles its cutoff adds its two parts.  As in QUADPACK, a
+halved panel may pass against its segment's whole mass, so panels that carry
+none stop early; each sweep has its own panel budget and its own achieved
+tolerance.  A panel's sums over its nodes are plain row reductions, not BLAS
+products, so its bits do not depend on its place in a batch (numpy does not
+document this for ``einsum``; ``TestPanelBatch`` and ``TestSweepBatch`` check
+it, verified on numpy 2.4.6 only).  So a sweep gets the bits it gets alone,
+and a sweep that misses its tolerance or is refused is flagged alone.
 
 With ``moments`` a sweep also carries the integrals of (pi/2 - v) and of
--log sin v times the integrand: two more weighted sums per panel and, in
-the head, two more series primitives, one of them from the coefficients'
-alpha-derivative, the series of log(sin v / v) times theirs.  Both weights
-are positive, so they accumulate in log space like the masses, with no log
-of a signed quantity; over the mass they give the kernel-weighted means
-behind the derivatives of a branch log mass by log T (beta times the mean
-of u = pi/2 - v) and by alpha (the mean of log sin v).
+-log sin v times the integrand: two more weighted sums per panel.  Both
+weights are positive, so they accumulate in log space like the masses, with
+no log of a signed quantity; over the mass they give the kernel-weighted
+means behind the derivatives of a branch log mass by log T (beta times the
+mean of u = pi/2 - v) and by alpha (the mean of log sin v).
 
 No other module knows the substitution: :func:`branch_log_masses` maps
 incomes to v, checks each sweep's tolerance and returns log masses in
@@ -101,18 +98,21 @@ _GK_W = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 _G7_W = np.zeros(15)
 _G7_W[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
-_SERIES_ORDER = 9          # coefficients d_0 .. d_8
-_SERIES_REL_ERR = 1e-13    # truncation budget enforced by the cutoff
-_LOG_SERIES_REL_ERR = math.log(_SERIES_REL_ERR)
 _TINY_WIDTH = 8.0 * np.finfo(float).eps  # relative panel width below which a panel passes
 _ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's (dqk15) floor on a panel's relative error
-_TOL_RANGE = (2.0 * max(_ROUNDOFF, _SERIES_REL_ERR), 1e-6)  # twice a sweep's larger error floor
+# The tolerances every entry point accepts (normalize, FitConfig, FitProblem, kernel_log_mass): all six
+# published rows and 204 of model-sweep seed 1's 206 points meet 2e-13 (and 202 meet 2.2e-14).
+_TOL_RANGE = (2e-13, 1e-6)
 _MAX_BATCH_PANELS = 200_000
-_FACTORIALS = [float(math.factorial(k)) for k in range(_SERIES_ORDER)]
-_POWERS = np.arange(float(_SERIES_ORDER))  # the series' powers j = 0 .. 8
-# ell = -log(sin v / v) = v^2/6 + v^4/180 + v^6/2835 + v^8/37800 + O(v^10).  The series head's
-# coefficients d are those of exp(beta*v - (alpha-1)*ell), so their alpha-derivative is -(ell * d).
-_NEG_LOG_SINC = np.array([0.0, 0.0, 1.0 / 6.0, 0.0, 1.0 / 180.0, 0.0, 1.0 / 2835.0, 0.0, 1.0 / 37800.0])
+# A t-part's first-round panels end min(_T_CAPS, _T_DEPTHS / alpha) below its top: every 3.725 e-folds
+# of e^(alpha t) (a panel that wide passes at 2.6e-14), and within the first also at t-widths 2 to 32,
+# where beta*v and log(sin v / v) still bend the integrand.  37.25 e-folds leave out 6.6e-17 of the mass.
+_T_CAPS = np.array([0.0, 2.0, 4.0, 8.0, 16.0, 32.0] + [np.inf] * 10)
+_T_DEPTHS = 3.725 * np.array([0.0] + [1.0] * 5 + list(range(1, 11)))
+# No float near 1 falls inside the exp(beta*v) layer, 1/beta wide, past beta = 1/eps, nor inside the
+# sin(v)^(alpha-1) layer at pi/2, |alpha - 1|^(-1/2) wide, past |alpha - 1| = 1/eps^2.
+_V_RESOLVED = 1.0 / np.finfo(float).eps
+_LOG_TINY = math.log(5e-324)  # the least positive double, a t-panel's least v: sin v / v is 1 there
 
 
 # ---------------------------------------------------------------------------
@@ -120,81 +120,66 @@ _NEG_LOG_SINC = np.array([0.0, 0.0, 1.0 / 6.0, 0.0, 1.0 / 180.0, 0.0, 1.0 / 2835
 # ---------------------------------------------------------------------------
 
 
-def _series_cutoff(beta: float, alpha: float) -> float:
-    """Largest v for which the order-8 series keeps ~1e-13 relative accuracy."""
-    cut = min(0.05, 0.1 / max(beta, 1.0))
-    w = abs(alpha - 1.0)
-    if w > 1.0:
-        cut = min(cut, math.sqrt(0.024 / w))
-    return cut
+def _t_cutoff(beta: float, alpha: float) -> float:
+    """The v below which a sweep integrates in t = log v: there beta*v <= 0.1 and
+    |alpha - 1| * v^2 / 6 <= 0.004, so the integrand is close to e^(alpha t)."""
+    return min(0.05, 0.1 / max(beta, 1.0), math.sqrt(0.024 / max(abs(alpha - 1.0), 1.0)))
 
 
-def _series_coefficients(beta: float, alpha: float) -> np.ndarray:
-    """Taylor coefficients d_j of exp(beta*v) (sin v / v)^(alpha-1)."""
-    w = alpha - 1.0
-    c = np.zeros(_SERIES_ORDER)  # (sin v / v)^w is even in v
-    c[0] = 1.0
-    c[2] = -w / 6.0
-    c[4] = w * w / 72.0 - w / 180.0
-    c[6] = -(w**3) / 1296.0 + w * w / 1080.0 - w / 2835.0
-    c[8] = ((w**4) / 31104.0 - (w**3) / 12960.0 + w * w * (1.0 / 17010.0 + 1.0 / 64800.0)
-            - w / 37800.0)
-    e = np.array([beta**k / f for k, f in enumerate(_FACTORIALS)])
-    return np.convolve(e, c)[:_SERIES_ORDER]
+def _t_pieces(lo, hi, alpha):
+    """The first-round t-panels of t-parts [lo, hi] in v (0 <= lo <= hi <= the cutoff, hi > 0)
+    with exponents ``alpha``, as (t_lo, t_hi, panels per part): runs from log hi down to the
+    offsets of ``_T_CAPS`` and ``_T_DEPTHS``, cut at log lo."""
+    top = np.log(hi)
+    offsets = np.minimum(_T_CAPS, _T_DEPTHS / alpha[:, None])
+    np.minimum(offsets, (top - np.log(lo))[:, None], out=offsets)
+    keep = offsets[:, 1:] > offsets[:, :-1]  # no zero widths ...
+    keep[:, 0] = True  # ... but one panel to a part as thin as rounding
+    edges = top[:, None] - offsets
+    return edges[:, 1:][keep], edges[:, :-1][keep], keep.sum(axis=1)
 
 
-def _series_rows(d: np.ndarray, alpha: float, moments=False) -> np.ndarray:
-    """The head's coefficient rows for :func:`_log_series_primitives` from one sweep's
-    coefficients ``d``, as a (rows, 1, 9) array: the mass row d_j / (alpha + j) and, with
-    ``moments``, the rows of the (pi/2 - v) and -log sin v primitives, the latter by the
-    alpha-derivative of d."""
-    a = alpha + _POWERS
-    rows = [d / a]
-    if moments:  # two (pi/2 - v) rows and a -log sin v row
-        d_alpha = -np.convolve(_NEG_LOG_SINC, d)[:_SERIES_ORDER]
-        rows += [_HALF_PI * d / a, d / (a + 1.0), d / (a * a) - d_alpha / a]
-    return np.array(rows)[:, None, :]
+def _gk_panel_batch(lo, hi, n_t, beta, alpha, rel_tol, moments=False):
+    """Evaluate one Gauss-Kronrod panel per segment, scaled at its upper end.
 
-
-def _log_series_primitives(x, alpha, rows):
-    """log S(x) with S(x) = integral_0^x exp(beta*v) sin(v)^(alpha-1) dv, as a (1, x.size) array;
-    with the moment rows of :func:`_series_rows`, rows of the same integral of (pi/2 - v)
-    and of -log sin v times the integrand follow.
-
-    Valid for 0 <= x <= the series cutoff; ``rows``, from :func:`_series_rows`, carry beta.
-    All are -inf at x = 0 and positive above it.  Each is x^alpha times row sums over one
-    table of x^j.
-    """
-    s = np.add.reduce(rows * x[:, None] ** _POWERS, axis=2)
-    log_x = np.log(x)
-    if rows.shape[0] > 1:  # at x = 0 the -log sin v row would be -inf + inf: log 0 makes it -inf
-        s = np.array([s[0], s[1] - x * s[2], np.where(x > 0.0, s[3] - log_x * s[0], 0.0)])
-    return alpha * log_x + np.log(s)
-
-
-def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
-    """Evaluate one Gauss-Kronrod panel per segment, scaled by exp(-beta*hi).
-
-    ``beta`` and ``alpha`` hold one value per panel.  Returns (logs, accepted): ``logs`` is
-    a (rows, panels) array whose rows, log_value and log_error, already include the +beta*hi
-    exponent, so contributions from different panels combine directly via logaddexp.  With
-    ``moments`` two rows follow: the logs of the panel integrals of (pi/2 - v) and -log sin v
-    times the integrand, scaled alike.
+    ``beta`` and ``alpha`` hold one value per panel.  A panel integrates exp(beta*v)
+    sin(v)^(alpha-1) over [lo, hi] in v, scaled by exp(-beta*hi); the last ``n_t`` panels
+    lie in t = log v instead, where they integrate exp(beta*v + alpha*t + (alpha-1) *
+    log(sin v / v)) with v = e^t, scaled by exp(-beta*e^hi - alpha*hi), and with v held at
+    5e-324 where e^t underflows.  Returns (logs, accepted): ``logs`` is a (rows, panels)
+    array whose rows, log_value and log_error, already include the scale, so contributions
+    from different panels combine directly via logaddexp.  With ``moments`` two rows follow:
+    the logs of the panel integrals of (pi/2 - v) and -log sin v times the integrand,
+    scaled alike.
     """
     width = hi - lo
     h = 0.5 * width
     # In place on the (panel, node) arrays: the plain expressions' arithmetic, fewer large allocations.
     v = h[:, None] * _GK_NODES
     v += (0.5 * (hi + lo))[:, None]
-    f = v - hi[:, None]
+    k, v_hi = hi.size - n_t, hi  # the t-panels are rows k:
+    if n_t:
+        t = v[k:].copy()
+        v[k:] = v_t = np.exp(np.maximum(t, _LOG_TINY))  # no 0/0 in sin v / v below
+        v_hi = np.concatenate((hi[:k], np.exp(hi[k:])))
+    f = v - v_hi[:, None]
     f *= beta[:, None]
     if moments:
         u = _HALF_PI - v
-    v = np.log(np.sin(v, out=v), out=v)
+    v = np.sin(v, out=v)
+    if n_t:
+        v[k:] /= v_t
+    v = np.log(v, out=v)
     if moments:
         neg_log_sin = -v
     v *= (alpha - 1.0)[:, None]
     f += v
+    scale = beta * v_hi
+    if n_t:
+        f[k:] += alpha[k:, None] * (t - hi[k:, None])
+        scale[k:] += alpha[k:] * hi[k:]
+        if moments:
+            neg_log_sin[k:] -= t
     f = np.exp(f, out=f)
     resk = np.einsum("pn,n->p", f, _GK_W)
     resg = np.einsum("pn,n->p", f, _G7_W)
@@ -202,51 +187,59 @@ def _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments=False):
     resasc = np.einsum("pn,n->p", v, _GK_W) * h
     val = resk * h
     err = np.abs(resk - resg) * h
-    scale = resasc > 0.0
-    shrunk = resasc * np.minimum(1.0, (200.0 * err / np.where(scale, resasc, 1.0)) ** 1.5)
-    err = np.where(scale & (err > 0.0), shrunk, err)
+    positive = resasc > 0.0
+    shrunk = resasc * np.minimum(1.0, (200.0 * err / np.where(positive, resasc, 1.0)) ** 1.5)
+    err = np.where(positive & (err > 0.0), shrunk, err)
     np.maximum(err, _ROUNDOFF * val, out=err)  # in place, so a large batch's peak memory does not grow
-    tiny = width <= _TINY_WIDTH * np.maximum(hi, 1.0)
+    tiny = width <= _TINY_WIDTH * np.maximum(np.abs(hi) if n_t else hi, 1.0)
     accepted = (err <= 0.5 * rel_tol * val) | tiny
     rows = [val, err]
     if moments:
         rows += [np.einsum("pn,n->p", f * g, _GK_W) * h for g in (u, neg_log_sin)]
-    return beta * hi + np.log(np.array(rows)), accepted
+    return scale + np.log(np.array(rows)), accepted
 
 
-def _gk_log_segments(lo, hi, counts, beta, alpha, rel_tol, moments=False):
+def _gk_log_segments(lo, hi, n_t, sweep, beta, alpha, rel_tol, moments=False):
     """Adaptively integrate exp(beta*v) sin(v)^(alpha-1) over many segments.
 
-    Segments (at least one) lie inside [series cutoff, pi/2]; ``beta`` and ``alpha`` hold
-    each segment's kernel parameters, and the segments come in sweeps, the next
-    ``counts[s]`` of them in sweep s.  One of zero width passes at once with mass -inf.  A
-    panel passes its own test, or when its error is within its width's share of half
-    ``rel_tol`` times its segment's mass so far (the accepted panels and this round's), so a
-    segment's errors sum to about ``rel_tol`` of its mass at most.  A failing panel is
-    halved; the width test passes any panel within about 51 halvings, and once a sweep has
-    spent ``_MAX_BATCH_PANELS`` panels in all, every panel of it is taken.  So no segment's
-    panels depend on another sweep's.  Returns the running sums, per segment, of the
-    accepted panels' (log_value, log_error[, moments]) from ``_gk_panel_batch``.
+    Segment j is one first-round panel, [lo[j], hi[j]] in v, or in t = log v for the last
+    ``n_t`` (see :func:`_gk_panel_batch`), of sweep ``sweep[j]``, whose kernel parameters
+    are ``beta`` and ``alpha`` at that index.  One of zero width passes at once with mass
+    -inf.  A panel passes its own test, or when its error is within its width's share of
+    half ``rel_tol`` times its segment's mass so far (the accepted panels and this round's),
+    so a segment's errors sum to about ``rel_tol`` of its mass at most.  A failing panel is
+    halved, the halves of t-panels last; the width test passes any panel within about 51
+    halvings, and once a sweep has spent ``_MAX_BATCH_PANELS`` panels in all, every panel
+    of it is taken.  So no segment's panels depend on another sweep's.  Returns the running
+    sums, per segment, of the accepted panels' (log_value, log_error[, moments]) from
+    ``_gk_panel_batch``.
     """
-    logs, ok = _gk_panel_batch(lo, hi, beta, alpha, rel_tol, moments)
+    logs, ok = _gk_panel_batch(lo, hi, n_t, beta[sweep], alpha[sweep], rel_tol, moments)
     if ok.all():  # a first-round panel is its segment: its own test is the share test
         return logs
     log_share = math.log(0.5 * rel_tol) - np.log(hi - lo)  # per unit width, before the mass
-    sums = np.full((logs.shape[0], lo.size), -np.inf)
-    sweep = np.arange(len(counts)).repeat(counts)
-    spent = np.zeros(len(counts), dtype=int)
-    cur_lo, cur_hi, cur_id, owner = lo, hi, np.arange(lo.size), sweep
+    cur_lo, cur_hi, cur_id, owner, sums, owners = lo, hi, np.arange(lo.size), sweep, None, []
     while True:
-        spent += np.bincount(owner, minlength=spent.size)
-        ok |= (spent > _MAX_BATCH_PANELS)[owner]
-        np.logaddexp.at(sums, (slice(None), cur_id[ok]), logs[:, ok])
-        blo, bhi, bid = (a[~ok] for a in (cur_lo, cur_hi, cur_id))
+        owners.append(owner)
+        if sum(map(len, owners)) > _MAX_BATCH_PANELS:  # else no sweep has spent its budget
+            ok |= (np.bincount(np.concatenate(owners), minlength=beta.size) > _MAX_BATCH_PANELS)[owner]
+        if sums is None:  # a first-round panel that passes is its segment's sum
+            sums = np.where(ok, logs, -np.inf)
+        else:
+            np.logaddexp.at(sums, (slice(None), cur_id[ok]), logs[:, ok])
+        n_t = np.count_nonzero(~ok[ok.size - n_t:]) if n_t else 0  # the failing t-panels, last
+        bad = ~ok
+        blo, bhi, bid = cur_lo[bad], cur_hi[bad], cur_id[bad]
         if not bid.size:
             return sums
         mid = 0.5 * (blo + bhi)
-        cur_lo, cur_hi, cur_id = (np.concatenate(pair) for pair in ((blo, mid), (mid, bhi), (bid, bid)))
-        owner = sweep[cur_id]
-        logs, ok = _gk_panel_batch(cur_lo, cur_hi, beta[cur_id], alpha[cur_id], rel_tol, moments)
+        halves = ((blo, mid), (mid, bhi), (bid, bid))
+        if n_t:
+            k = bid.size - n_t
+            halves = ((x[:k], y[:k], x[k:], y[k:]) for x, y in halves)
+        cur_lo, cur_hi, cur_id = (np.concatenate(pair) for pair in halves)
+        n_t, owner = 2 * n_t, sweep[cur_id]
+        logs, ok = _gk_panel_batch(cur_lo, cur_hi, n_t, beta[owner], alpha[owner], rel_tol, moments)
         if not ok.all():
             mass = sums[0].copy()
             np.logaddexp.at(mass, cur_id, logs[0])
@@ -260,24 +253,26 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
     for each of its points, the next ``sizes[s]`` entries of ``points_v``, which increase
     from ``start_v[s]``.  ``start_v``, ``beta`` and ``alpha`` hold one value per sweep.
     Zero-width segments contribute -inf and are harmless.  A sweep gets the bits it gets
-    alone: its series head, its panels and its panel budget are its own.  Returns
-    (log_cumulative, achieved, achieved_per_sweep): the cumulative masses in the order of
-    ``points_v``, the worst relative error the batch achieved and a list of each sweep's (0
-    for a sweep with no points or no mass, else about 50 eps at least, the panels' roundoff
-    floor, or 1e-13, the series head's budget, if it covers a segment).  A sweep whose head
-    would overflow (beta from 1e38, inf included, or |alpha - 1| from 1e76) is not
-    integrated: its masses are NaN, it achieves inf, and the worst is over the others.  With
-    ``moments`` a fourth element follows: the kernel-weighted means of pi/2 - v and of
-    -log sin v over each point's interval, as a (2, n) array (NaN where the mass is zero).
-    They ride on the panels the masses accepted, with no error estimate of their own (within
-    1e-8 relative in the tests).  The masses and errors are the same without them.
+    alone: its panels and its panel budget are its own.  Returns (log_cumulative, achieved,
+    achieved_per_sweep): the cumulative masses in the order of ``points_v``, the worst
+    relative error the batch achieved and a list of each sweep's (0 for a sweep with no
+    points or no mass, else about 50 eps at least, the panels' roundoff floor).  A sweep
+    is not integrated if beta is inf, if |alpha - 1| reaches the square of ``_V_RESOLVED``,
+    or if it has a part above its cutoff and beta reaches ``_V_RESOLVED``: its masses are
+    NaN, it achieves inf, and the worst is over the others.  With ``moments`` a fourth
+    element follows: the kernel-weighted means of pi/2 - v and of -log sin v over each
+    point's interval, as a (2, n) array (NaN where the mass is zero).  They ride on the
+    panels the masses accepted, with no error estimate of their own (within 1e-8 relative
+    in the tests).  The masses and errors are the same without them.
     """
     points = np.asarray(points_v, dtype=float)
     # Per segment, the log increment, log error and (with moments) log moment increments;
     # each sweep's cumulative sums then replace its increments.
     logs = np.full((4 if moments else 2, points.size), -np.inf)
     achieved = [0.0] * len(sizes)
-    runs, panels, end = [], [], 0  # the sweeps integrated, as (sweep, first point, end)
+    # The sweeps integrated, as (sweep, first point, end), and their v- and t-parts, as (lower
+    # ends, upper ends, columns) in v.
+    runs, v_parts, t_parts, end = [], [], [], 0
     # divide: log(0) at v = 0 and of zero widths and sums.  invalid: inf - inf in a zero width's
     # share test and in a zero mass's error gap.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,37 +280,39 @@ def kernel_log_cumulative(start_v, points_v, beta, alpha, rel_tol=1e-12, moments
             a, end, b, al = end, end + size, float(b), float(al)
             if not size:
                 continue
-            if not (b < 1e38 and abs(al - 1.0) < 1e76):  # beta**8 and (alpha - 1)**4 stay finite
+            knots = np.concatenate([[start], points[a:end]])
+            cut = _t_cutoff(b, al)
+            # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes a
+            # t-part up to min(knots[k + 1], cut) if k < n_low and a v-part from max(knots[k], cut)
+            # if k >= n_low - 1.
+            n_low = int(knots.searchsorted(cut, side="right"))
+            first = max(n_low - 1, 0)
+            if not (b < (_V_RESOLVED if first < size else math.inf) and abs(al - 1.0) < _V_RESOLVED**2):
                 logs[:, a:end], achieved[s] = np.nan, math.inf
                 continue
             runs.append((s, a, end))
-            knots = np.concatenate([[start], points[a:end]])
-            cut = _series_cutoff(b, al)
-            # The knots ascend and knots[:n_low] lie at or below the cutoff: segment k takes the
-            # series up to min(knots[k + 1], cut) if k < n_low and panels from max(knots[k], cut)
-            # if k >= n_low - 1.
-            n_low = int(knots.searchsorted(cut, side="right"))
-            if n_low:
-                # One primitive per knot up to the cutoff and one at it, if a knot lies past it.
-                rows = _series_rows(_series_coefficients(b, al), al, moments)
-                log_s = _log_series_primitives(np.minimum(knots[:n_low + 1], cut), al, rows)
-                # log(S(x_hi) - S(x_lo)) from log S at both ends; -inf unless the increment is positive.
-                delta = -np.expm1(log_s[:, :-1] - log_s[:, 1:])
-                head = np.where(delta > 0.0, log_s[:, 1:] + np.log(delta), -np.inf)
-                logs[:, a:a + head.shape[1]] = [head[0], head[0] + _LOG_SERIES_REL_ERR, *head[1:]]
-            first = max(n_low - 1, 0)
             if first < size:
-                panels.append((a + first, np.maximum(knots[first:-1], cut), knots[first + 1:], b, al))
-        if panels:  # one batch of panels for every sweep; a segment that straddles adds its two parts
-            firsts, lo, hi, b, al = zip(*panels)
-            counts = [x.size for x in lo]
-            ends = np.concatenate(lo + hi)  # every lower end, then every upper end
-            parts = _gk_log_segments(ends[:ends.size // 2], ends[ends.size // 2:], counts,
-                                     *np.array([b, al]).repeat(counts, axis=1), rel_tol, moments)
-            p = 0
-            for a, count in zip(firsts, counts):
-                logs[:, a:a + count] = np.logaddexp(logs[:, a:a + count], parts[:, p:p + count])
-                p += count
+                v_parts.append((np.maximum(knots[first:-1], cut), knots[first + 1:],
+                                np.arange(a + first, end)))
+            # A t-part that ends at v = 0 has no mass, and no t-panel: they start at the last knot at 0.
+            z = 0 if knots[1] > 0.0 else int(knots.searchsorted(0.0, side="right")) - 1
+            if z < n_low and z < size:
+                hi = np.minimum(knots[z + 1:n_low + 1], cut)
+                t_parts.append((knots[z:z + hi.size], hi, np.arange(a + z, a + z + hi.size)))
+        if v_parts or t_parts:  # one batch for every sweep: the v-parts, then each t-part's run of t-panels
+            lo, hi, cols = (np.concatenate([p[i] for p in v_parts + t_parts]) for i in range(3))
+            beta, alpha = np.asarray(beta, dtype=float), np.asarray(alpha, dtype=float)
+            sweep_of = np.arange(len(sizes)).repeat(sizes)  # each point's sweep
+            n_v = sum(p[2].size for p in v_parts)
+            if t_parts:
+                t_lo, t_hi, pieces = _t_pieces(lo[n_v:], hi[n_v:], alpha[sweep_of[cols[n_v:]]])
+                lo, hi, cols = (np.concatenate((x[:n_v], y)) for x, y in (
+                    (lo, t_lo), (hi, t_hi), (cols, cols[n_v:].repeat(pieces))))
+            sums = _gk_log_segments(lo, hi, lo.size - n_v, sweep_of[cols], beta, alpha, rel_tol, moments)
+            if v_parts:
+                logs[:, cols[:n_v]] = sums[:, :n_v]
+            if t_parts:  # a t-part adds its panels, and a segment that straddles its cutoff its two parts
+                np.logaddexp.at(logs, (slice(None), cols[n_v:]), sums[:, n_v:])
         for _s, a, end in runs:
             np.logaddexp.accumulate(logs[:, a:end], axis=1, out=logs[:, a:end])
         if runs:  # a sweep's worst error gap over its nonzero masses; a later sweep's gaps are -inf

@@ -173,9 +173,9 @@ def test_junk_is_refused(entry, arg):
 @pytest.mark.parametrize("entry, arg", [(entry, arg) for entry, (_, args) in ENTRIES.items()
                                         for arg in args if arg in ("quad_tol", "rel_tol")])
 def test_tolerance_outside_the_panels_range_is_refused_before_any_sweep(entry, arg, monkeypatch):
-    """No sweep meets a tolerance below twice its larger error floor (50 eps of a panel's value,
-    the series head's 1e-13 budget), so each entry refuses one with its own error before any
-    sweep; both ends of the range pass."""
+    """The range starts at 2e-13, above twice the panels' error floor (50 eps of a panel's
+    value), which no sweep can beat, so each entry refuses a tolerance below it with its own
+    error before any sweep; both ends of the range pass."""
     call, args = ENTRIES[entry]
     for tol in quadrature._TOL_RANGE:  # accepted: the answer, or the QuadratureError of a sweep
         try:

@@ -25,7 +25,7 @@ BROKEN_CCDF_POINTS = [
 ]
 
 # Points whose high-branch sampling sweep has about 900 segments at m0/T1 >= 2.8e5,
-# the first from the series cutoff (model-sweep seed 8 point 87, seed 9 point 138).
+# the first from the cutoff of the t-region (model-sweep seed 8 point 87, seed 9 point 138).
 # Refining every panel to its own tolerance, the sweep spent the whole panel budget
 # while that segment still needed 6-8 rounds; with panels passing against their
 # segment's mass it takes about 16,000 panels.
@@ -241,7 +241,7 @@ class TestNormalize:
         cases = [(year_params(year), 1e-10) for year in YEAR_ROWS]
         cases += [(p, 1e-10) for p in _fitter_box_params(200, seed=8)]
         # Cases where the reference raises: a tolerance below the range a sweep can meet
-        # (DomainError), and beta = m0/T so large that its series coefficients overflow
+        # (DomainError), and beta = m0/T so large that v resolves no part of the kernel's layer
         # (QuadratureError).
         cases += [
             (year_params(2010), 1e-17),
@@ -277,8 +277,8 @@ class TestNormalize:
 
     @pytest.mark.parametrize("year", sorted(YEAR_ROWS))
     def test_published_rows_meet_the_tolerance_floor(self, year):
-        # A sweep books the series head's 1e-13 on each segment the head covers, so the floor
-        # is twice that; at twice the panels' own floor (100 eps) five of the six rows fell short.
+        # The floor, 2e-13, is one every published row meets; so, now, is twice the panels' own
+        # floor (100 eps).
         p = year_params(year)
         model = idist.normalize(p, _TOL_RANGE[0])
         want = _composed_constants(p, _TOL_RANGE[0])  # kernel_log_mass of each branch

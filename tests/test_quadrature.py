@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 import incomedist as idist
 from incomedist import quadrature
-from incomedist.quadrature import (_gk_log_segments, _gk_panel_batch, _log_series_primitives,
-                                   _series_coefficients, _series_cutoff, _series_rows,
-                                   kernel_log_cumulative, kernel_log_mass)
+from incomedist.quadrature import (_gk_log_segments, _gk_panel_batch, _t_cutoff, kernel_log_cumulative,
+                                   kernel_log_mass)
 
 from conftest import year_params
 
@@ -40,7 +39,7 @@ def _log_exp_integral(beta, x):
     return beta * x + math.log(-math.expm1(-beta * x)) - math.log(beta)
 
 
-# Knots over the whole v range, so each sweep crosses the series region
+# Knots over the whole v range, so each sweep crosses the t-region
 # near v = 0, plain Gauss-Kronrod panels, and the exp(beta*v) boundary
 # layer of width 1/beta below pi/2.
 _KNOTS = np.linspace(0.0, HALF_PI, 9)[1:]
@@ -198,11 +197,11 @@ def _oracle_log_mass(beta, alpha, a, b, weight=None):
 
 
 def _region_layouts(cut):
-    """(start, points) sweeps placed around the series cutoff ``cut``."""
+    """(start, points) sweeps placed around the cutoff ``cut`` of the t-region."""
     return {
         "knots at the cutoff": (0.0, [cut / 2, cut, 2 * cut, 0.5, HALF_PI]),
         "repeated knot at the cutoff": (0.0, [cut / 2, cut, cut, 3 * cut, HALF_PI]),
-        "start inside the series region": (cut / 3, [cut / 2, 5 * cut, HALF_PI]),
+        "start inside the t-region": (cut / 3, [cut / 2, 5 * cut, HALF_PI]),
         "wholly below the cutoff": (cut / 5, [cut / 4, cut / 2, cut]),
         "wholly above the cutoff": (2 * cut, [3 * cut, 0.7, HALF_PI]),
         "one segment straddling the cutoff": (cut / 2, [4 * cut]),
@@ -213,78 +212,46 @@ def _region_layouts(cut):
 class TestPanelBatch:
     @pytest.mark.parametrize("moments", [False, True])
     def test_panel_bits_do_not_depend_on_the_batch(self, moments):
-        """A panel gives the same bits alone, first in a batch, or shifted inside one.
+        """A panel gives the same bits alone, first in a batch, or shifted inside one, and a
+        panel in t = log v whatever the v-panels before it.
 
         So a sweep may put any of its panels into one batch: the straddling panel,
-        zero-width ones, or chunks of a large batch.
+        zero-width ones, t-panels after v-panels, or chunks of a large batch.
         """
         rng = np.random.default_rng(19)
         lo = rng.uniform(0.01, 1.5, 300)
         hi = lo + rng.uniform(0.0, 1.0, 300) * (HALF_PI - lo)
+        # The last 100 in t, below v = 0.05 and down to where e^t underflows.
+        lo[200:] = np.log(0.05) - rng.uniform(0.0, 800.0, 100)
+        hi[200:] = lo[200:] + rng.uniform(0.0, 1.0, 100) * (np.log(0.05) - lo[200:])
         beta, alpha = 30.0, 2.6
 
-        def rows(lo, hi):
+        def rows(lo, hi, n_t):
             with np.errstate(divide="ignore"):  # log 0 of an error estimate that is exactly 0
-                logs, accepted = _gk_panel_batch(lo, hi, np.full(lo.size, beta),
+                logs, accepted = _gk_panel_batch(lo, hi, n_t, np.full(lo.size, beta),
                                                  np.full(lo.size, alpha), 1e-12, moments)
             return np.vstack([logs, accepted])
 
-        alone = np.column_stack([rows(lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)])
-        first = np.column_stack([rows(lo[i:], hi[i:])[:, 0] for i in range(lo.size)])
-        whole = rows(lo, hi)
-        shifted = rows(np.append(lo[-3:], lo), np.append(hi[-3:], hi))[:, 3:]
+        alone = np.column_stack([rows(lo[i:i + 1], hi[i:i + 1], int(i >= 200)) for i in range(lo.size)])
+        first = np.column_stack([rows(lo[i:], hi[i:], min(100, 300 - i))[:, 0] for i in range(lo.size)])
+        whole = rows(lo, hi, 100)
+        shifted = rows(np.append(lo[197:200], lo), np.append(hi[197:200], hi), 100)[:, 3:]
         for batched in (first, whole, shifted):
             assert np.array_equal(batched, alone)
-
-
-class TestSeriesHeadBatch:
-    @pytest.mark.parametrize("beta, alpha", [(0.5, 2.6), (30.0, 0.3), (1e3, 5.0), (2.0, 12.0)])
-    def test_head_bits_do_not_depend_on_the_batch(self, beta, alpha):
-        """A knot's series primitives (the mass and both moments) give the same bits
-        alone as inside a 300-knot call, as a panel does in its batch."""
-        x = np.random.default_rng(23).uniform(0.0, _series_cutoff(beta, alpha), 300)
-        rows = _series_rows(_series_coefficients(beta, alpha), alpha, moments=True)
-        whole = _log_series_primitives(x, alpha, rows)
-        alone = np.column_stack([_log_series_primitives(x[i:i + 1], alpha, rows)
-                                 for i in range(x.size)])
-        assert np.isfinite(whole).all()
-        assert np.array_equal(whole, alone)
-
-
-class TestSeriesHeadCoefficients:
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 40.0])
-    @pytest.mark.parametrize("alpha", [0.05, 0.77, 1.0, 2.0, 7.0, 12.0])
-    def test_coefficients_and_alpha_derivative_match_mpmath(self, beta, alpha):
-        """The head's d_j are the Taylor coefficients of exp(beta*v) (sin v / v)^(alpha-1),
-        and -(ell * d) those of log(sin v / v) times it, its alpha-derivative: to 1e-15
-        relative in the head's sum, with entry j weighted by the cutoff's j-th power."""
-        with mpmath.workdps(40):
-            def f(v):
-                return mpmath.exp(beta * v) * mpmath.sinc(v) ** (alpha - 1)
-
-            want = [mpmath.taylor(f, 0, quadrature._SERIES_ORDER - 1),
-                    mpmath.taylor(lambda v: mpmath.log(mpmath.sinc(v)) * f(v), 0,
-                                  quadrature._SERIES_ORDER - 1)]
-        d = _series_coefficients(beta, alpha)
-        got = [d, -np.convolve(quadrature._NEG_LOG_SINC, d)[:quadrature._SERIES_ORDER]]
-        weight = _series_cutoff(beta, alpha) ** np.arange(quadrature._SERIES_ORDER)
-        for g, w in zip(got, want):
-            w = np.array([float(c) for c in w])
-            assert np.max(np.abs(g - w) * weight) <= 1e-15 * np.sum(np.abs(w) * weight)
 
 
 class TestPanelBudget:
     """Past the panel budget a sweep's panels are taken as they are.  A panel
     also passes within its width's share of its segment's mass, so the
     segments far from the kernel's peak no longer spend the budget that the
-    segment straddling the series cutoff needs."""
+    segment straddling the cutoff needs."""
 
     BETA, ALPHA = 1e4, 2.0
 
     def _segments(self, lo, hi):
         with np.errstate(divide="ignore"):
-            return _gk_log_segments(np.asarray(lo), np.asarray(hi), [len(lo)],
-                                    np.full(len(lo), self.BETA), np.full(len(lo), self.ALPHA), 1e-12)
+            return _gk_log_segments(np.asarray(lo), np.asarray(hi), 0, np.zeros(len(lo), dtype=int),
+                                    np.array([self.BETA]), np.array([self.ALPHA]), 1e-12)
 
     @staticmethod
     def _count_panels(monkeypatch):
@@ -298,11 +265,11 @@ class TestPanelBudget:
         return sizes
 
     def test_straddling_segment_keeps_its_alone_bits_beside_the_others(self, monkeypatch):
-        # The segment from the series cutoff converges alone in 29 panels over
+        # The segment from the cutoff converges alone in 29 panels over
         # 11 rounds; the 200 others need 2,600 panels in 5 rounds.  Under a
         # budget of 3,000 for the batch all converge together, and the first
         # segment gets the bits it gets alone.
-        cut = _series_cutoff(self.BETA, self.ALPHA)
+        cut = _t_cutoff(self.BETA, self.ALPHA)
         knots = np.linspace(0.3, 1.5, 201)
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 3_000)
         sizes = self._count_panels(monkeypatch)
@@ -313,7 +280,7 @@ class TestPanelBudget:
         assert np.all(together[1] - together[0] < math.log(1e-12))
 
     def test_sweep_from_below_the_cutoff_converges_under_a_lowered_budget(self, monkeypatch):
-        cut = _series_cutoff(self.BETA, self.ALPHA)
+        cut = _t_cutoff(self.BETA, self.ALPHA)
         points = np.linspace(0.3, 1.5, 201)
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 3_000)
         _, achieved = _one_sweep(0.5 * cut, points, self.BETA, self.ALPHA, 1e-12)[:2]
@@ -350,9 +317,9 @@ class TestSweepBatch:
     def batch(self):
         sweeps = []
         for beta, alpha in self.PARAMS:
-            layouts = _region_layouts(_series_cutoff(beta, alpha))
-            for name in ("knots at the cutoff", "start inside the series region",
-                         "wholly above the cutoff"):
+            layouts = _region_layouts(_t_cutoff(beta, alpha))
+            for name in ("knots at the cutoff", "start inside the t-region", "wholly above the cutoff",
+                         "wholly below the cutoff", "one segment straddling the cutoff"):
                 start, points = layouts[name]
                 sweeps.append((start, np.array(points), beta, alpha))
         return sweeps
@@ -375,7 +342,7 @@ class TestSweepBatch:
         # Under a budget of 20 panels the sweep from below the cutoff at beta = 1e4 is cut
         # short and reaches only 1.3e-10.  The batch's sweeps that converge alone under that
         # budget converge beside it, though together they spend far more than 20 panels.
-        cut = _series_cutoff(1e4, 2.0)
+        cut = _t_cutoff(1e4, 2.0)
         heavy = (0.5 * cut, np.array([0.3]), 1e4, 2.0)
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 20)
         light = [s for s in self.batch() if self.sweep([s], False)[0][1] <= 1e-12]
@@ -385,9 +352,9 @@ class TestSweepBatch:
         self.assert_same(self.sweep([*light, heavy], False), alone[1:] + alone[:1])
 
     def test_an_overflowing_sweep_is_flagged_alone(self):
-        # beta = 1e300, beta = inf and alpha = 1e77 lie past the series head's range: those
-        # sweeps are not integrated, their masses are NaN and they achieve inf, and the others
-        # keep their bits.
+        # beta = 1e300 and alpha = 1e77 lie past what v resolves, and beta = inf has no
+        # integrand: those sweeps are not integrated, their masses are NaN and they achieve inf,
+        # and the others keep their bits.
         sweeps = self.batch()
         points = np.array([0.5, 1.0])
         out = self.sweep([sweeps[0], (0.0, points, 1e300, 2.0), (0.0, points, math.inf, 2.0),
@@ -396,11 +363,28 @@ class TestSweepBatch:
             assert np.isnan(masses).all() and achieved == np.inf
         self.assert_same([out[0], out[4]], [self.sweep([s], True)[0] for s in sweeps[:2]])
 
+    def test_an_infinite_beta_is_refused_alone(self):
+        # m0/T overflows to inf, where the kernel has no integrand: a sweep into the far tail
+        # and one across the range both have NaN masses and achieve inf, their branch raises
+        # QuadratureError, and the sweeps beside them keep their bits.
+        sweeps = self.batch()
+        out = self.sweep([(0.0, np.array([1e-9]), math.inf, 0.5), sweeps[0],
+                          (0.0, np.array([1e-3, 0.5]), math.inf, 2.0)], False)
+        for masses, achieved in (out[0], out[2]):
+            assert np.isnan(masses).all() and achieved == np.inf
+        self.assert_same(out[1:2], [self.sweep(sweeps[:1], False)[0]])
+        masses = quadrature.branch_log_masses([1e300, 135000.0], [1e-10, 38000.0], [2.0, 3.153],
+                                              [math.inf, 450000.0], np.array([1e5, 1e4, 1e5]), [1, 2], 1e-12)
+        assert isinstance(masses[0], idist.QuadratureError)
+        want = quadrature.branch_log_masses([135000.0], [38000.0], [3.153], [450000.0],
+                                            np.array([1e4, 1e5]), [2], 1e-12)[0]
+        assert np.array_equal(masses[1], want)
+
     def test_branch_masses_flag_only_the_sweep_that_misses(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_BATCH_PANELS", 20)
         # m0 = 1e4 T and m0 / m = tan(0.3): the heavy sweep above, in income space.
         m0, temperature = 1e4, 1.0
-        top = m0 / math.tan(0.5 * _series_cutoff(1e4, 2.0))
+        top = m0 / math.tan(0.5 * _t_cutoff(1e4, 2.0))
         masses = quadrature.branch_log_masses(
             [m0, 135000.0], [temperature, 38000.0], [2.0, 3.153], [top, 450000.0],
             np.array([m0 / math.tan(0.3), 1e4, 1e5]), [1, 2], 1e-12)
@@ -411,7 +395,7 @@ class TestSweepBatch:
 
 
 class TestSweepRegions:
-    """A sweep splits its segments at the series cutoff; each split must be seamless.
+    """A sweep splits its segments at the cutoff of the t-region; each split must be seamless.
 
     beta stops at 1e4: from about 1.5e5 on, the v-space sweep is known to
     depend on its other knots, which the u-side sweep of ROADMAP item 2 is to remove.
@@ -424,7 +408,7 @@ class TestSweepRegions:
         """Within 1e-12 relative, plus one rounding of a log mass that large (1.5e4 at beta = 1e4)."""
         failures = []
         for beta in self.BETAS:
-            for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
+            for name, (start, points) in _region_layouts(_t_cutoff(beta, alpha)).items():
                 cum, achieved = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
                 exact = np.array([_oracle_log_mass(beta, alpha, start, p) for p in points])
                 error = np.abs(np.expm1(cum - exact))
@@ -444,7 +428,7 @@ class TestSweepRegions:
         weights = (lambda v: mpmath.pi / 2 - v, lambda v: -mpmath.log(mpmath.sin(v)))
         failures = []
         for beta in (1e-3, 10.0, 1e4):
-            for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
+            for name, (start, points) in _region_layouts(_t_cutoff(beta, alpha)).items():
                 cum, achieved, _, means = _one_sweep(start, points, beta, alpha, 1e-12, moments=True)
                 plain, plain_achieved = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
                 if not (np.array_equal(cum, plain) and achieved == plain_achieved):
@@ -468,7 +452,7 @@ class TestSweepRegions:
         """
         failures = []
         for beta in self.BETAS:
-            for name, (start, points) in _region_layouts(_series_cutoff(beta, alpha)).items():
+            for name, (start, points) in _region_layouts(_t_cutoff(beta, alpha)).items():
                 cum, _ = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
                 knots = np.concatenate([[start], points])
                 alone = np.array([_one_sweep(lo, [hi], beta, alpha, 1e-12)[0][0]
@@ -483,6 +467,80 @@ class TestSweepRegions:
                 if np.any(error > 1e-14 * np.exp(cum[grown] - alone[grown])):
                     failures.append((beta, name, float(np.max(error))))
         assert not failures, failures
+
+
+def _oracle_t_region(beta, alpha, x):
+    """log of integral_0^x exp(beta*v) sin(v)^(alpha-1) dv and the means of pi/2 - v and
+    -log sin v over it, at 30 digits: mpmath.quad in t = log v, split at e-fold depths of
+    e^(alpha t) below log x."""
+    with mpmath.workdps(30):
+        b, a, top = mpmath.mpf(beta), mpmath.mpf(alpha), mpmath.log(mpmath.mpf(x))
+
+        def integrand(t, weight):
+            v = mpmath.exp(t)
+            return weight(v) * mpmath.exp(b * v + a * (t - top)) * (mpmath.sin(v) / v) ** (a - 1)
+
+        splits = [-mpmath.inf] + [top - d / a for d in (64, 32, 16, 8, 4, 2, 1)] + [top]
+        mass, mean_u, mean_nls = (mpmath.quad(lambda t: integrand(t, g), splits) for g in (
+            lambda v: 1, lambda v: mpmath.pi / 2 - v, lambda v: -mpmath.log(mpmath.sin(v))))
+        return float(a * top + mpmath.log(mass)), float(mean_u / mass), float(mean_nls / mass)
+
+
+class TestTRegion:
+    """Below the cutoff a sweep integrates in t = log v, on panels placed in advance down to
+    where its part has no mass left."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3, 1e9, 1e38, 1e100])
+    def test_closed_forms_up_to_huge_beta(self, beta, alpha):
+        """(e^(beta x) - 1)/beta at alpha = 1, and its alpha = 2 analogue, for sweeps that stay
+        below the cutoff (0.1/beta from beta = 2 on): finite and within the tolerance, at any
+        beta."""
+        cut = _t_cutoff(beta, alpha)
+        for start, points in ((0.0, [1e-3 * cut, cut / 3, cut]), (cut / 5, [cut / 2, cut])):
+            cum, achieved = _one_sweep(start, points, beta, alpha, 1e-12)[:2]
+            exact = np.array([_oracle_log_mass(beta, alpha, start, p) for p in points])
+            assert np.isfinite(cum).all() and achieved <= 1e-12
+            assert np.max(np.abs(np.expm1(cum - exact))) <= 1e-12 + EPS * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 3.153, 12.0])
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e4, 1e12])
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-10])
+    def test_a_sweep_below_the_cutoff_takes_one_round(self, beta, alpha, rel_tol, monkeypatch):
+        """The t-panels are placed so that each passes its own test: a sweep from v = 0 that
+        stays below the cutoff makes one batch of panels.  (At the floor of the tolerance
+        range, 2e-13, a panel just below a knot where beta*v bends the integrand may take one
+        halving.)"""
+        cut = _t_cutoff(beta, alpha)
+        sizes = TestPanelBudget._count_panels(monkeypatch)
+        achieved = _one_sweep(0.0, [1e-3 * cut, 0.5 * cut, cut], beta, alpha, rel_tol)[1]
+        assert achieved <= rel_tol and len(sizes) == 1
+
+    def test_points_at_v_zero_add_nothing(self):
+        # v = arctan(m0/m) is 0 once m0/m underflows: such points have no mass, and the
+        # masses after them keep the bits of the sweep without them.
+        cut = _t_cutoff(2.0, 3.0)
+        cum = _one_sweep(0.0, [0.0, 0.0, cut / 2, 4 * cut], 2.0, 3.0, 1e-12)[0]
+        assert cum[0] == cum[1] == -np.inf
+        assert np.array_equal(cum[2:], _one_sweep(0.0, [cut / 2, 4 * cut], 2.0, 3.0, 1e-12)[0])
+
+    @given(alpha=st.floats(min_value=0.05, max_value=12.0),
+           log_beta=st.floats(min_value=-3.0, max_value=12.0),
+           frac=st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=10, deadline=None)
+    @example(alpha=0.05, log_beta=-3.0, frac=1.0)
+    @example(alpha=12.0, log_beta=12.0, frac=1.0)
+    def test_mass_and_means_match_mpmath(self, alpha, log_beta, frac):
+        """The mass from v = 0 up to a point below the cutoff, singular alpha < 1 included,
+        within 1e-12 relative of the 30-digit oracle, and its means of pi/2 - v and -log sin v
+        within 1e-11."""
+        beta = 10.0**log_beta
+        x = frac * _t_cutoff(beta, alpha)
+        cum, achieved, _, means = _one_sweep(0.0, [x], beta, alpha, 1e-12, moments=True)
+        log_mass, mean_u, mean_nls = _oracle_t_region(beta, alpha, x)
+        assert achieved <= 1e-12
+        assert abs(math.expm1(cum[0] - log_mass)) <= 1e-12 + EPS * abs(log_mass)
+        assert np.max(np.abs(means[:, 0] / [mean_u, mean_nls] - 1.0)) <= 1e-11
 
 
 def _scipy_branch_mass(m0, temperature, alpha, a, b):
@@ -560,7 +618,7 @@ class TestBranchMass:
 
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (1.0, 2.0)])
     def test_infinite_beta_is_refused(self, a, b):
-        # m0 / T overflows to inf, where no series head can be formed: the mass raises rather
+        # m0 / T overflows to inf, where the kernel has no integrand: the mass raises rather
         # than return NaN.
         with pytest.raises(idist.QuadratureError):
             kernel_log_mass(1e300, 1e-10, 2.0, a, b)
